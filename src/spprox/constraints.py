@@ -1,16 +1,18 @@
 """Simple convex sets with exact projections, plus intersection oracles.
 
-``dist_intersection`` projects onto a finite intersection with Dykstra's
-alternating-projection scheme (plain alternating projections would only give
-a feasible point, not the projection, and the distance report needs the
-projection).  ``estimate_kappa`` probes the linear-regularity ratio
+``project_intersection`` projects onto a finite intersection.  Halfspace
+families are one polyhedron {z : C z <= d}, projected exactly by Lawson and
+Hanson's least-distance program (solved as a nonnegative least-squares
+problem) and certified by its KKT conditions; an empty intersection raises.
+Families of other or mixed kinds use Dykstra's alternating-projection scheme
+(plain alternating projections would only give a feasible point, not the
+projection, and the distance report needs the projection).
+``estimate_kappa`` probes the linear-regularity ratio
 dist_X(x)^2 / E[dist_{X_S}(x)^2]; being sampled, it certifies a lower bound
 on the regularity constant only.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -140,7 +142,8 @@ class NonnegativeOrthant(ConstraintSet):
 
 
 class DykstraError(RuntimeError):
-    """Cycle cap reached; ``best`` carries the last iterate."""
+    """Intersection projection failed (cycle cap, empty intersection or
+    failed certificate); ``best`` carries the last candidate."""
 
     def __init__(self, message: str, best: Array):
         super().__init__(message)
@@ -162,219 +165,84 @@ def _dykstra_generic(sets, x, tol, max_cycles):
         f"Dykstra did not converge within {max_cycles} cycles", best=y)
 
 
-def _kkt_enumerate(C, d, nrm, x, pool, tol):
-    """Certified projection by KKT checks over subsets of a small row pool.
+def _nnls(E, f):
+    """Lawson-Hanson active-set solve of min ||E w - f|| over w >= 0.
 
-    A verified certificate (nonnegative multipliers, tight working rows,
-    global feasibility) identifies the unique projection, so the first hit
-    is returned.
+    Returns w and the residual r = E w - f.
     """
-    import itertools
+    k = E.shape[1]
+    w = np.zeros(k)
+    free = np.zeros(k, dtype=bool)
+    tol = 10.0 * np.finfo(float).eps * max(E.shape) * float(np.abs(E).max())
+    grad = E.T @ f
+    for _ in range(3 * k + 10):
+        j = int(np.argmax(np.where(free, -np.inf, grad)))
+        if free[j] or grad[j] <= tol:
+            return w, E @ w - f
+        free[j] = True
+        while True:
+            cols = np.flatnonzero(free)
+            s = np.zeros(k)
+            s[cols] = np.linalg.lstsq(E[:, cols], f, rcond=None)[0]
+            if s[cols].min() > 0.0:
+                w = s
+                grad = E.T @ (f - E @ w)
+                break
+            if s[j] <= 0.0 and w[j] == 0.0:  # j gains only roundoff: bar it
+                free[j] = False
+                grad[j] = -np.inf
+                break
+            out = cols[s[cols] <= 0.0]
+            ratios = w[out] / (w[out] - s[out])
+            i = int(np.argmin(ratios))
+            w = w + ratios[i] * (s - w)
+            w[out[i]] = 0.0
+            free &= w > 0.0
+            w[~free] = 0.0
+    raise DykstraError("NNLS did not terminate", best=w)
 
-    pool = sorted(set(int(i) for i in pool))
-    if not pool or len(pool) > 12:
-        return None
-    dim = C.shape[1]
-    for r in range(1, min(dim, len(pool)) + 1):
-        for S in itertools.combinations(pool, r):
-            Ca = C[list(S)]
-            rhs = Ca @ x - d[list(S)]
-            alpha, *_ = np.linalg.lstsq(Ca @ Ca.T, rhs, rcond=None)
-            if np.any(alpha < -1e-12):
-                continue
-            z = x - Ca.T @ alpha
-            if float((np.abs(Ca @ z - d[list(S)]) / nrm[list(S)]).max()) > tol:
-                continue
-            if float(((C @ z - d) / nrm).max()) > tol:
-                continue
-            return z
-    return None
 
+def _project_polyhedron(C, d, x):
+    """Exact projection of x onto {z : C z <= d} by least-distance NNLS.
 
-def _halfspace_polish(C, d, nrm, x, seed, max_pivots=300):
-    """Certified projection onto {z : C z <= d} via a primal active set.
-
-    Starting from the ``seed`` candidate rows, repeatedly solves the
-    equality-constrained projection on the working rows, dropping rows with
-    negative multipliers (or inconsistent working sets) and adding the most
-    violated row.  Returns the projection only when the full KKT conditions
-    hold (so the result is exact up to linear-solve roundoff), else None.
+    u = z - x solves min ||u|| s.t. -C u >= C x - d.  Lawson and Hanson
+    (*Solving Least Squares Problems*, 1974, ch. 23): NNLS on
+    E = [-C'; (C x - d)'], f = e_{n+1} gives r = E w - f and u = -r[:n]/r[n];
+    r = 0 certifies an empty set.  z is returned only when its KKT
+    certificate (feasibility, complementary slackness) holds to 1e-10 * scale.
     """
-    dim = C.shape[1]
-    scale = (1.0 + float(np.abs(x).max(initial=0.0))
-             + float(np.abs(d / nrm).max(initial=0.0)))
-    tol = 1e-10 * scale
-    active = list(dict.fromkeys(int(i) for i in seed))[:dim]
-    seen = set()
-    for _ in range(max_pivots):
-        state = frozenset(active)
-        if state in seen:
-            return None  # pivot cycle (dependent rows); caller escalates
-        seen.add(state)
-        if not active:
-            slack = (C @ x - d) / nrm
-            worst = int(np.argmax(slack))
-            if slack[worst] <= tol:
-                return x.copy()
-            active = [worst]
-        Ca = C[active]
-        rhs = Ca @ x - d[active]
-        gram = Ca @ Ca.T
-        try:
-            alpha = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            alpha, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        if np.any(alpha < -1e-12):
-            del active[int(np.argmin(alpha))]
-            continue
-        z = x - Ca.T @ alpha
-        eq_res = np.abs(Ca @ z - d[active]) / nrm[active]
-        if float(eq_res.max(initial=0.0)) > tol:
-            # inconsistent working set (rank deficiency): drop worst row
-            del active[int(np.argmax(eq_res))]
-            continue
-        slack = (C @ z - d) / nrm
-        worst = int(np.argmax(slack))
-        if slack[worst] <= tol:
-            return z
-        if worst in active:  # pragma: no cover - loop guard
-            return None
-        active.append(worst)
-    return None
-
-
-def _certify(C, d, nrm, x, support, tol):
-    """KKT-check the candidate active ``support``; exact projection or None."""
-    if len(support) == 0:
-        if float(((C @ x - d) / nrm).max()) <= tol:
-            return x.copy()
-        return None
-    Ca = C[support]
-    rhs = Ca @ x - d[support]
-    alpha, *_ = np.linalg.lstsq(Ca @ Ca.T, rhs, rcond=None)
-    if np.any(alpha < -1e-12):
-        return None
-    z = x - Ca.T @ alpha
-    if float((np.abs(Ca @ z - d[support]) / nrm[support]).max()) > tol:
-        return None
-    if float(((C @ z - d) / nrm).max()) > tol:
-        return None
+    nrm = np.sqrt(np.einsum("ij,ij->i", C, C))
+    C = C / nrm[:, None]
+    d = d / nrm
+    h = C @ x - d  # violations, scaled below to a largest value of 1
+    top = float(h.max(initial=0.0))
+    if top <= 0.0:
+        return x.copy()
+    n = x.shape[0]
+    w, r = _nnls(np.vstack([-C.T, h / top]), np.eye(n + 1)[n])
+    if -r[n] <= 1e-14:
+        raise DykstraError("empty intersection: the halfspaces are "
+                           "inconsistent", best=x.copy())
+    z = x - (top / r[n]) * r[:n]
+    tol = 1e-10 * (1.0 + float(np.abs(x).max()) + float(np.abs(d).max()))
+    slack = C @ z - d
+    worst = max(float(slack.max()),
+                float(np.abs(slack[w > 0.0]).max(initial=0.0)))
+    if not worst <= tol:  # also catches NaN
+        raise DykstraError(
+            f"least-distance certificate failed: residual {worst:.3g} "
+            f"exceeds {tol:.3g}", best=z)
     return z
-
-
-def _dual_rescue(C, d, nrm, x, lam0, tol, iters=4000):
-    """Accelerated ascent on the projection dual with KKT certification.
-
-    The dual of min ||z - x||^2/2 over {Cz <= d} is a nonnegativity-
-    constrained quadratic in the multipliers; FISTA steps (warm-started from
-    the Dykstra increments) locate the support, and a candidate is returned
-    only once its KKT certificate verifies, so the result is exact.
-    """
-    G = C @ C.T
-    r = C @ x - d
-    # power iteration for the Lipschitz constant of the dual gradient
-    v = np.ones(G.shape[0])
-    for _ in range(30):
-        w = G @ v
-        nv = norm(w)
-        if nv == 0.0:
-            return None
-        v = w / nv
-    L = float(v @ (G @ v)) * 1.05 + 1e-12
-    lam = np.maximum(lam0, 0.0)
-    mom = lam.copy()
-    t_acc = 1.0
-    scale = float(np.abs(lam).max(initial=1.0)) + 1.0
-    for k in range(1, iters + 1):
-        grad = G @ mom - r
-        lam_new = np.maximum(mom - grad / L, 0.0)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        mom = lam_new + ((t_acc - 1.0) / t_new) * (lam_new - lam)
-        lam, t_acc = lam_new, t_new
-        if k % 50 == 0 or k == iters:
-            support = np.nonzero(lam > 1e-10 * scale)[0]
-            if len(support) <= C.shape[1] + 4:
-                z = _certify(C, d, nrm, x, support, tol)
-                if z is not None:
-                    return z
-    return None
-
-
-def _dykstra_halfspaces(sets, x, tol, max_cycles):
-    """Dykstra cycle for pure-halfspace families (scalar increments).
-
-    For halfspaces the Dykstra increment of set i is lam_i * c_i with
-    lam_i >= 0, so the cycle reduces to Hildreth's updates.  Periodically,
-    and at the displacement stop, the currently active rows seed a primal
-    active-set polish of the projection problem; a polished point is used
-    only when its KKT certificate checks out, which both accelerates the
-    slow tail and repairs displacement-criterion stalls on shallow-angle
-    geometry.
-    """
-    C = np.stack([s.c for s in sets])
-    d = np.array([s.d for s in sets])
-    sq = np.einsum("ij,ij->i", C, C)
-    nrm = np.sqrt(sq)
-    y = x.copy()
-    lam = np.zeros(len(sets))
-    poll = 2
-    cycles = 0
-
-    def seed_rows():
-        order = np.argsort(lam)[::-1]
-        rows = [int(i) for i in order if lam[i] > 0.0]
-        slack = np.abs(C @ y - d) / nrm
-        near = np.nonzero(slack <= 1e-6 * (1.0 + float(np.abs(y).max())))[0]
-        rows.extend(int(i) for i in near if lam[i] == 0.0)
-        return rows
-
-    while cycles < max_cycles:
-        start = y.copy()
-        for i in range(len(sets)):
-            li = lam[i]
-            g = (float(C[i] @ y) + li * sq[i] - d[i]) / sq[i]
-            ln = g if g > 0.0 else 0.0
-            if ln != li:
-                y += (li - ln) * C[i]
-                lam[i] = ln
-        cycles += 1
-        stalled = norm(y - start) < tol
-        if stalled or cycles % poll == 0:
-            z = _halfspace_polish(C, d, nrm, x, seed_rows())
-            if z is None:
-                z = _halfspace_polish(C, d, nrm, x, [])
-            if z is not None:
-                return z
-            if stalled:
-                scale = (1.0 + float(np.abs(x).max(initial=0.0))
-                         + float(np.abs(d / nrm).max(initial=0.0)))
-                z = _dual_rescue(C, d, nrm, x, lam, 1e-10 * scale)
-                if z is None:
-                    z = _kkt_enumerate(C, d, nrm, x, seed_rows(), 1e-10 * scale)
-                return y if z is None else z
-            poll = min(poll * 2, 256)
-    raise DykstraError(
-        f"Dykstra did not converge within {max_cycles} cycles", best=y)
-
-
-def _dykstra(sets, x, tol, max_cycles):
-    if all(isinstance(s, Halfspace) for s in sets):
-        return _dykstra_halfspaces(sets, x, tol, max_cycles)
-    return _dykstra_generic(sets, x, tol, max_cycles)
 
 
 def project_intersection(sets, x, tol: float = 1e-10,
                          max_cycles: int = 100_000) -> Array:
-    """Projection of x onto the intersection of ``sets`` via Dykstra.
+    """Projection of x onto the intersection of ``sets``.
 
-    Cycles through the sets with Dykstra increments until the per-cycle
-    displacement drops below ``tol``.  Raises DykstraError (carrying the best
-    iterate) if ``max_cycles`` is exhausted.
-
-    Large families go through an exact working-set reduction: the projection
-    onto an intersection is the projection onto the subfamily active at the
-    solution, so Dykstra runs on the violated sets and the working set grows
-    until the result is feasible for every member.
+    Halfspace families are projected exactly by one least-distance NNLS
+    solve (DykstraError if empty or uncertified).  Other or mixed families
+    run Dykstra cycles until the per-cycle displacement drops below ``tol``,
+    raising DykstraError (carrying the last iterate) after ``max_cycles``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -384,35 +252,17 @@ def project_intersection(sets, x, tol: float = 1e-10,
     x = np.asarray(x, dtype=np.float64)
     if len(sets) == 1:
         return sets[0].project(x)
-    dists = np.array([s.distance(x) for s in sets])
-    if dists.max() == 0.0:
+    if all(isinstance(s, Halfspace) for s in sets):
+        return _project_polyhedron(np.stack([s.c for s in sets]),
+                                   np.array([s.d for s in sets]), x)
+    if max(s.distance(x) for s in sets) == 0.0:
         return x.copy()
-    if len(sets) <= 16:
-        return _dykstra(sets, x, tol, max_cycles)
-    # Seed the working set with the most violated members; the projection is
-    # exact once the subfamily projection is feasible for every member.
-    dim = x.shape[0]
-    chunk = max(8, dim)
-    order = np.argsort(dists)[::-1]
-    working = [int(i) for i in order[:chunk] if dists[i] > 0.0]
-    in_w = set(working)
-    y = x.copy()
-    for _ in range(200):
-        y = _dykstra([sets[i] for i in working], x, tol, max_cycles)
-        gaps = [(sets[i].distance(y), i) for i in range(len(sets))
-                if i not in in_w]
-        newly = sorted((g for g in gaps if g[0] > tol), reverse=True)
-        if not newly:
-            return y
-        for _, i in newly[:max(4, dim // 2)]:
-            working.append(i)
-            in_w.add(i)
-    return _dykstra(sets, x, tol, max_cycles)  # pragma: no cover
+    return _dykstra_generic(sets, x, tol, max_cycles)
 
 
 def dist_intersection(sets, x, tol: float = 1e-10,
                       max_cycles: int = 100_000) -> float:
-    """Distance from x to the intersection of ``sets`` (nonempty assumed)."""
+    """Distance from x to the intersection of ``sets``."""
     x = np.asarray(x, dtype=np.float64)
     return norm(x - project_intersection(sets, x, tol=tol, max_cycles=max_cycles))
 

@@ -24,11 +24,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .components import BatchLeastSquares, LinearResidualSquared, QuadraticNorm
 from .constraints import Halfspace, NonnegativeOrthant, WholeSpace, Box, \
-    project_intersection
-from .core import Array, RandomSource, StochasticProblem, norm
+    _project_polyhedron, project_intersection
+from .core import Array, RandomSource, StochasticProblem
 
 SUBGRADIENT_CAVEAT = (
     "least-squares losses are Lipschitz only on bounded sets; convex-case "
@@ -36,35 +37,32 @@ SUBGRADIENT_CAVEAT = (
 
 
 class ReferenceSolveError(RuntimeError):
-    """The deterministic inner solver failed to reach its tolerance."""
+    """The objective admits no exact reference solve (not strongly convex)."""
 
 
-def _projected_gradient(M: Array, h: Array, constraints, x_init: Array,
-                        tol: float = 1e-10, max_iter: int = 200_000,
-                        dykstra_tol: float = 1e-12) -> Array:
-    """Minimize x'Mx - 2h'x over the intersection by projected gradient."""
-    eigs = np.linalg.eigvalsh(M)
-    L = 2.0 * float(eigs[-1])
-    if L <= 0:
-        raise ReferenceSolveError("objective has no curvature")
-    step = 1.0 / L
-    x = project_intersection(constraints, x_init, tol=dykstra_tol)
-    for _ in range(max_iter):
-        g = 2.0 * (M @ x - h)
-        x_new = project_intersection(constraints, x - step * g, tol=dykstra_tol)
-        if norm(x_new - x) <= tol:
-            return project_intersection(constraints, x_new, tol=dykstra_tol / 10)
-        x = x_new
-    raise ReferenceSolveError(
-        f"projected gradient did not converge to {tol} in {max_iter} iterations")
+def _refine_optimum(losses, constraints, dim):
+    """Exact minimizer of the quadratic finite sum over the halfspaces.
 
+    ``constraints`` holds halfspaces, and whole-space sets that add no rows.
 
-def _refine_optimum(losses, constraints, dim, x_init, tol=1e-10):
-    probe = StochasticProblem(losses, constraints, dim)
-    quad = probe._quad
+    With M = L L' and y = L'x the objective x'Mx - 2h'x equals
+    ||y - L^-1 h||^2 up to a constant, so the minimizer is the projection of
+    L^-1 h onto {y : C L^-T y <= d}, mapped back by x = L^-T y.
+    """
+    quad = StochasticProblem(losses, constraints, dim)._quad
     if quad is None:
         raise ReferenceSolveError("reference solve needs a quadratic objective")
-    return _projected_gradient(quad.M, quad.h, constraints, x_init, tol=tol)
+    try:
+        L = np.linalg.cholesky(quad.M)
+    except np.linalg.LinAlgError:
+        raise ReferenceSolveError(
+            "objective is not strongly convex (Cholesky failed)") from None
+    rows = [s for s in constraints if not isinstance(s, WholeSpace)]
+    C = np.array([s.c for s in rows]).reshape(len(rows), dim)
+    d = np.array([s.d for s in rows])
+    y = _project_polyhedron(solve_triangular(L, C.T, lower=True).T, d,
+                            solve_triangular(L, quad.h, lower=True))
+    return solve_triangular(L, y, lower=True, trans="T")
 
 
 def gen_constrained_ls(n: int = 20, m: int = 2000, seed: int = 0,
@@ -80,9 +78,9 @@ def gen_constrained_ls(n: int = 20, m: int = 2000, seed: int = 0,
     with ``active`` of them tight at the ground truth.
 
     The problem's known optimum is the minimizer of the realized finite sum
-    over the polyhedron (deterministic projected-gradient solve); the planted
-    point stays in ``meta["ground_truth"]``.  ``refine=False`` skips the
-    solve and leaves the optimum unset (sampling diagnostics at large m).
+    over the polyhedron (exact least-distance solve); the planted point
+    stays in ``meta["ground_truth"]``.  ``refine=False`` skips the solve and
+    leaves the optimum unset (sampling diagnostics at large m).
     """
     if n < 2 or m < n:
         raise ValueError("need n >= 2 and m >= n")
@@ -112,7 +110,7 @@ def gen_constrained_ls(n: int = 20, m: int = 2000, seed: int = 0,
         raise RuntimeError("could not place the ground truth inside the polyhedron")
     constraints = [Halfspace(C[i], d[i]) for i in range(p)]
 
-    x_star = _refine_optimum(losses, constraints, n, x_gt) if refine else None
+    x_star = _refine_optimum(losses, constraints, n) if refine else None
     H = (Q * lams) @ Q.T
     return StochasticProblem(
         losses, constraints, n, coupling="independent", x_star=x_star,
@@ -127,8 +125,7 @@ def gen_random_ls_polyhedron(n: int = 20, m: int = 1000, seed: int = 0,
     """Row-sampled least squares over a random polyhedron.
 
     No solution structure is imposed; the stored optimum is the minimizer of
-    the realized objective, computed by a deterministic projected-gradient
-    solve to 1e-10.
+    the realized objective, computed by an exact least-distance solve.
     """
     if n < 2 or m < n:
         raise ValueError("need n >= 2 and m >= n")
@@ -141,7 +138,7 @@ def gen_random_ls_polyhedron(n: int = 20, m: int = 1000, seed: int = 0,
     d = C @ anchor + rng.uniform(0.1, 1.1, m)  # anchor strictly interior
     losses = [LinearResidualSquared(A[i], b[i]) for i in range(m)]
     constraints = [Halfspace(C[i], d[i]) for i in range(m)]
-    x_star = _refine_optimum(losses, constraints, n, anchor)
+    x_star = _refine_optimum(losses, constraints, n)
     return StochasticProblem(
         losses, constraints, n, coupling="independent", x_star=x_star,
         one_pass=m,

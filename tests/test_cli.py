@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import spprox
 from spprox.cli import main
 
 TINY = """\
@@ -76,3 +80,22 @@ def test_cli_plan(tmp_path, capsys):
     assert "variable-stepsize plan" in out
     assert "restart plan" in out
     assert "convex-case plan: mu=" in out
+
+
+def test_cli_path_does_not_import_scipy_optimize():
+    # scipy.optimize costs about 19 MB of resident memory per pool process
+    script = (
+        "import sys\n"
+        "import spprox.cli\n"
+        "from spprox import gen_constrained_ls, project_intersection\n"
+        "p = gen_constrained_ls(n=8, m=240, seed=3)\n"
+        "project_intersection(p.constraints, p.x_star + 5.0)\n"
+        "print('scipy.optimize' in sys.modules)\n")
+    src = str(Path(spprox.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "False"

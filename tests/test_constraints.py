@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from conftest import enum_polyhedron_projection, random_set
 from spprox import (Box, DykstraError, Halfspace, Hyperplane,
@@ -110,6 +111,28 @@ def test_dykstra_cycle_cap_carries_best():
     assert err.value.best.shape == (2,)
 
 
+def test_empty_halfspace_intersection_raises():
+    sets = [Halfspace([1.0, 0.0], 0.0), Halfspace([-1.0, 0.0], -1.0)]
+    with pytest.raises(DykstraError):
+        project_intersection(sets, [3.0, 2.0])
+
+
+def test_far_probe_projection_is_certified(desk_ls):
+    # the first kappa probe of RandomSource(1) around the desk optimum
+    xs = desk_ls.x_star
+    u = RandomSource(1).normal(20)
+    x = xs + 2.0 * max(1.0, np.linalg.norm(xs)) * u / np.linalg.norm(u)
+    z = project_intersection(desk_ls.constraints, x)
+    assert max(s.distance(z) for s in desk_ls.constraints) <= 1e-9
+    C = np.stack([s.c for s in desk_ls.constraints])
+    d = np.array([s.d for s in desk_ls.constraints])
+    nrm = np.linalg.norm(C, axis=1)
+    tight = (C @ z - d) / nrm >= -1e-9
+    _, res = nnls((C[tight] / nrm[tight, None]).T, x - z)
+    assert res <= 1e-8
+    assert dist_intersection(desk_ls.constraints, x) == np.linalg.norm(x - z)
+
+
 def test_estimate_kappa_single_halfspace():
     h = Halfspace(np.array([1.0, 0.0]), 0.0)
     prob = StochasticProblem([QuadraticNorm(2, 1.0)], [h, h, h], 2)
@@ -140,7 +163,7 @@ def test_estimate_kappa_all_feasible_probes_error():
 
 
 def test_working_set_matches_enumeration():
-    # large families route through the working-set reduction; same projection
+    # 24 halfspaces in 4-D: one least-distance solve, same projection
     rng = RandomSource(33)
     anchor = 0.2 * rng.normal(4)
     sets = [Halfspace(c, float(c @ anchor) + 0.05 + float(rng.uniform()))

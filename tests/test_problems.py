@@ -83,9 +83,17 @@ def test_refine_matches_normal_equations_unconstrained():
     A = rng.normal((40, 5))
     b = rng.normal(40)
     losses = [LinearResidualSquared(A[i], b[i]) for i in range(40)]
-    x = _refine_optimum(losses, [WholeSpace(5)], 5, np.zeros(5))
+    x = _refine_optimum(losses, [WholeSpace(5)], 5)
     x_ne = np.linalg.solve(A.T @ A, A.T @ b)
     assert np.linalg.norm(x - x_ne) <= 1e-8
+
+
+def test_refine_rejects_singular_objective():
+    from spprox.components import LinearResidualSquared
+    from spprox.problems import ReferenceSolveError
+    losses = [LinearResidualSquared(np.array([1.0, 0.0]), 1.0)]
+    with pytest.raises(ReferenceSolveError):
+        _refine_optimum(losses, [Halfspace(np.array([1.0, 1.0]), 0.0)], 2)
 
 
 def test_feasibility_family_least_norm():
