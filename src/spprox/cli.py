@@ -60,7 +60,9 @@ def _cmd_run(args) -> int:
     env_out = os.environ.get("SPPROX_OUTDIR")
     if env_out:
         config.outdir = env_out
-    results = run_experiment(config, workers=args.workers)
+    if args.workers is not None:
+        config.workers = args.workers
+    results = run_experiment(config)
     for name, agg in results.items():
         tail = ""
         if agg.diverged:

@@ -149,6 +149,9 @@ class DykstraError(RuntimeError):
         super().__init__(message)
         self.best = best
 
+    def __reduce__(self):  # a pool worker's error must unpickle in the parent
+        return type(self), (self.args[0], self.best)
+
 
 def _dykstra_generic(sets, x, tol, max_cycles):
     y = x.copy()

@@ -2,9 +2,11 @@
 
 A configuration names one generated problem and a grid of solver cells
 (algorithm x mu0 x gamma).  Each cell runs ``runs`` Monte-Carlo repetitions
-with seeds ``base_seed + run_index``; repetitions fan out over a process pool
-and aggregation is a deterministic reduction keyed by run index, so serial
-and parallel execution emit byte-identical CSVs.
+with seeds ``base_seed + run_index``.  With more than one worker, an
+experiment opens one process pool: its initializer installs the problem once
+per worker, and every (cell, run) task, queued up front, carries only its
+``(SolverConfig, seed)``.  Aggregation is a deterministic reduction keyed by
+run index, so serial and parallel execution emit byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import configparser
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -71,6 +72,18 @@ class ExperimentConfig:
     def validate(self):
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        for key in ("iterations", "stride", "workers", "kappa_probes"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0")
+        if not (math.isfinite(self.feas_tol) and self.feas_tol > 0):
+            raise ConfigError("feas_tol must be positive and finite")
+        if self.spec.b_policy != "mean":
+            try:
+                target = float(self.spec.b_policy)
+            except (TypeError, ValueError):
+                target = math.nan
+            if not math.isfinite(target):
+                raise ConfigError("b_policy must be 'mean' or a finite number")
         if not self.cells:
             raise ConfigError("no solver cells configured")
         for cell in self.cells:
@@ -147,30 +160,51 @@ def aggregate(name: str, traces: list, metadata: dict | None = None) -> Aggregat
         traces=list(traces))
 
 
-def _execute_run(problem: StochasticProblem, solver_config: SolverConfig,
-                 seed: int) -> RunTrace:
+_worker_problem = None  # set in each pool worker by _install_problem
+
+
+def _install_problem(problem: StochasticProblem) -> None:
+    global _worker_problem
+    _worker_problem = problem
+
+
+def _execute_run(solver_config: SolverConfig, seed: int,
+                 problem: StochasticProblem | None = None) -> RunTrace:
+    """One Monte-Carlo run; a pool task omits ``problem`` (installed once)."""
     cfg = replace(solver_config, seed=seed)
+    problem = _worker_problem if problem is None else problem
     return run(problem, cfg, RandomSource(seed))
+
+
+def _pooled_traces(problem: StochasticProblem, cells: list,
+                   workers: int) -> list:
+    """Traces per ``(solver_config, seeds)`` in ``cells``, all from one pool.
+
+    Every run is queued up front; one that raises cancels the queued rest.
+    """
+    tasks = sum(len(seeds) for _, seeds in cells)
+    with ProcessPoolExecutor(max_workers=min(workers, tasks),
+                             initializer=_install_problem,
+                             initargs=(problem,)) as pool:
+        futures = [[pool.submit(_execute_run, cfg, s) for s in seeds]
+                   for cfg, seeds in cells]
+        try:
+            return [[f.result() for f in fs] for fs in futures]
+        except BaseException:  # a failed run or an interrupt
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
 
 def run_cell(problem: StochasticProblem, solver_config: SolverConfig,
              runs: int, base_seed: int, workers: int = 1,
              name: str = "cell", metadata: dict | None = None) -> AggregateTrace:
     """Monte-Carlo repetitions of one cell; seeds are base_seed + run index."""
-    started = time.monotonic()
     seeds = [base_seed + i for i in range(runs)]
     if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_execute_run,
-                                   [problem] * runs,
-                                   [solver_config] * runs,
-                                   seeds))
+        traces = _pooled_traces(problem, [(solver_config, seeds)], workers)[0]
     else:
-        traces = [_execute_run(problem, solver_config, s) for s in seeds]
-    agg = aggregate(name, traces, metadata)
-    # wall-clock stays in memory only, so emitted files are run-to-run identical
-    agg.metadata["wall_clock_seconds"] = time.monotonic() - started
-    return agg
+        traces = [_execute_run(solver_config, s, problem) for s in seeds]
+    return aggregate(name, traces, metadata)
 
 
 # -- emission ------------------------------------------------------------------
@@ -399,8 +433,10 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> dict
     problem = generate(config.spec)
     K = config.iterations if config.iterations > 0 else problem.one_pass
     stride = config.stride if config.stride > 0 else max(1, K // 50)
-    if workers is None:
-        workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
+    if workers is None:  # 0: the CPUs this process may run on
+        workers = config.workers or (len(os.sched_getaffinity(0))
+                                     if hasattr(os, "sched_getaffinity")
+                                     else os.cpu_count() or 1)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -440,28 +476,34 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> dict
         constants_cache[mu0] = c
         return c
 
+    solver_cfgs = [SolverConfig(
+        algorithm=cell.algorithm, schedule=cell.schedule(),
+        iterations=K, stride=stride,
+        epochs=(epochs_for_budget(cell.gamma, K)
+                if cell.algorithm == "rspp" else 0),
+        feas_tol=config.feas_tol,
+        record_feasibility=config.record_feasibility)
+        for cell in config.cells]
+    if workers > 1:
+        seeds = range(config.base_seed, config.base_seed + config.runs)
+        pooled = _pooled_traces(problem, [(c, seeds) for c in solver_cfgs],
+                                workers)
+        aggs = [aggregate(cell.name, traces, dict(meta_common))
+                for cell, traces in zip(config.cells, pooled)]
+    else:
+        aggs = (run_cell(problem, solver_cfg, config.runs, config.base_seed,
+                         name=cell.name, metadata=dict(meta_common))
+                for cell, solver_cfg in zip(config.cells, solver_cfgs))
     results = {}
     groups = {}
-    for cell in config.cells:
-        solver_cfg = SolverConfig(
-            algorithm=cell.algorithm, schedule=cell.schedule(),
-            iterations=K, stride=stride,
-            epochs=(epochs_for_budget(cell.gamma, K)
-                    if cell.algorithm == "rspp" else 0),
-            feas_tol=config.feas_tol,
-            record_feasibility=config.record_feasibility)
-        agg = run_cell(problem, solver_cfg, config.runs, config.base_seed,
-                       workers=workers, name=cell.name,
-                       metadata=dict(meta_common))
+    for cell, agg in zip(config.cells, aggs):
         results[cell.name] = agg
         emit_csv(agg, outdir / f"{cell.name}.csv")
         if config.debug_runs:
             for i, tr in enumerate(agg.traces):
                 emit_run_csv(tr, outdir / f"{cell.name}_run{i:03d}.csv")
         meta_path = outdir / f"{cell.name}.meta.json"
-        persisted = {k: v for k, v in agg.metadata.items()
-                     if k != "wall_clock_seconds"}
-        meta_path.write_text(json.dumps(_jsonable(persisted), indent=1,
+        meta_path.write_text(json.dumps(_jsonable(agg.metadata), indent=1,
                                         sort_keys=True) + "\n")
         groups.setdefault(cell.gamma, []).append((cell, agg))
 

@@ -29,6 +29,9 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.iteration = iteration
 
+    def __reduce__(self):  # a pool worker's error must unpickle in the parent
+        return type(self), (self.args[0], self.iteration)
+
 
 @dataclass
 class SolverConfig:

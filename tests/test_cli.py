@@ -1,9 +1,13 @@
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import spprox
+from spprox import ConfigError, SolverError, harness, parse_config, run_experiment
 from spprox.cli import main
 
 TINY = """\
@@ -44,6 +48,40 @@ def test_cli_gen_config(capsys, tmp_path):
     path.write_text(text)
     from spprox import parse_config
     assert parse_config(path).spec.family == "markowitz"
+
+
+def _with_key(section: str, key: str, value: str, text: str = TINY) -> str:
+    """``text`` with ``key = value`` in ``[section]``, replacing any old value."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} =")]
+    at = lines.index(f"[{section}]") + 1
+    return "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
+
+
+@pytest.mark.parametrize("section, key, value, argv", [
+    ("experiment", "stride", "-5", []),
+    ("experiment", "iterations", "-3", []),
+    ("experiment", "workers", "-4", []),
+    ("experiment", "kappa_probes", "-2", []),
+    ("experiment", "feas_tol", "-1", []),
+    ("experiment", "feas_tol", "0", []),
+    ("experiment", "feas_tol", "inf", []),
+    ("experiment", "feas_tol", "nan", []),
+    ("problem", "b_policy", "foo", []),
+    ("problem", "b_policy", "nan", []),
+    ("experiment", "workers", "1", ["--workers", "-1"]),
+])
+def test_invalid_run_keys_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
+                                                 section, key, value, argv):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(_with_key(section, key, value))
+    if not argv:
+        with pytest.raises(ConfigError, match=key):
+            parse_config(cfg)
+    out = tmp_path / "out"
+    monkeypatch.setenv("SPPROX_OUTDIR", str(out))
+    assert main(["run", str(cfg), *argv]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -91,11 +129,62 @@ def test_cli_path_does_not_import_scipy_optimize():
         "p = gen_constrained_ls(n=8, m=240, seed=3)\n"
         "project_intersection(p.constraints, p.x_star + 5.0)\n"
         "print('scipy.optimize' in sys.modules)\n")
+    out = _run_python(script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this spprox."""
     src = str(Path(spprox.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120,
-                         check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# Seed 5 is run 1 of every cell: the first cell fails with the rest queued.
+FAIL_AT_SEED_5 = """\
+import sys
+from spprox import cli, harness
+from spprox.solvers import SolverError
+
+real_run = harness.run
+
+def failing_run(problem, config, rng=None):
+    if config.seed == 5:
+        raise SolverError("injected failure at seed 5", 7)
+    return real_run(problem, config, rng)
+
+harness.run = failing_run
+sys.exit(cli.main(["run", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers inherit the patched run only by fork")
+def test_worker_failure_propagates(tmp_path, monkeypatch):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(_with_key("solvers", "algorithms", "spp, rspp, sgd",
+                             _with_key("experiment", "runs", "3",
+                                       _with_key("experiment", "workers", "2"))))
+    real_run = harness.run
+
+    def failing_run(problem, config, rng=None):
+        if config.seed == 5:
+            raise SolverError("injected failure at seed 5", 7)
+        return real_run(problem, config, rng)
+
+    monkeypatch.setattr(harness, "run", failing_run)
+    config = parse_config(cfg)
+    config.outdir = str(tmp_path / "lib")
+    with pytest.raises(SolverError, match="seed 5") as err:
+        run_experiment(config)
+    assert err.value.iteration == 7
+    assert not list(Path(config.outdir).glob("*.csv"))
+
+    monkeypatch.setenv("SPPROX_OUTDIR", str(tmp_path / "cli"))
+    out = _run_python(FAIL_AT_SEED_5, str(cfg))  # times out if it hangs
+    assert out.returncode == 2, out.stderr
+    assert "injected failure at seed 5" in out.stderr

@@ -1,4 +1,5 @@
 import math
+import pickle
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -9,6 +10,7 @@ from spprox import (AggregateTrace, Cell, ConfigError, ExperimentConfig,
                     GeneratorSpec, RandomSource, aggregate, emit_csv,
                     emit_svg, log_log_slope, parse_config, parse_csv,
                     run_experiment)
+from spprox import DykstraError, SolverError, harness
 from spprox.harness import CONFIG_TEMPLATES, CSV_HEADER, emit_run_csv
 
 
@@ -171,6 +173,39 @@ def test_serial_parallel_identical(tmp_path):
     run_experiment(c2, workers=2)
     for f in sorted(Path(c1.outdir).glob("*.csv")):
         assert f.read_bytes() == (Path(c2.outdir) / f.name).read_bytes()
+
+
+def test_one_pool_per_experiment(tmp_path, monkeypatch):
+    opened = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    # 3 runs per cell do not divide evenly over 2 workers
+    base = dict(cells=[Cell("spp", 1.0, 1.0), Cell("rspp", 1.0, 0.5),
+                       Cell("sgd", 0.5, 0.5)], runs=3)
+    c1 = _tiny_config(tmp_path, outdir=str(tmp_path / "ser"), **base)
+    c2 = _tiny_config(tmp_path, outdir=str(tmp_path / "par"), **base)
+    run_experiment(c1, workers=1)
+    assert opened == []
+    run_experiment(c2, workers=2)
+    assert opened == [2]
+    csvs = sorted(Path(c1.outdir).glob("*.csv"))
+    assert len(csvs) == 3
+    for f in csvs:
+        assert f.read_bytes() == (Path(c2.outdir) / f.name).read_bytes()
+
+
+def test_run_errors_survive_pickling():
+    # a worker's exception reaches the parent pickled
+    err = pickle.loads(pickle.dumps(SolverError("non-finite iterate", 7)))
+    assert type(err) is SolverError and err.iteration == 7
+    assert str(err) == "non-finite iterate"
+    err = pickle.loads(pickle.dumps(DykstraError("empty", np.ones(2))))
+    assert type(err) is DykstraError and np.array_equal(err.best, np.ones(2))
 
 
 def test_overlay_bounds_adds_dashed_curves(tmp_path):
