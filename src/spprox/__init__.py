@@ -28,7 +28,6 @@ from .problems import (GeneratorSpec, ReturnsTable, build_markowitz, generate,
 from .schedules import (ConstantStepsize, PolynomialDecay, StepsizeSchedule,
                         phi, theta, theta0)
 from .solvers import (RunTrace, SolverConfig, SolverError, epochs_for_budget,
-                      rspp_schedule, run, run_aspp, run_rspp, run_sgd,
-                      run_spp)
+                      rspp_schedule, run)
 
 __version__ = "0.1.0"

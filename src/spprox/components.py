@@ -15,7 +15,6 @@ gradient-Lipschitz constant ``lips_grad``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import Array, as_vector
 
@@ -143,10 +142,11 @@ class LinearResidualSquared(LossComponent):
 class BatchLeastSquares(LossComponent):
     """f(x) = ||A x - b||^2 over a dense batch A.
 
-    prox solves (I + 2 mu A'A) z = x + 2 mu A'b by dense Cholesky; the last
-    factorization is memoized since constant-stepsize runs reuse one mu.
-    sigma = 2 lambda_min(A'A), lips_grad = 2 lambda_max(A'A) (cached from a
-    symmetric eigensolve at construction).
+    With A'A = V diag(lam) V' from one symmetric eigensolve at construction
+    (eigenvalues below the numerical-rank cutoff n eps lam_max set to 0),
+    prox(x, mu) = V diag(1/(1 + 2 mu lam))
+    V'(x + 2 mu A'b): exact for every mu, with no per-stepsize
+    factorization.  sigma = 2 lambda_min(A'A), lips_grad = 2 lambda_max(A'A).
     """
 
     kind = "batch-least-squares"
@@ -160,12 +160,12 @@ class BatchLeastSquares(LossComponent):
         self.b = b
         self._ata = A.T @ A
         self._atb = A.T @ b
-        eigs = np.linalg.eigvalsh(self._ata)
-        super().__init__(A.shape[1],
-                         sigma=2.0 * max(float(eigs[0]), 0.0),
-                         lips_grad=2.0 * float(eigs[-1]))
-        self._chol_mu = None
-        self._chol = None
+        eigs, self._vecs = np.linalg.eigh(self._ata)
+        # eigenvalues within rounding of zero (numerical rank) are zero
+        cutoff = A.shape[1] * np.finfo(np.float64).eps * max(eigs[-1], 0.0)
+        self._eigs = np.where(eigs > cutoff, eigs, 0.0)
+        super().__init__(A.shape[1], sigma=2.0 * float(self._eigs[0]),
+                         lips_grad=2.0 * float(self._eigs[-1]))
 
     def value(self, x):
         x = self._check(x)
@@ -179,14 +179,9 @@ class BatchLeastSquares(LossComponent):
     def prox(self, x, mu):
         x = self._check(x)
         mu = self._check_mu(mu)
-        if mu != self._chol_mu:
-            M = np.eye(self.dim) + (2.0 * mu) * self._ata
-            try:
-                self._chol = cho_factor(M, lower=True)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise ProxSolveError(f"Cholesky failed for mu={mu}") from exc
-            self._chol_mu = mu
-        return cho_solve(self._chol, x + (2.0 * mu) * self._atb)
+        V = self._vecs
+        y = V.T @ (x + (2.0 * mu) * self._atb)
+        return V @ (y / (1.0 + (2.0 * mu) * self._eigs))
 
     def quad_terms(self):
         return (self._ata, self._atb, float(np.dot(self.b, self.b)))

@@ -39,9 +39,6 @@ class ConstraintSet:
         x = self._check(x)
         return norm(x - self.project(x))
 
-    def contains(self, x: Array, tol: float = 1e-12) -> bool:
-        return self.distance(x) <= tol
-
 
 class WholeSpace(ConstraintSet):
     kind = "whole-space"

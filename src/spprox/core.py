@@ -47,7 +47,6 @@ class RandomSource:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._gen = np.random.default_rng(self.seed)
-        self.draws = 0  # stream position: number of draw calls so far
 
     def spawn(self, offset: int) -> "RandomSource":
         """Independent source with seed ``seed + offset`` (run-index convention)."""
@@ -55,32 +54,26 @@ class RandomSource:
 
     def integers(self, m: int) -> int:
         """One uniform draw from {0, ..., m-1}."""
-        self.draws += 1
         return int(self._gen.integers(m))
 
     def integers_block(self, m: int, size: int) -> Array:
         """``size`` uniform draws from {0, ..., m-1} as an int array."""
-        self.draws += 1
         return self._gen.integers(m, size=size)
 
     def normal(self, size=None):
         """Standard normal draw(s)."""
-        self.draws += 1
         return self._gen.standard_normal(size)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        self.draws += 1
         return self._gen.uniform(low, high, size)
 
     def categorical_block(self, cum_weights: Array, size: int) -> Array:
         """``size`` draws from the categorical law with cumulative weights."""
-        self.draws += 1
         u = self._gen.uniform(size=size)
         return np.searchsorted(cum_weights, u, side="right")
 
     def shuffle(self, n: int) -> Array:
         """A random permutation of range(n)."""
-        self.draws += 1
         return self._gen.permutation(n)
 
 

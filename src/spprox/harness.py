@@ -119,7 +119,7 @@ class AggregateTrace:
     traces: list = field(default_factory=list)  # per-run RunTrace, run-index order
 
 
-def _mean_se(stack: list, counts_out=None):
+def _mean_se(stack: list):
     """Column means and standard errors over possibly truncated runs."""
     length = max(len(a) for a in stack)
     mean = np.full(length, math.nan)
@@ -133,8 +133,6 @@ def _mean_se(stack: list, counts_out=None):
             mean[j] = float(np.mean(vals))
             se[j] = (float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
                      if len(vals) >= 2 else 0.0)
-    if counts_out is not None:
-        counts_out.append(counts)
     return mean, se, counts
 
 
@@ -213,32 +211,25 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_csv(path, ks, columns) -> None:
+    lines = [CSV_HEADER] + [
+        ",".join([str(int(k))] + [_fmt(col[j]) for col in columns])
+        for j, k in enumerate(ks)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
 def emit_csv(trace: AggregateTrace, path) -> None:
     """Write the fixed-schema per-k CSV (17 significant digits, ASCII)."""
-    lines = [CSV_HEADER]
-    for j in range(len(trace.ks)):
-        lines.append(",".join([
-            str(int(trace.ks[j])),
-            _fmt(trace.mean_sqdist[j]), _fmt(trace.se_sqdist[j]),
-            _fmt(trace.mean_feas[j]), _fmt(trace.se_feas[j]),
-            _fmt(trace.mean_obj[j]), _fmt(trace.se_obj[j]),
-            _fmt(trace.stepsizes[j]),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_csv(path, trace.ks, [
+        trace.mean_sqdist, trace.se_sqdist, trace.mean_feas, trace.se_feas,
+        trace.mean_obj, trace.se_obj, trace.stepsizes])
 
 
 def emit_run_csv(trace: RunTrace, path) -> None:
     """Debug emission of one run's raw metrics (same schema, se columns 0)."""
-    lines = [CSV_HEADER]
-    for j in range(len(trace.ks)):
-        lines.append(",".join([
-            str(int(trace.ks[j])),
-            _fmt(trace.sqdist[j]), "0",
-            _fmt(trace.feas[j]), "0",
-            _fmt(trace.objective[j]), "0",
-            _fmt(trace.stepsizes[j]),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    zero = np.zeros(len(trace.ks))
+    _write_csv(path, trace.ks, [trace.sqdist, zero, trace.feas, zero,
+                                trace.objective, zero, trace.stepsizes])
 
 
 def parse_csv(path):
@@ -331,31 +322,21 @@ def emit_svg(traces, overlays, path, title: str = "",
             el.set("stroke-dasharray", "6 3")
 
     legend_y = mt + 14
-    idx = 0
-    for (label, _, _), (ks, ys) in zip(traces, pts[:len(traces)]):
+    series = [(label, False) for label, _, _ in traces]
+    series += [(label, True) for label, _, _ in overlays]
+    for idx, ((label, dashed), (ks, ys)) in enumerate(zip(series, pts)):
         color = _PALETTE[idx % len(_PALETTE)]
-        polyline(ks, ys, color, dashed=False)
-        ET.SubElement(svg, "line", x1=str(ml + pw + 12), y1=str(legend_y - 4),
-                      x2=str(ml + pw + 34), y2=str(legend_y - 4), stroke=color)
-        lab = ET.SubElement(svg, "text", x=str(ml + pw + 40), y=str(legend_y),
-                            fill="black")
-        lab.set("font-size", "12")
-        lab.text = label
-        legend_y += 17
-        idx += 1
-    for (label, _, _), (ks, ys) in zip(overlays, pts[len(traces):]):
-        color = _PALETTE[idx % len(_PALETTE)]
-        polyline(ks, ys, color, dashed=True)
+        polyline(ks, ys, color, dashed)
         line = ET.SubElement(svg, "line", x1=str(ml + pw + 12),
                              y1=str(legend_y - 4), x2=str(ml + pw + 34),
                              y2=str(legend_y - 4), stroke=color)
-        line.set("stroke-dasharray", "6 3")
+        if dashed:
+            line.set("stroke-dasharray", "6 3")
         lab = ET.SubElement(svg, "text", x=str(ml + pw + 40), y=str(legend_y),
                             fill="black")
         lab.set("font-size", "12")
         lab.text = label
         legend_y += 17
-        idx += 1
 
     if title:
         t = ET.SubElement(svg, "text", x=str(ml + pw // 2), y="24", fill="black")

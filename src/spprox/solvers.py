@@ -1,9 +1,12 @@
 """The four iterative schemes: SPP, averaged SPP, SGD, and restarted SPP.
 
-All four share the sampling contract of ``StochasticProblem`` and emit a
-``RunTrace`` of per-iteration metrics.  One run is strictly sequential;
-Monte-Carlo repetitions parallelize at the harness level with independently
-seeded sources.
+One loop, ``run``, serves all four: SPP's step x <- project_{X_S}(prox_{mu
+f(.;S)}(x)) (a projected gradient step for the SGD baseline) with the
+iterate, the stepsize-weighted average, or an epoch restart as output.  All
+share the sampling contract of ``StochasticProblem`` and emit a ``RunTrace``
+of per-iteration metrics.  One run is strictly sequential; Monte-Carlo
+repetitions parallelize at the harness level with independently seeded
+sources.
 """
 
 from __future__ import annotations
@@ -118,8 +121,7 @@ class _Recorder:
         self.ftest = []
         self.iterate_sqdist = [] if track_iterate else None
 
-    def record(self, k: int, point: Array, stepsize: float,
-               iterate: Array | None = None):
+    def record(self, k: int, point: Array, stepsize: float, iterate: Array):
         p = self.problem
         self.ks.append(k)
         self.steps.append(stepsize)
@@ -138,7 +140,7 @@ class _Recorder:
             self.ftest.append(float(p.test_objective(point)))
         else:
             self.ftest.append(math.nan)
-        if self.iterate_sqdist is not None and iterate is not None:
+        if self.iterate_sqdist is not None:
             if p.x_star is not None:
                 d = iterate - p.x_star
                 self.iterate_sqdist.append(float(np.dot(d, d)))
@@ -159,115 +161,6 @@ class _Recorder:
             final=final.copy(),
             iterate_sqdist=it,
             **extra)
-
-
-def _finite(x: Array) -> bool:
-    s = float(np.dot(x, x))
-    return math.isfinite(s)
-
-
-def _run_prox(problem: StochasticProblem, config: SolverConfig,
-              rng: RandomSource | None, averaged: bool) -> RunTrace:
-    x = config.validate(problem.dim)
-    rng = rng if rng is not None else RandomSource(config.seed)
-    K = config.iterations
-    stride = config.stride
-    li, ci = problem.sample_indices(rng, K)
-    mus = config.schedule.block(0, K)
-    rec = _Recorder(problem, config, track_iterate=averaged)
-    wsum = 0.0
-    wavg = np.zeros_like(x)
-    max_viol = 0.0
-    for k in range(K + 1):
-        if k % stride == 0:
-            point = (wavg / wsum) if (averaged and k > 0) else x
-            rec.record(k, point, config.schedule.at(k), iterate=x)
-        if k == K:
-            break
-        mu = float(mus[k])
-        if averaged:
-            wavg += mu * x
-            wsum += mu
-        loss = problem.losses[li[k]]
-        cons = problem.constraints[ci[k]]
-        x = cons.project(loss.prox(x, mu))
-        v = cons.distance(x)
-        if v > max_viol:
-            max_viol = v
-        if not _finite(x):
-            raise SolverError(f"non-finite iterate at iteration {k + 1}", k + 1)
-    final_average = (wavg / wsum) if averaged else None
-    return rec.build("aspp" if averaged else "spp", x,
-                     final_average=final_average,
-                     max_sampled_violation=max_viol)
-
-
-def run_spp(problem: StochasticProblem, config: SolverConfig,
-            rng: RandomSource | None = None) -> RunTrace:
-    """Stochastic proximal point: x <- project_{X_S}(prox_{mu f(.;S)}(x)).
-
-    At every iteration one (loss, constraint) pair is sampled i.i.d. from the
-    problem distribution, the iterate moves to the loss's proximal point with
-    the current stepsize, and is then projected onto the sampled set.
-    """
-    if config.algorithm != "spp":
-        raise ValueError("config.algorithm must be 'spp'")
-    return _run_prox(problem, config, rng, averaged=False)
-
-
-def run_aspp(problem: StochasticProblem, config: SolverConfig,
-             rng: RandomSource | None = None) -> RunTrace:
-    """SPP with weighted-average output.
-
-    The iterate recursion is identical to ``run_spp``; the trace metrics are
-    those of the running average xhat^k = (sum_{i<k} mu_i x^i)/(sum_{i<k} mu_i)
-    (with xhat^0 := x^0), and ``iterate_sqdist`` tracks the raw iterate.
-    """
-    if config.algorithm != "aspp":
-        raise ValueError("config.algorithm must be 'aspp'")
-    return _run_prox(problem, config, rng, averaged=True)
-
-
-def run_sgd(problem: StochasticProblem, config: SolverConfig,
-            rng: RandomSource | None = None) -> RunTrace:
-    """Projected stochastic gradient baseline.
-
-    x <- project_{X_S}(x - mu_k grad f(x;S)).  The projection onto the
-    sampled set mirrors the SPP step so the two schemes stay matched in
-    per-iteration cost.  Divergence (norm above 1e12, or a non-finite
-    iterate) is an observable outcome: the trace is truncated and flagged,
-    not raised.
-    """
-    if config.algorithm != "sgd":
-        raise ValueError("config.algorithm must be 'sgd'")
-    x = config.validate(problem.dim)
-    rng = rng if rng is not None else RandomSource(config.seed)
-    K = config.iterations
-    stride = config.stride
-    li, ci = problem.sample_indices(rng, K)
-    mus = config.schedule.block(0, K)
-    rec = _Recorder(problem, config)
-    max_viol = 0.0
-    diverged = False
-    diverged_at = None
-    for k in range(K + 1):
-        if k % stride == 0:
-            rec.record(k, x, config.schedule.at(k))
-        if k == K:
-            break
-        loss = problem.losses[li[k]]
-        cons = problem.constraints[ci[k]]
-        x = cons.project(x - float(mus[k]) * loss.gradient(x))
-        v = cons.distance(x)
-        if v > max_viol:
-            max_viol = v
-        s = float(np.dot(x, x))
-        if not math.isfinite(s) or s > DIVERGENCE_NORM ** 2:
-            diverged = True
-            diverged_at = k + 1
-            break
-    return rec.build("sgd", x, diverged=diverged, diverged_at=diverged_at,
-                     max_sampled_violation=max_viol)
 
 
 def rspp_schedule(mu0: float, gamma: float, epochs: int):
@@ -292,67 +185,87 @@ def epochs_for_budget(gamma: float, iterations: int) -> int:
             raise ValueError("budget too large")
 
 
-def run_rspp(problem: StochasticProblem, config: SolverConfig,
-             rng: RandomSource | None = None) -> RunTrace:
-    """Restarted SPP.
-
-    Epoch t runs SPP for K_t = ceil(t^gamma) iterations at the constant
-    stepsize mu_t = mu0/t^gamma, starting from the previous epoch's output;
-    the epoch output is the plain average of that epoch's iterates (the
-    stepsize-weighted and plain averages coincide under a constant
-    within-epoch stepsize).  The trace records the inner iterates on the
-    global iteration counter plus the epoch boundaries and outputs.
-    """
-    if config.algorithm != "rspp":
-        raise ValueError("config.algorithm must be 'rspp'")
-    x = config.validate(problem.dim)
-    rng = rng if rng is not None else RandomSource(config.seed)
-    sched: PolynomialDecay = config.schedule  # validated
-    mu_ts, k_ts = rspp_schedule(sched.mu0, sched.gamma, config.epochs)
-    total = int(k_ts.sum())
-    li, ci = problem.sample_indices(rng, total)
-    stride = config.stride
-    rec = _Recorder(problem, config)
-    epoch_ends, epoch_outputs = [], []
-    max_viol = 0.0
-    g = 0
-    current_mu = float(mu_ts[0])
-    for t in range(config.epochs):
-        mu = float(mu_ts[t])
-        current_mu = mu
-        acc = np.zeros_like(x)
-        for _ in range(int(k_ts[t])):
-            if g % stride == 0:
-                rec.record(g, x, current_mu)
-            acc += x
-            loss = problem.losses[li[g]]
-            cons = problem.constraints[ci[g]]
-            x = cons.project(loss.prox(x, mu))
-            v = cons.distance(x)
-            if v > max_viol:
-                max_viol = v
-            if not _finite(x):
-                raise SolverError(f"non-finite iterate at inner iteration {g + 1}",
-                                  g + 1)
-            g += 1
-        x = acc / float(k_ts[t])  # restart from the epoch average
-        epoch_ends.append(g)
-        epoch_outputs.append(x.copy())
-    if g % stride == 0:
-        rec.record(g, x, current_mu)
-    return rec.build("rspp", x,
-                     final_average=x.copy(),
-                     epoch_ends=epoch_ends,
-                     epoch_stepsizes=list(map(float, mu_ts)),
-                     epoch_lengths=list(map(int, k_ts)),
-                     epoch_outputs=epoch_outputs,
-                     max_sampled_violation=max_viol)
-
-
-_RUNNERS = {"spp": run_spp, "aspp": run_aspp, "sgd": run_sgd, "rspp": run_rspp}
-
-
 def run(problem: StochasticProblem, config: SolverConfig,
         rng: RandomSource | None = None) -> RunTrace:
-    """Dispatch on config.algorithm."""
-    return _RUNNERS[config.algorithm](problem, config, rng)
+    """One run of ``config.algorithm``.
+
+    Every iteration samples one (loss, set) pair i.i.d. from the problem
+    distribution and sets x <- project_{X_S}(step(x)).  The step is the
+    proximal point prox_{mu f(.;S)}(x) for spp/aspp/rspp and the gradient
+    step x - mu grad f(x;S) for sgd; the projection onto the sampled set
+    keeps the two matched in per-iteration cost.  The schemes differ in
+    their output:
+
+    * spp and sgd report the iterate;
+    * aspp reports the running average xhat^k = (sum_{i<k} mu_i x^i) /
+      (sum_{i<k} mu_i) (with xhat^0 := x^0), and ``iterate_sqdist`` tracks
+      the raw iterate;
+    * rspp runs epoch t for K_t = ceil(t^gamma) iterations at the constant
+      stepsize mu_t = mu0/t^gamma and restarts from the plain average of the
+      epoch's iterates (the stepsize-weighted average under a constant
+      stepsize); the trace records the inner iterates on the global
+      iteration counter plus the epoch boundaries and outputs.
+
+    A non-finite iterate raises ``SolverError`` in a prox scheme.  For sgd,
+    divergence (norm above 1e12, or a non-finite iterate) is an observable
+    outcome: the trace is truncated and flagged, not raised.
+    """
+    alg = config.algorithm
+    x = config.validate(problem.dim)
+    rng = rng if rng is not None else RandomSource(config.seed)
+    sgd, averaged, restarted = alg == "sgd", alg == "aspp", alg == "rspp"
+    if restarted:
+        sched: PolynomialDecay = config.schedule  # validated
+        mu_ts, k_ts = rspp_schedule(sched.mu0, sched.gamma, config.epochs)
+        mus = np.repeat(mu_ts, k_ts)
+        epoch_ends = np.cumsum(k_ts).tolist()
+    else:
+        mus = config.schedule.block(0, config.iterations)
+    K = len(mus)
+    li, ci = problem.sample_indices(rng, K)
+    rec = _Recorder(problem, config, track_iterate=averaged)
+    wavg, wsum = np.zeros_like(x), 0.0
+    epoch_outputs = []
+    max_viol = 0.0
+    diverged_at = None
+    for k in range(K + 1):
+        if k % config.stride == 0:
+            point = (wavg / wsum) if (averaged and k > 0) else x
+            mu_k = (float(mus[min(k, K - 1)]) if restarted
+                    else config.schedule.at(k))
+            rec.record(k, point, mu_k, iterate=x)
+        if k == K:
+            break
+        mu = float(mus[k])
+        if averaged or restarted:
+            wavg += mu * x if averaged else x
+            wsum += mu if averaged else 1.0
+        loss = problem.losses[li[k]]
+        cons = problem.constraints[ci[k]]
+        x = cons.project(x - mu * loss.gradient(x) if sgd
+                         else loss.prox(x, mu))
+        v = cons.distance(x)
+        if v > max_viol:
+            max_viol = v
+        s = float(np.dot(x, x))
+        if not math.isfinite(s) or (sgd and s > DIVERGENCE_NORM ** 2):
+            if not sgd:
+                raise SolverError(
+                    f"non-finite iterate at iteration {k + 1}", k + 1)
+            diverged_at = k + 1
+            break
+        if restarted and k + 1 == epoch_ends[len(epoch_outputs)]:
+            x = wavg / wsum  # restart from the epoch average
+            epoch_outputs.append(x.copy())
+            wavg, wsum = np.zeros_like(x), 0.0
+    extra = {}
+    if averaged:
+        extra = dict(final_average=wavg / wsum)
+    elif restarted:
+        extra = dict(final_average=x.copy(), epoch_ends=epoch_ends,
+                     epoch_stepsizes=list(map(float, mu_ts)),
+                     epoch_lengths=list(map(int, k_ts)),
+                     epoch_outputs=epoch_outputs)
+    return rec.build(alg, x, diverged=diverged_at is not None,
+                     diverged_at=diverged_at, max_sampled_violation=max_viol,
+                     **extra)

@@ -179,3 +179,20 @@ def test_cached_constants():
     assert abs(r.lips_grad - 2 * 5.0) < 1e-14
     q = QuadraticNorm(3, 1.5)
     assert q.sigma == q.lips_grad == 1.5
+
+
+def test_rank_deficient_batch_prox_is_exact():
+    # rows < dim: A'A is singular, so sigma is 0 and the prox must still
+    # solve (I + 2 mu A'A) z = x + 2 mu A'b at every stepsize
+    rng = RandomSource(44)
+    for rows, dim in ((1, 4), (3, 8), (5, 6), (9, 20)):
+        A, b = rng.normal((rows, dim)), rng.normal(rows)
+        bl = BatchLeastSquares(A, b)
+        assert bl.sigma == 0.0
+        for k in range(1, 61):
+            mu = 5.0 / k ** 0.75
+            x = rng.normal(dim)
+            ref = np.linalg.solve(np.eye(dim) + 2 * mu * A.T @ A,
+                                  x + 2 * mu * A.T @ b)
+            z = bl.prox(x, mu)
+            assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)

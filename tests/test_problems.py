@@ -5,7 +5,7 @@ from spprox import (GeneratorSpec, Halfspace, Hyperplane, QuadraticNorm,
                     RandomSource, SolverConfig, StochasticProblem,
                     build_markowitz, gen_constrained_ls, gen_feasibility,
                     gen_finite_sum, gen_random_ls_polyhedron, generate,
-                    load_returns_csv, run_spp, synth_returns)
+                    load_returns_csv, run, synth_returns)
 from spprox.components import BatchLeastSquares
 from spprox.constraints import dist_intersection, project_intersection
 from spprox.problems import _refine_optimum
@@ -102,7 +102,7 @@ def test_feasibility_family_least_norm():
     assert np.allclose(prob.x_star, np.zeros(4))
     cfg = SolverConfig("spp", ConstantStepsize(1.0), iterations=400, stride=40,
                        x0=np.array([2.0, -1.0, 1.0, 0.5]))
-    tr = run_spp(prob, cfg, RandomSource(2))
+    tr = run(prob, cfg, RandomSource(2))
     assert tr.sqdist[-1] < 1e-3 * tr.sqdist[0]
 
 
@@ -112,7 +112,7 @@ def test_feasibility_hyperplane_through_origin():
     prob = StochasticProblem(losses, sets, 3, x_star=np.zeros(3))
     cfg = SolverConfig("spp", ConstantStepsize(1.0), iterations=200, stride=20,
                        x0=np.array([2.0, -1.0, 1.5]))
-    tr = run_spp(prob, cfg, RandomSource(3))
+    tr = run(prob, cfg, RandomSource(3))
     assert tr.sqdist[-1] < 1e-10
 
 
@@ -125,7 +125,7 @@ def test_feasibility_wedge_small_lambda_limit():
     prob = StochasticProblem(losses, sets, 2)
     cfg = SolverConfig("spp", ConstantStepsize(1.0), iterations=3000,
                        stride=300, x0=np.array([3.0, 3.0]))
-    tr = run_spp(prob, cfg, RandomSource(4))
+    tr = run(prob, cfg, RandomSource(4))
     assert np.linalg.norm(tr.final - target) <= 0.05
 
 

@@ -8,8 +8,7 @@ from conftest import random_component
 from spprox import (BatchLeastSquares, ConstantStepsize, Halfspace,
                     PolynomialDecay, QuadraticNorm, RandomSource,
                     SolverConfig, SolverError, StochasticProblem, WholeSpace,
-                    epochs_for_budget, rspp_schedule, run, run_aspp,
-                    run_rspp, run_sgd, run_spp, theta0)
+                    epochs_for_budget, rspp_schedule, run, theta0)
 from spprox.components import LossComponent
 
 
@@ -30,7 +29,7 @@ def test_spp_deterministic_recursion():
     x0 = np.array([4.0, 1.0, -3.0])
     cfg = SolverConfig("spp", ConstantStepsize(mu), iterations=100, stride=1,
                        x0=x0, record_feasibility=False)
-    tr = run_spp(prob, cfg, RandomSource(0))
+    tr = run(prob, cfg, RandomSource(0))
     for j, k in enumerate(tr.ks):
         expected = np.linalg.norm((x0 - c) / (1.0 + mu) ** int(k)) ** 2
         assert abs(tr.sqdist[j] - expected) <= 1e-12 * (1.0 + expected)
@@ -42,7 +41,7 @@ def test_spp_converges_inside_halfspace():
     prob = _single(_half_sq_dist(2, c), h, x_star=c, kappa=1.0)
     cfg = SolverConfig("spp", ConstantStepsize(0.5), iterations=200, stride=20,
                        x0=np.array([3.0, 3.0]))
-    tr = run_spp(prob, cfg, RandomSource(1))
+    tr = run(prob, cfg, RandomSource(1))
     assert tr.sqdist[-1] < 1e-8
     assert tr.feas[-1] < 1e-8
 
@@ -51,7 +50,7 @@ def test_spp_decay_on_desk_instance(desk_ls):
     # one-pass decay factor between k = 200 and k = 2000, 30 seeds
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=2000,
                        stride=200, record_feasibility=False)
-    traces = [run_spp(desk_ls, cfg, RandomSource(500 + i)) for i in range(30)]
+    traces = [run(desk_ls, cfg, RandomSource(500 + i)) for i in range(30)]
     sq = np.mean([t.sqdist for t in traces], axis=0)
     k200 = list(traces[0].ks).index(200)
     assert sq[k200] / sq[-1] >= 5.0
@@ -62,7 +61,7 @@ def test_aspp_constant_stepsize_average_is_plain_mean():
                    x_star=np.zeros(2), kappa=1.0)
     cfg = SolverConfig("aspp", ConstantStepsize(0.6), iterations=12, stride=1,
                        x0=np.array([2.0, -1.0]))
-    tr = run_aspp(prob, cfg, RandomSource(2))
+    tr = run(prob, cfg, RandomSource(2))
     # replay the iterate recursion by hand
     x = np.array([2.0, -1.0])
     iterates = [x.copy()]
@@ -79,7 +78,7 @@ def test_aspp_first_average_is_start():
     x0 = np.array([3.0, 0.0])
     cfg = SolverConfig("aspp", ConstantStepsize(1.0), iterations=1, stride=1,
                        x0=x0)
-    tr = run_aspp(prob, cfg, RandomSource(3))
+    tr = run(prob, cfg, RandomSource(3))
     assert np.allclose(tr.final_average, x0)
 
 
@@ -88,7 +87,7 @@ def test_aspp_average_lags_deterministic_iterate():
     prob = _single(_half_sq_dist(2, c), WholeSpace(2), x_star=c, kappa=1.0)
     cfg = SolverConfig("aspp", ConstantStepsize(1.0), iterations=60, stride=1,
                        x0=np.array([5.0, -3.0]))
-    tr = run_aspp(prob, cfg, RandomSource(4))
+    tr = run(prob, cfg, RandomSource(4))
     assert tr.sqdist[-1] >= tr.iterate_sqdist[-1]
 
 
@@ -99,7 +98,7 @@ def test_sgd_linear_recursion():
     x0 = np.array([4.0, 4.0])
     cfg = SolverConfig("sgd", ConstantStepsize(mu), iterations=50, stride=1,
                        x0=x0)
-    tr = run_sgd(prob, cfg, RandomSource(5))
+    tr = run(prob, cfg, RandomSource(5))
     for j, k in enumerate(tr.ks):
         expected = np.linalg.norm((1 - mu) ** int(k) * (x0 - c)) ** 2
         assert abs(tr.sqdist[j] - expected) <= 1e-10 * (1.0 + expected)
@@ -110,7 +109,7 @@ def test_sgd_divergence_flagged():
     prob = _single(_half_sq_dist(2, c), WholeSpace(2), x_star=c, kappa=1.0)
     cfg = SolverConfig("sgd", ConstantStepsize(3.0), iterations=100, stride=10,
                        x0=np.array([1.0, 1.0]))
-    tr = run_sgd(prob, cfg, RandomSource(6))
+    tr = run(prob, cfg, RandomSource(6))
     assert tr.diverged
     assert tr.diverged_at is not None
     assert np.all(np.isfinite(tr.sqdist))
@@ -133,19 +132,26 @@ def test_rspp_single_epoch_equals_aspp():
                          x0=x0)
     cfg_a = SolverConfig("aspp", ConstantStepsize(0.8), iterations=1, stride=1,
                          x0=x0)
-    tr_r = run_rspp(prob, cfg_r, RandomSource(7))
-    tr_a = run_aspp(prob, cfg_a, RandomSource(7))
+    tr_r = run(prob, cfg_r, RandomSource(7))
+    tr_a = run(prob, cfg_a, RandomSource(7))
     assert np.array_equal(tr_r.final_average, tr_a.final_average)
 
 
 def test_rspp_restarts_from_epoch_average(small_ls):
     cfg = SolverConfig("rspp", PolynomialDecay(1.0, 1.0), epochs=6, stride=1,
                        record_feasibility=False)
-    tr = run_rspp(small_ls, cfg, RandomSource(8))
+    tr = run(small_ls, cfg, RandomSource(8))
     assert tr.epoch_lengths == [1, 2, 3, 4, 5, 6]
     assert tr.epoch_ends == [1, 3, 6, 10, 15, 21]
     assert np.allclose(tr.epoch_stepsizes, [1.0 / t for t in range(1, 7)])
     assert np.array_equal(tr.final, tr.epoch_outputs[-1])
+    # each record carries the stepsize of the epoch running at k; k = K
+    # (the last restart point) carries the last epoch's
+    assert tr.ks[-1] == tr.epoch_ends[-1] == 21
+    for k, mu in zip(tr.ks, tr.stepsizes):
+        t = min(int(np.searchsorted(tr.epoch_ends, k, side="right")),
+                len(tr.epoch_ends) - 1)
+        assert mu == tr.epoch_stepsizes[t]
 
 
 def test_epochs_for_budget():
@@ -182,7 +188,7 @@ def test_boundedness_cap_strongly_convex(small_ls):
     cap = max(r0, mu0 * eta / (1.0 - math.sqrt(th0)))
     cfg = SolverConfig("spp", PolynomialDecay(mu0, 1.0), iterations=240,
                        stride=20, record_feasibility=False)
-    sq = np.array([run_spp(small_ls, cfg, RandomSource(600 + i)).sqdist
+    sq = np.array([run(small_ls, cfg, RandomSource(600 + i)).sqdist
                    for i in range(30)])
     mean = sq.mean(axis=0)
     se = sq.std(axis=0, ddof=1) / math.sqrt(30)
@@ -192,7 +198,7 @@ def test_boundedness_cap_strongly_convex(small_ls):
 def test_feasibility_trend_spearman(small_ls):
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=240,
                        stride=24, record_feasibility=True)
-    feas_sq = np.mean([run_spp(small_ls, cfg, RandomSource(700 + i)).feas ** 2
+    feas_sq = np.mean([run(small_ls, cfg, RandomSource(700 + i)).feas ** 2
                        for i in range(30)], axis=0)
     rho, _ = stats.spearmanr(np.arange(len(feas_sq)), feas_sq)
     assert rho < 0.0
@@ -202,7 +208,7 @@ def test_trace_record_count_and_finiteness(small_ls):
     for stride, K in ((10, 240), (7, 240), (300, 240)):
         cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=K,
                            stride=stride)
-        tr = run_spp(small_ls, cfg, RandomSource(11))
+        tr = run(small_ls, cfg, RandomSource(11))
         assert len(tr.ks) == K // stride + 1
         assert np.all(np.isfinite(tr.sqdist))
         assert np.all(np.isfinite(tr.objective))
@@ -220,18 +226,31 @@ class _PoisonComponent(LossComponent):
         return 0.0
 
     def gradient(self, x):
-        return np.zeros(self.dim)
+        return np.full(self.dim, np.nan)
 
     def prox(self, x, mu):
         return np.full(self.dim, np.nan)
 
 
-def test_non_finite_iterate_raises_with_index():
+@pytest.mark.parametrize("algorithm,schedule,budget", [
+    ("spp", ConstantStepsize(1.0), {"iterations": 5}),
+    ("aspp", ConstantStepsize(1.0), {"iterations": 5}),
+    ("rspp", PolynomialDecay(1.0, 1.0), {"epochs": 1}),
+], ids=["spp", "aspp", "rspp"])
+def test_non_finite_iterate_raises_with_index(algorithm, schedule, budget):
     prob = StochasticProblem([_PoisonComponent(2)], [WholeSpace(2)], 2)
-    cfg = SolverConfig("spp", ConstantStepsize(1.0), iterations=5, stride=1)
+    cfg = SolverConfig(algorithm, schedule, stride=1, **budget)
     with pytest.raises(SolverError) as err:
-        run_spp(prob, cfg, RandomSource(12))
+        run(prob, cfg, RandomSource(12))
     assert err.value.iteration == 1
+
+
+def test_non_finite_sgd_iterate_is_flagged_divergence():
+    prob = StochasticProblem([_PoisonComponent(2)], [WholeSpace(2)], 2)
+    cfg = SolverConfig("sgd", ConstantStepsize(1.0), iterations=5, stride=1)
+    tr = run(prob, cfg, RandomSource(12))
+    assert tr.diverged and tr.diverged_at == 1
+    assert list(tr.ks) == [0]
 
 
 def test_config_validation():
