@@ -46,7 +46,6 @@ class ProblemConstants:
     sigmas: Array
     dist0: float
     mu0: float
-    sigma_weights: Array | None = None
     gamma: float | None = None
     exp_subgrad_sq: float | None = None
     meta: dict = field(default_factory=dict)
@@ -58,8 +57,6 @@ class ProblemConstants:
     # -- derived aggregates ---------------------------------------------------
 
     def _weights(self) -> Array:
-        if self.sigma_weights is not None:
-            return self.sigma_weights
         n = len(self.sigmas)
         return np.full(n, 1.0 / n)
 
@@ -147,7 +144,6 @@ class ProblemConstants:
             grad_norm_opt=norm(problem.mean_gradient(xs)),
             exp_lips_sq=problem.exp_lips_grad_sq(),
             sigmas=problem.sigma_values(),
-            sigma_weights=problem._lweights(),
             dist0=dist_intersection(problem.constraints, x0, tol=dykstra_tol),
             mu0=float(mu0),
             gamma=gamma,

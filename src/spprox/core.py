@@ -67,28 +67,9 @@ class RandomSource:
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size)
 
-    def categorical_block(self, cum_weights: Array, size: int) -> Array:
-        """``size`` draws from the categorical law with cumulative weights."""
-        u = self._gen.uniform(size=size)
-        return np.searchsorted(cum_weights, u, side="right")
-
     def shuffle(self, n: int) -> Array:
         """A random permutation of range(n)."""
         return self._gen.permutation(n)
-
-
-def _normalized_weights(weights, count: int) -> Array | None:
-    if weights is None:
-        return None
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (count,):
-        raise ValueError(f"weights must have shape ({count},), got {w.shape}")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and nonnegative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must not sum to zero")
-    return w / total
 
 
 class QuadraticForm:
@@ -107,11 +88,9 @@ class StochasticProblem:
     """Sampler over (loss component, constraint set) pairs.
 
     The discrete sample space couples a finite family of loss components with
-    a finite family of simple constraint sets.  With ``coupling="independent"``
-    a draw picks one loss index and one constraint index independently (the
-    formal sample space is the product of the two families); with
-    ``coupling="paired"`` both families must have equal length and a single
-    index selects the pair.
+    a finite family of simple constraint sets.  A draw picks one loss index
+    and one constraint index, each uniformly and independently of the other
+    (the formal sample space is the product of the two families).
 
     Parameters
     ----------
@@ -119,10 +98,6 @@ class StochasticProblem:
     constraints : sequence of ConstraintSet
     dim : int
         Decision-variable dimension.
-    coupling : str
-        "independent" (default) or "paired".
-    loss_weights, constraint_weights : array, optional
-        Sampling weights for the two marginals; uniform when omitted.
     x_star : array, optional
         Known optimum.  Must lie in the intersection of all constraint sets
         within ``FEASIBILITY_TOL``.
@@ -141,10 +116,9 @@ class StochasticProblem:
         Free-form generator metadata.
     """
 
-    def __init__(self, losses, constraints, dim, coupling="independent",
-                 loss_weights=None, constraint_weights=None, x_star=None,
-                 kappa=None, exp_subgrad_sq=None, test_objective=None,
-                 one_pass=None, meta=None):
+    def __init__(self, losses, constraints, dim, x_star=None, kappa=None,
+                 exp_subgrad_sq=None, test_objective=None, one_pass=None,
+                 meta=None):
         self.losses = tuple(losses)
         self.constraints = tuple(constraints)
         self.dim = int(dim)
@@ -152,18 +126,6 @@ class StochasticProblem:
             raise ValueError("at least one loss component is required")
         if not self.constraints:
             raise ValueError("at least one constraint set is required")
-        if coupling not in ("independent", "paired"):
-            raise ValueError(f"unknown coupling {coupling!r}")
-        if coupling == "paired" and len(self.losses) != len(self.constraints):
-            raise ValueError("paired coupling needs equally many losses and sets")
-        self.coupling = coupling
-        self.loss_weights = _normalized_weights(loss_weights, len(self.losses))
-        self.constraint_weights = _normalized_weights(
-            constraint_weights, len(self.constraints))
-        self._loss_cum = (None if self.loss_weights is None
-                          else np.cumsum(self.loss_weights))
-        self._cons_cum = (None if self.constraint_weights is None
-                          else np.cumsum(self.constraint_weights))
         self.kappa = kappa
         self.exp_subgrad_sq = exp_subgrad_sq
         self.test_objective = test_objective
@@ -185,47 +147,31 @@ class StochasticProblem:
 
     @property
     def component_count(self) -> int:
-        if self.coupling == "paired":
-            return len(self.losses)
         return len(self.losses) * len(self.constraints)
 
     def component(self, i: int):
         """The i-th (loss, constraint) pair of the discrete sample space."""
         if not 0 <= i < self.component_count:
             raise IndexError(i)
-        if self.coupling == "paired":
-            return self.losses[i], self.constraints[i]
         nc = len(self.constraints)
         return self.losses[i // nc], self.constraints[i % nc]
 
     def sample_indices(self, rng: RandomSource, count: int):
-        """Draw ``count`` (loss index, constraint index) pairs.
+        """Draw ``count`` uniform (loss index, constraint index) pairs.
 
         Loss indices are drawn first, then constraint indices; this order is
         part of the reproducibility contract.
         """
-        if self._loss_cum is None:
-            li = rng.integers_block(len(self.losses), count)
-        else:
-            li = rng.categorical_block(self._loss_cum, count)
-        if self.coupling == "paired":
-            return li, li
-        if self._cons_cum is None:
-            ci = rng.integers_block(len(self.constraints), count)
-        else:
-            ci = rng.categorical_block(self._cons_cum, count)
+        li = rng.integers_block(len(self.losses), count)
+        ci = rng.integers_block(len(self.constraints), count)
         return li, ci
 
     # -- exact expectations over the finite marginals -------------------------
 
     def _lweights(self) -> Array:
-        if self.loss_weights is not None:
-            return self.loss_weights
         return np.full(len(self.losses), 1.0 / len(self.losses))
 
     def _cweights(self) -> Array:
-        if self.constraint_weights is not None:
-            return self.constraint_weights
         return np.full(len(self.constraints), 1.0 / len(self.constraints))
 
     def objective(self, x: Array) -> float:
@@ -253,10 +199,6 @@ class StochasticProblem:
     def sigma_values(self) -> Array:
         """Per-component restricted strong-convexity constants."""
         return np.array([f.sigma for f in self.losses])
-
-    def sigma_mean(self) -> float:
-        """E[sigma_{f,S}] over the loss marginal."""
-        return float(np.dot(self._lweights(), self.sigma_values()))
 
     def exp_lips_grad_sq(self) -> float:
         """E[L_{f,S}^2] with L the gradient-Lipschitz constants."""

@@ -72,7 +72,8 @@ class ExperimentConfig:
     def validate(self):
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        for key in ("iterations", "stride", "workers", "kappa_probes"):
+        for key in ("base_seed", "iterations", "stride", "workers",
+                    "kappa_probes"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0")
         if not (math.isfinite(self.feas_tol) and self.feas_tol > 0):
@@ -89,10 +90,10 @@ class ExperimentConfig:
         for cell in self.cells:
             if cell.algorithm not in ("spp", "aspp", "sgd", "rspp"):
                 raise ConfigError(f"unknown algorithm {cell.algorithm!r}")
-            if cell.mu0 <= 0:
-                raise ConfigError("mu0 must be positive")
-            if cell.gamma < 0:
-                raise ConfigError("gamma must be >= 0")
+            if not (math.isfinite(cell.mu0) and cell.mu0 > 0):
+                raise ConfigError("mu0 must be positive and finite")
+            if not (math.isfinite(cell.gamma) and cell.gamma >= 0):
+                raise ConfigError("gamma must be finite and >= 0")
             if cell.algorithm == "rspp" and cell.gamma == 0:
                 raise ConfigError("rspp needs gamma > 0")
 

@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .components import BatchLeastSquares, LinearResidualSquared, QuadraticNorm
-from .constraints import Halfspace, NonnegativeOrthant, WholeSpace, Box, \
+from .constraints import Halfspace, NonnegativeOrthant, WholeSpace, \
     _project_polyhedron, project_intersection
 from .core import Array, RandomSource, StochasticProblem
 
@@ -60,9 +59,9 @@ def _refine_optimum(losses, constraints, dim):
     rows = [s for s in constraints if not isinstance(s, WholeSpace)]
     C = np.array([s.c for s in rows]).reshape(len(rows), dim)
     d = np.array([s.d for s in rows])
-    y = _project_polyhedron(solve_triangular(L, C.T, lower=True).T, d,
-                            solve_triangular(L, quad.h, lower=True))
-    return solve_triangular(L, y, lower=True, trans="T")
+    y = _project_polyhedron(np.linalg.solve(L, C.T).T, d,
+                            np.linalg.solve(L, quad.h))
+    return np.linalg.solve(L.T, y)
 
 
 def gen_constrained_ls(n: int = 20, m: int = 2000, seed: int = 0,
@@ -113,8 +112,7 @@ def gen_constrained_ls(n: int = 20, m: int = 2000, seed: int = 0,
     x_star = _refine_optimum(losses, constraints, n) if refine else None
     H = (Q * lams) @ Q.T
     return StochasticProblem(
-        losses, constraints, n, coupling="independent", x_star=x_star,
-        one_pass=m,
+        losses, constraints, n, x_star=x_star, one_pass=m,
         meta={"family": "constrained-ls", "ground_truth": x_gt,
               "feature_cov": H, "noise": noise, "active": active, "m": m,
               "subgradient_caveat": SUBGRADIENT_CAVEAT})
@@ -140,47 +138,40 @@ def gen_random_ls_polyhedron(n: int = 20, m: int = 1000, seed: int = 0,
     constraints = [Halfspace(C[i], d[i]) for i in range(m)]
     x_star = _refine_optimum(losses, constraints, n)
     return StochasticProblem(
-        losses, constraints, n, coupling="independent", x_star=x_star,
-        one_pass=m,
+        losses, constraints, n, x_star=x_star, one_pass=m,
         meta={"family": "random-ls-polyhedron", "noise": noise, "m": m,
               "subgradient_caveat": SUBGRADIENT_CAVEAT})
 
 
 def gen_feasibility(n: int = 10, sets: int = 20, seed: int = 0,
-                    lam: float = 1.0, interior=None,
-                    margin: float = 0.1) -> StochasticProblem:
+                    lam: float = 1.0, margin: float = 0.1) -> StochasticProblem:
     """Least-norm convex feasibility: f = (lam/2)||x||^2 on every draw.
 
-    Halfspaces are random but share the ``interior`` point (default origin)
-    with slack at least ``margin``; the optimum is the projection of the
-    origin onto the intersection.
+    Halfspaces are random but contain the origin with slack at least
+    ``margin``; the optimum is the projection of the origin onto the
+    intersection.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     rng = RandomSource(seed)
-    center = np.zeros(n) if interior is None else np.asarray(interior, float)
     constraints = []
     for _ in range(sets):
         c = rng.normal(n)
-        d = float(c @ center) + rng.uniform(margin, margin + 1.0)
-        constraints.append(Halfspace(c, d))
+        constraints.append(Halfspace(c, rng.uniform(margin, margin + 1.0)))
     x_star = project_intersection(constraints, np.zeros(n), tol=1e-13)
     return StochasticProblem(
-        [QuadraticNorm(n, lam)], constraints, n, coupling="independent",
-        x_star=x_star, one_pass=sets,
+        [QuadraticNorm(n, lam)], constraints, n, x_star=x_star, one_pass=sets,
         meta={"family": "feasibility", "lam": lam})
 
 
 def gen_finite_sum(n: int = 5, m: int = 8, seed: int = 0,
-                   spread: float = 1.0,
-                   box_halfwidth: float | None = None) -> StochasticProblem:
+                   spread: float = 1.0) -> StochasticProblem:
     """Strongly convex finite sum: f_i = (alpha_i^2/2)||x - c_i||^2.
 
     Every component carries positive curvature, so the contraction-based
     analysis applies with exact constants.  The optimum is the curvature-
-    weighted mean of the centers, optionally boxed (the box is centered on
-    the optimum, so it stays the optimum).  kappa = 1: there is a single
-    constraint set.
+    weighted mean of the centers.  kappa = 1: the single constraint set is
+    the whole space.
     """
     rng = RandomSource(seed)
     alphas = rng.uniform(0.5, 1.5, m)
@@ -190,12 +181,8 @@ def gen_finite_sum(n: int = 5, m: int = 8, seed: int = 0,
               for a, c in zip(alphas, centers)]
     w = alphas ** 2
     x_star = (w[:, None] * centers).sum(axis=0) / w.sum()
-    if box_halfwidth is None:
-        constraints = [WholeSpace(n)]
-    else:
-        constraints = [Box(x_star - box_halfwidth, x_star + box_halfwidth)]
     return StochasticProblem(
-        losses, constraints, n, coupling="independent", x_star=x_star,
+        losses, [WholeSpace(n)], n, x_star=x_star,
         kappa=1.0, one_pass=m, meta={"family": "finite-sum"})
 
 
@@ -320,7 +307,7 @@ def build_markowitz(table: ReturnsTable, b_policy="mean", seed: int = 0,
                    Halfspace(np.ones(n), 1.0),
                    Halfspace(-a_av, -b)]
     return StochasticProblem(
-        losses, constraints, n, coupling="independent",
+        losses, constraints, n,
         test_objective=MeanSquaredTarget(test, b), one_pass=n_train,
         meta={"family": "markowitz", "b": b, "assets": list(table.assets),
               "train_rows": int(n_train), "test_rows": int(T - n_train),

@@ -80,12 +80,6 @@ def test_component_accessor_product_space():
         p.component(4)
 
 
-def test_paired_coupling_requires_equal_lengths():
-    with pytest.raises(ValueError):
-        StochasticProblem([QuadraticNorm(2, 1.0)],
-                          [WholeSpace(2), WholeSpace(2)], 2, coupling="paired")
-
-
 def test_x_star_feasibility_enforced():
     losses = [QuadraticNorm(2, 1.0)]
     sets = [Halfspace(np.array([1.0, 0.0]), 0.0)]
@@ -104,10 +98,11 @@ def test_objective_quadratic_path_matches_direct_sum():
         assert abs(p.objective(x) - direct) <= 1e-12 * (1 + abs(direct))
 
 
-def test_weighted_sampling_marginals():
-    losses = [QuadraticNorm(1, 1.0), QuadraticNorm(1, 2.0)]
-    p = StochasticProblem(losses, [WholeSpace(1)], 1,
-                          loss_weights=np.array([0.25, 0.75]))
-    li, _ = p.sample_indices(RandomSource(4), 40_000)
-    assert abs(np.mean(li == 1) - 0.75) < 0.01
-    assert abs(p.sigma_mean() - (0.25 * 1.0 + 0.75 * 2.0)) < 1e-12
+def test_sample_indices_are_two_uniform_blocks():
+    p = _two_component_problem()
+    p3 = StochasticProblem([QuadraticNorm(2, 1.0)] * 3, [WholeSpace(2)] * 5, 2)
+    for prob, seed in ((p, 0), (p, 17), (p3, 12345)):
+        li, ci = prob.sample_indices(RandomSource(seed), 500)
+        ref = RandomSource(seed)
+        assert np.array_equal(li, ref.integers_block(len(prob.losses), 500))
+        assert np.array_equal(ci, ref.integers_block(len(prob.constraints), 500))
