@@ -144,7 +144,7 @@ class ProblemConstants:
             grad_norm_opt=norm(problem.mean_gradient(xs)),
             exp_lips_sq=problem.exp_lips_grad_sq(),
             sigmas=problem.sigma_values(),
-            dist0=dist_intersection(problem.constraints, x0, tol=dykstra_tol),
+            dist0=dist_intersection(problem.rows, x0, tol=dykstra_tol),
             mu0=float(mu0),
             gamma=gamma,
             exp_subgrad_sq=problem.exp_subgrad_sq,

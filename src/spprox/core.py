@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 Array = np.ndarray
@@ -100,7 +102,7 @@ class StochasticProblem:
         Decision-variable dimension.
     x_star : array, optional
         Known optimum.  Must lie in the intersection of all constraint sets
-        within ``FEASIBILITY_TOL``.
+        within ``FEASIBILITY_TOL``; checked again whenever it is set.
     kappa : float, optional
         Known (or externally estimated) linear-regularity constant.
     exp_subgrad_sq : float, optional
@@ -114,6 +116,9 @@ class StochasticProblem:
         to the loss-component count.
     meta : dict, optional
         Free-form generator metadata.
+
+    ``rows`` holds the constraint family once as a ``Polyhedron`` of unit
+    rows, for intersection projections and per-set distances.
     """
 
     def __init__(self, losses, constraints, dim, x_star=None, kappa=None,
@@ -131,17 +136,25 @@ class StochasticProblem:
         self.test_objective = test_objective
         self.one_pass = int(one_pass) if one_pass else len(self.losses)
         self.meta = dict(meta) if meta else {}
+        from .constraints import Polyhedron  # constraints imports this module
+        self.rows = Polyhedron.of(self.constraints, self.dim)
+        self.x_star = x_star
+        self._quad = self._build_quadratic_objective()
 
-        if x_star is not None:
-            x_star = as_vector(x_star, self.dim)
-            worst = max(s.distance(x_star) for s in self.constraints)
+    @property
+    def x_star(self):
+        return self._x_star
+
+    @x_star.setter
+    def x_star(self, x):
+        if x is not None:
+            x = as_vector(x, self.dim)
+            worst = math.sqrt(self.rows.set_sq_distances(x).max())
             if worst > FEASIBILITY_TOL:
                 raise ValueError(
                     f"x_star violates a constraint set by {worst:.3e} "
                     f"(tolerance {FEASIBILITY_TOL:g})")
-        self.x_star = x_star
-
-        self._quad = self._build_quadratic_objective()
+        self._x_star = x
 
     # -- sample space -------------------------------------------------------
 
@@ -170,9 +183,6 @@ class StochasticProblem:
 
     def _lweights(self) -> Array:
         return np.full(len(self.losses), 1.0 / len(self.losses))
-
-    def _cweights(self) -> Array:
-        return np.full(len(self.constraints), 1.0 / len(self.constraints))
 
     def objective(self, x: Array) -> float:
         """Exact F(x) = E[f(x;S)] over the finite loss marginal."""
@@ -206,10 +216,10 @@ class StochasticProblem:
         return float(np.dot(self._lweights(), L ** 2))
 
     def mean_constraint_sq_distance(self, x: Array) -> float:
-        """Exact E[dist_{X_S}(x)^2] over the constraint marginal."""
-        w = self._cweights()
-        return float(sum(wi * s.distance(x) ** 2
-                         for wi, s in zip(w, self.constraints)))
+        """Exact E[dist_{X_S}(x)^2] over the constraint marginal: the sum of
+        squared row violations over the set count."""
+        v = self.rows.violations(np.asarray(x, dtype=np.float64))
+        return float(np.dot(v, v)) / self.rows.sets
 
     # -- internals ------------------------------------------------------------
 

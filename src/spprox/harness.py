@@ -78,6 +78,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= 0")
         if not (math.isfinite(self.feas_tol) and self.feas_tol > 0):
             raise ConfigError("feas_tol must be positive and finite")
+        try:
+            self.spec.validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.spec.b_policy != "mean":
             try:
                 target = float(self.spec.b_policy)
@@ -621,7 +625,7 @@ iterations = 0           # 0 = one pass through the data
 stride = 0               # 0 = about 50 records per run
 workers = 0              # 0 = available parallelism
 record_feasibility = true
-feas_tol = 1e-10         # intersection-projection tolerance
+feas_tol = 1e-10         # certificate tolerance of the intersection projection
 debug_runs = false       # also write one CSV per run
 
 [problem]

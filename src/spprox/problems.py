@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import BatchLeastSquares, LinearResidualSquared, QuadraticNorm
-from .constraints import Halfspace, NonnegativeOrthant, WholeSpace, \
-    _project_polyhedron, project_intersection
+from .constraints import Halfspace, NonnegativeOrthant, Polyhedron, \
+    WholeSpace, project_intersection
 from .core import Array, RandomSource, StochasticProblem
 
 SUBGRADIENT_CAVEAT = (
@@ -39,16 +39,14 @@ class ReferenceSolveError(RuntimeError):
     """The objective admits no exact reference solve (not strongly convex)."""
 
 
-def _refine_optimum(losses, constraints, dim):
-    """Exact minimizer of the quadratic finite sum over the halfspaces.
-
-    ``constraints`` holds halfspaces, and whole-space sets that add no rows.
+def _refine_optimum(problem: StochasticProblem) -> Array:
+    """Exact minimizer of the quadratic finite sum over the constraint rows.
 
     With M = L L' and y = L'x the objective x'Mx - 2h'x equals
     ||y - L^-1 h||^2 up to a constant, so the minimizer is the projection of
-    L^-1 h onto {y : C L^-T y <= d}, mapped back by x = L^-T y.
+    L^-1 h onto {y : C L^-T y <= d, A L^-T y = b}, mapped back by x = L^-T y.
     """
-    quad = StochasticProblem(losses, constraints, dim)._quad
+    quad, rows = problem._quad, problem.rows
     if quad is None:
         raise ReferenceSolveError("reference solve needs a quadratic objective")
     try:
@@ -56,11 +54,9 @@ def _refine_optimum(losses, constraints, dim):
     except np.linalg.LinAlgError:
         raise ReferenceSolveError(
             "objective is not strongly convex (Cholesky failed)") from None
-    rows = [s for s in constraints if not isinstance(s, WholeSpace)]
-    C = np.array([s.c for s in rows]).reshape(len(rows), dim)
-    d = np.array([s.d for s in rows])
-    y = _project_polyhedron(np.linalg.solve(L, C.T).T, d,
-                            np.linalg.solve(L, quad.h))
+    y = Polyhedron(np.linalg.solve(L, rows.C.T).T, rows.d,
+                   np.linalg.solve(L, rows.A.T).T, rows.b).project(
+        np.linalg.solve(L, quad.h))
     return np.linalg.solve(L.T, y)
 
 
@@ -109,13 +105,15 @@ def gen_constrained_ls(n: int = 20, m: int = 2000, seed: int = 0,
         raise RuntimeError("could not place the ground truth inside the polyhedron")
     constraints = [Halfspace(C[i], d[i]) for i in range(p)]
 
-    x_star = _refine_optimum(losses, constraints, n) if refine else None
     H = (Q * lams) @ Q.T
-    return StochasticProblem(
-        losses, constraints, n, x_star=x_star, one_pass=m,
+    problem = StochasticProblem(
+        losses, constraints, n, one_pass=m,
         meta={"family": "constrained-ls", "ground_truth": x_gt,
               "feature_cov": H, "noise": noise, "active": active, "m": m,
               "subgradient_caveat": SUBGRADIENT_CAVEAT})
+    if refine:
+        problem.x_star = _refine_optimum(problem)
+    return problem
 
 
 def gen_random_ls_polyhedron(n: int = 20, m: int = 1000, seed: int = 0,
@@ -136,11 +134,12 @@ def gen_random_ls_polyhedron(n: int = 20, m: int = 1000, seed: int = 0,
     d = C @ anchor + rng.uniform(0.1, 1.1, m)  # anchor strictly interior
     losses = [LinearResidualSquared(A[i], b[i]) for i in range(m)]
     constraints = [Halfspace(C[i], d[i]) for i in range(m)]
-    x_star = _refine_optimum(losses, constraints, n)
-    return StochasticProblem(
-        losses, constraints, n, x_star=x_star, one_pass=m,
+    problem = StochasticProblem(
+        losses, constraints, n, one_pass=m,
         meta={"family": "random-ls-polyhedron", "noise": noise, "m": m,
               "subgradient_caveat": SUBGRADIENT_CAVEAT})
+    problem.x_star = _refine_optimum(problem)
+    return problem
 
 
 def gen_feasibility(n: int = 10, sets: int = 20, seed: int = 0,
@@ -158,10 +157,11 @@ def gen_feasibility(n: int = 10, sets: int = 20, seed: int = 0,
     for _ in range(sets):
         c = rng.normal(n)
         constraints.append(Halfspace(c, rng.uniform(margin, margin + 1.0)))
-    x_star = project_intersection(constraints, np.zeros(n), tol=1e-13)
-    return StochasticProblem(
-        [QuadraticNorm(n, lam)], constraints, n, x_star=x_star, one_pass=sets,
+    problem = StochasticProblem(
+        [QuadraticNorm(n, lam)], constraints, n, one_pass=sets,
         meta={"family": "feasibility", "lam": lam})
+    problem.x_star = project_intersection(problem.rows, np.zeros(n), tol=1e-13)
+    return problem
 
 
 def gen_finite_sum(n: int = 5, m: int = 8, seed: int = 0,
@@ -212,8 +212,9 @@ def load_returns_csv(path) -> ReturnsTable:
     """Parse a comma-separated returns table.
 
     First row is the header; one leading date/index column is permitted and
-    ignored when non-numeric.  Ragged rows, non-numeric cells, and tables
-    with fewer than two rows are errors carrying the offending location.
+    ignored when non-numeric.  Ragged rows, non-numeric or non-finite cells,
+    and tables with fewer than two rows are errors carrying the offending
+    location.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -251,6 +252,9 @@ def load_returns_csv(path) -> ReturnsTable:
                 raise ValueError(
                     f"{path}: line {i + 2}: non-numeric cell in column "
                     f"{header[j]!r}") from None
+            if not math.isfinite(data[i, j - start]):
+                raise ValueError(f"{path}: line {i + 2}: non-finite cell "
+                                 f"{r[j]!r} in column {header[j]!r}")
     return ReturnsTable(assets=assets, returns=data)
 
 
@@ -318,7 +322,7 @@ def build_markowitz(table: ReturnsTable, b_policy="mean", seed: int = 0,
 
 @dataclass
 class GeneratorSpec:
-    """Family selector plus knobs; unknown families are rejected at dispatch."""
+    """Family selector plus knobs; ``validate`` checks them before dispatch."""
 
     family: str
     n: int = 20
@@ -335,6 +339,49 @@ class GeneratorSpec:
     split_seed: int = 0
     b_policy: object = "mean"
     train_frac: float = 0.9
+
+    def validate(self):
+        """Raise ValueError, naming the knob, for any value the family's
+        generator would reject or fail on."""
+        fam = self.family
+        if fam not in FAMILIES:
+            raise ValueError(f"unknown problem family {fam!r}")
+
+        def need(ok, key, what):
+            if not ok:  # also False for NaN comparisons
+                raise ValueError(f"{key} must be {what} for {fam}")
+
+        synthetic = fam != "markowitz" or not self.returns_csv
+        ls = fam in ("constrained-ls", "random-ls-polyhedron")
+        if synthetic:
+            least_n = 2 if ls else 1
+            need(self.seed >= 0, "seed", ">= 0")
+            need(self.n >= least_n, "n", f">= {least_n}")
+        if ls:
+            need(self.m >= self.n, "m", ">= n")
+            need(math.isfinite(self.noise), "noise", "finite")
+        if fam == "constrained-ls":
+            need(0 <= self.active <= self.m // 2 + self.m // self.n, "active",
+                 "between 0 and the constraint count m/2 + m/n")
+        elif fam == "feasibility":
+            need(self.sets >= 1, "sets", ">= 1")
+            need(0 < self.lam < math.inf, "lam", "positive and finite")
+            need(0 <= self.margin < math.inf, "margin", "finite and >= 0")
+        elif fam == "finite-sum":
+            need(self.m >= 1, "m", ">= 1")
+            need(math.isfinite(self.spread), "spread", "finite")
+        elif fam == "markowitz":
+            need(self.split_seed >= 0, "split_seed", ">= 0")
+            need(0 < self.train_frac < 1, "train_frac", "in (0, 1)")
+            if synthetic:
+                need(self.periods >= 2, "periods", ">= 2")
+                need(1 <= math.floor(self.train_frac * self.periods)
+                     < self.periods, "train_frac",
+                     "a split leaving train and test rows of `periods`")
+
+
+FAMILIES = ("constrained-ls", "random-ls-polyhedron", "feasibility",
+            "finite-sum", "markowitz")
 
 
 def generate(spec: GeneratorSpec) -> StochasticProblem:

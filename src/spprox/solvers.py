@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import dist_intersection
+from .constraints import WarmStart, dist_intersection
 from .core import Array, RandomSource, StochasticProblem
 from .schedules import PolynomialDecay, StepsizeSchedule
 
@@ -120,6 +120,7 @@ class _Recorder:
         self.obj = []
         self.ftest = []
         self.iterate_sqdist = [] if track_iterate else None
+        self.warm = WarmStart()  # run-local, so a run's bits are its own
 
     def record(self, k: int, point: Array, stepsize: float, iterate: Array):
         p = self.problem
@@ -132,7 +133,7 @@ class _Recorder:
             self.sqdist.append(math.nan)
         if self.config.record_feasibility:
             self.feas.append(dist_intersection(
-                p.constraints, point, tol=self.config.feas_tol))
+                p.rows, point, tol=self.config.feas_tol, warm=self.warm))
         else:
             self.feas.append(math.nan)
         self.obj.append(p.objective(point))

@@ -115,20 +115,34 @@ def fd_gradient(f, x, h: float = 1e-6):
     return g
 
 
-def enum_polyhedron_projection(halfspaces, x):
-    """Exact projection onto an intersection of halfspaces by KKT enumeration."""
-    C = np.stack([h.c for h in halfspaces])
-    d = np.array([h.d for h in halfspaces])
-    p, n = C.shape
-    if np.all(C @ x <= d + 1e-12):
-        return np.asarray(x, dtype=float).copy()
+def enum_polyhedron_projection(sets, x):
+    """Exact projection onto an intersection of polyhedral sets by KKT
+    enumeration: every equality row is active, plus a subset of the rest."""
+    x = np.asarray(x, dtype=float)
+    dim = x.shape[0]
+
+    def stack(group):
+        rows = [s.rows() for s in group]
+        return (np.vstack([np.empty((0, dim))] + [C for C, _ in rows]),
+                np.concatenate([np.empty(0)] + [d for _, d in rows]))
+
+    C, d = stack([s for s in sets if not s.equality])
+    A, b = stack([s for s in sets if s.equality])
+    p, q = len(d), len(b)
+    rows, rhs = np.vstack([A, C]), np.concatenate([b, d])
     best, best_dist = None, np.inf
-    for r in range(1, min(p, n) + 1):
-        for S in itertools.combinations(range(p), r):
-            Ca, da = C[list(S)], d[list(S)]
-            alpha, *_ = np.linalg.lstsq(Ca @ Ca.T, Ca @ x - da, rcond=None)
-            z = x - Ca.T @ alpha
-            if np.all(C @ z <= d + 1e-9):
+    for r in range(0, min(p, dim) + 1):
+        for S in itertools.combinations(range(q, q + p), r):
+            active = [*range(q), *S]
+            Ca, da = rows[active], rhs[active]
+            if len(da) == 0:
+                z = x.copy()
+            else:
+                alpha, *_ = np.linalg.lstsq(Ca @ Ca.T, Ca @ x - da, rcond=None)
+                z = x - Ca.T @ alpha
+            if np.all(C @ z <= d + 1e-9) and np.all(np.abs(A @ z - b) <= 1e-9):
+                if r == 0:  # feasible projection onto the equality rows alone
+                    return z
                 dist = float(np.linalg.norm(z - x))
                 if dist < best_dist:
                     best, best_dist = z, dist

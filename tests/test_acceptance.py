@@ -48,8 +48,7 @@ def mean_se(traces, attr="sqdist"):
 
 @pytest.fixture(scope="module")
 def kappa_hat(desk_ls):
-    return max(1.0, estimate_kappa(desk_ls, 40, RandomSource(123),
-                                   dykstra_tol=1e-8))
+    return max(1.0, estimate_kappa(desk_ls, 40, RandomSource(123)))
 
 
 def test_criterion_01_operator_properties():

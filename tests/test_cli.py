@@ -57,6 +57,12 @@ def _with_key(section: str, key: str, value: str, text: str = TINY) -> str:
     return "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
 
 
+_FAMILY_USING = {"noise": "random-ls-polyhedron", "train_frac": "markowitz",
+                 "margin": "feasibility", "lam": "feasibility",
+                 "sets": "feasibility", "active": "constrained-ls",
+                 "m": "random-ls-polyhedron"}
+
+
 @pytest.mark.parametrize("section, key, value, argv", [
     ("experiment", "stride", "-5", []),
     ("experiment", "iterations", "-3", []),
@@ -74,11 +80,26 @@ def _with_key(section: str, key: str, value: str, text: str = TINY) -> str:
     ("solvers", "mu0", "inf", []),
     ("solvers", "gamma", "nan", []),
     ("solvers", "gamma", "inf", []),
+    ("problem", "noise", "nan", []),
+    ("problem", "train_frac", "nan", []),
+    ("problem", "margin", "nan", []),
+    ("problem", "lam", "nan", []),
+    ("problem", "spread", "inf", []),
+    ("problem", "sets", "-3", []),
+    ("problem", "active", "-1", []),
+    ("problem", "family", "foo", []),
+    ("problem", "seed", "-1", []),
+    ("problem", "train_frac", "1", []),
+    ("problem", "lam", "0", []),
+    ("problem", "margin", "-0.5", []),
+    ("problem", "m", "2", []),
 ])
 def test_invalid_run_keys_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
                                                  section, key, value, argv):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(_with_key(section, key, value))
+    # a problem knob is checked under a family whose generator uses it
+    text = _with_key("problem", "family", _FAMILY_USING.get(key, "finite-sum"))
+    cfg.write_text(_with_key(section, key, value, text))
     if not argv:
         with pytest.raises(ConfigError, match=key):
             parse_config(cfg)

@@ -4,9 +4,14 @@ from scipy.optimize import nnls
 
 from conftest import enum_polyhedron_projection, random_set
 from spprox import (Box, DykstraError, Halfspace, Hyperplane,
-                    NonnegativeOrthant, QuadraticNorm, RandomSource,
-                    StochasticProblem, WholeSpace, dist_intersection,
-                    estimate_kappa, project_intersection)
+                    NonnegativeOrthant, PolynomialDecay, Polyhedron,
+                    ProblemConstants, QuadraticNorm, RandomSource,
+                    SolverConfig, StochasticProblem, WarmStart, WholeSpace,
+                    build_markowitz, dist_intersection, estimate_kappa,
+                    gen_constrained_ls, project_intersection, run,
+                    synth_returns)
+from spprox import constraints
+from spprox.problems import _refine_optimum
 
 
 def test_halfspace_projection_examples():
@@ -101,14 +106,17 @@ def test_dist_intersection_zero_iff_feasible():
         assert all(s.distance(x) <= 1e-8 for s in sets)
 
 
-def test_dykstra_cycle_cap_carries_best():
-    sets = [Halfspace(np.array([1.0, 0.0]), 0.0),
-            Halfspace(np.array([0.0, 1.0]), 0.0),
-            Hyperplane(np.array([1.0, 1.0]), -1.0)]
-    with pytest.raises(DykstraError) as err:
-        project_intersection(sets, np.array([4.0, 4.0]), tol=1e-14,
-                             max_cycles=1)
+def test_inconsistent_hyperplanes_raise():
+    parallel = [Halfspace(np.array([1.0, 0.0]), 0.0),
+                Hyperplane(np.array([1.0, 1.0]), -1.0),
+                Hyperplane(np.array([2.0, 2.0]), 1.0)]
+    with pytest.raises(DykstraError, match="empty intersection") as err:
+        project_intersection(parallel, np.array([4.0, 4.0]))
     assert err.value.best.shape == (2,)
+    # the hyperplane fixes x_0 = 2, which the box's upper row excludes
+    fixed = [Hyperplane(np.array([1.0, 0.0]), 2.0), Box(np.zeros(2), np.ones(2))]
+    with pytest.raises(DykstraError, match="empty intersection"):
+        dist_intersection(fixed, np.zeros(2))
 
 
 def test_empty_halfspace_intersection_raises():
@@ -150,8 +158,8 @@ def test_estimate_kappa_two_hyperplanes():
 
 
 def test_estimate_kappa_stability_on_generated_instance(small_ls):
-    k1 = estimate_kappa(small_ls, 400, RandomSource(100), dykstra_tol=1e-6)
-    k2 = estimate_kappa(small_ls, 400, RandomSource(200), dykstra_tol=1e-6)
+    k1 = estimate_kappa(small_ls, 400, RandomSource(100))
+    k2 = estimate_kappa(small_ls, 400, RandomSource(200))
     assert k1 > 0 and np.isfinite(k1)
     assert abs(k1 - k2) <= 0.1 * max(k1, k2)
 
@@ -173,3 +181,83 @@ def test_working_set_matches_enumeration():
         fast = project_intersection(sets, x, tol=1e-10)
         exact = enum_polyhedron_projection(sets, x)
         assert np.linalg.norm(fast - exact) <= 1e-8
+
+
+def _mixed_family(rng, dim):
+    """Boxes, orthants, hyperplanes and halfspaces sharing a point."""
+    anchor = 0.2 + np.abs(rng.normal(dim))
+    sets = [NonnegativeOrthant(dim),
+            Box(anchor - 0.1 - np.abs(rng.normal(dim)),
+                anchor + 0.1 + np.abs(rng.normal(dim)))]
+    for _ in range(1 + rng.integers(3)):
+        c = rng.normal(dim)
+        sets.append(Halfspace(c, float(c @ anchor) + 0.5 * float(rng.uniform())))
+    c = rng.normal(dim) if rng.integers(3) else np.eye(dim)[0]
+    sets.append(Hyperplane(c, float(c @ anchor)))
+    return sets
+
+
+def test_mixed_families_match_enumeration():
+    rng = RandomSource(41)
+    for _ in range(40):
+        dim = 2 + rng.integers(2)
+        sets = _mixed_family(rng, dim)
+        rows = Polyhedron.of(sets, dim)
+        warm = WarmStart()
+        for _ in range(3):
+            x = 3 * rng.normal(dim)
+            exact = enum_polyhedron_projection(sets, x)
+            # cold, then warm-started from the previous point's passive set
+            assert np.linalg.norm(project_intersection(sets, x) - exact) <= 1e-9
+            assert np.linalg.norm(rows.project(x, warm=warm) - exact) <= 1e-9
+
+
+def test_row_mean_sq_distance_matches_set_loop():
+    rng = RandomSource(43)
+    for _ in range(20):
+        dim = 3
+        sets = _mixed_family(rng, dim) + [WholeSpace(dim)]
+        prob = StochasticProblem([QuadraticNorm(dim, 1.0)], sets, dim)
+        x = 3 * rng.normal(dim)
+        loop = sum(s.distance(x) ** 2 for s in sets) / len(sets)
+        assert abs(prob.mean_constraint_sq_distance(x) - loop) <= 1e-12 * loop
+
+
+def _feas_is_bit_stable(problem, cfg, seed, monkeypatch):
+    # every solve's starting passive set, to see that no warm state leaks
+    starts = []
+    nnls = constraints._nnls
+
+    def spy(E, f, passive=None):
+        starts.append(None if passive is None else passive.tobytes())
+        return nnls(E, f, passive)
+
+    monkeypatch.setattr(constraints, "_nnls", spy)
+    first = run(problem, cfg, RandomSource(seed)).feas
+    fresh, starts[:] = list(starts), []
+    assert np.all(np.isfinite(first)) and fresh[0] is None
+    for other in (seed + 1, seed + 2):
+        run(problem, cfg, RandomSource(other))
+    estimate_kappa(problem, 2, RandomSource(seed + 3))
+    ProblemConstants.measure(problem, np.zeros(problem.dim), 1.0, kappa=2.0)
+    starts[:] = []
+    assert np.array_equal(run(problem, cfg, RandomSource(seed)).feas, first)
+    # the first record (x0, as in measure) is a memo hit, the rest start
+    # from exactly the passive sets of the fresh run
+    assert starts == fresh[1:]
+
+
+def test_feasibility_record_bits_do_not_depend_on_history_desk(monkeypatch):
+    problem = gen_constrained_ls(n=20, m=2000, seed=7)
+    cfg = SolverConfig("aspp", PolynomialDecay(1.0, 1.0), iterations=600,
+                       stride=100)
+    _feas_is_bit_stable(problem, cfg, 5, monkeypatch)
+
+
+def test_feasibility_record_bits_do_not_depend_on_history_markowitz(
+        monkeypatch):
+    problem = build_markowitz(synth_returns(periods=300, n=10, seed=3))
+    problem.x_star = _refine_optimum(problem)
+    cfg = SolverConfig("spp", PolynomialDecay(1.0, 0.5), iterations=400,
+                       stride=20)
+    _feas_is_bit_stable(problem, cfg, 9, monkeypatch)

@@ -83,7 +83,7 @@ def test_refine_matches_normal_equations_unconstrained():
     A = rng.normal((40, 5))
     b = rng.normal(40)
     losses = [LinearResidualSquared(A[i], b[i]) for i in range(40)]
-    x = _refine_optimum(losses, [WholeSpace(5)], 5)
+    x = _refine_optimum(StochasticProblem(losses, [WholeSpace(5)], 5))
     x_ne = np.linalg.solve(A.T @ A, A.T @ b)
     assert np.linalg.norm(x - x_ne) <= 1e-8
 
@@ -93,7 +93,8 @@ def test_refine_rejects_singular_objective():
     from spprox.problems import ReferenceSolveError
     losses = [LinearResidualSquared(np.array([1.0, 0.0]), 1.0)]
     with pytest.raises(ReferenceSolveError):
-        _refine_optimum(losses, [Halfspace(np.array([1.0, 1.0]), 0.0)], 2)
+        _refine_optimum(StochasticProblem(
+            losses, [Halfspace(np.array([1.0, 1.0]), 0.0)], 2))
 
 
 def test_feasibility_family_least_norm():
@@ -150,6 +151,15 @@ def test_load_returns_csv_date_column(tmp_path):
     table = load_returns_csv(path)
     assert table.assets == ["a", "b"]
     assert table.returns.shape == (2, 2)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+def test_load_returns_csv_rejects_non_finite(tmp_path, cell):
+    path = tmp_path / "r.csv"
+    path.write_text(f"date,a,b\n2020-01-01,1,2\n2020-01-02,3,{cell}\n"
+                    "2020-01-03,5,6\n")
+    with pytest.raises(ValueError, match=r"line 3: non-finite .* 'b'"):
+        load_returns_csv(path)
 
 
 def test_load_returns_csv_errors(tmp_path):
