@@ -46,7 +46,6 @@ class ProblemConstants:
     sigmas: Array
     dist0: float
     mu0: float
-    gamma: float | None = None
     exp_subgrad_sq: float | None = None
     meta: dict = field(default_factory=dict)
 
@@ -111,15 +110,17 @@ class ProblemConstants:
 
     @classmethod
     def measure(cls, problem: StochasticProblem, x0: Array, mu0: float,
-                gamma: float | None = None, kappa: float | None = None,
-                kappa_probes: int = 0, rng: RandomSource | None = None,
-                dykstra_tol: float = 1e-10) -> "ProblemConstants":
+                kappa: float | None = None, kappa_probes: int = 0,
+                rng: RandomSource | None = None,
+                tol: float = 1e-10) -> "ProblemConstants":
         """Fill the constants from a problem with a known optimum.
 
         kappa resolution order: explicit argument, then ``problem.kappa``,
         then an empirical estimate with ``kappa_probes`` probes (requires
         ``rng``); otherwise an error.  The estimate is a lower bound and is
-        reported as such in ``meta``.
+        reported as such in ``meta``.  ``tol`` certifies every
+        intersection projection, dist0's and the probes', as in
+        ``project_intersection``.
         """
         if problem.x_star is None:
             raise MissingConstantError(
@@ -131,7 +132,7 @@ class ProblemConstants:
                 kappa = problem.kappa
             elif kappa_probes > 0 and rng is not None:
                 kappa = max(1.0, estimate_kappa(problem, kappa_probes, rng,
-                                                dykstra_tol=dykstra_tol))
+                                                tol=tol))
                 meta["kappa_source"] = "empirical lower bound"
             else:
                 raise MissingConstantError(
@@ -144,9 +145,8 @@ class ProblemConstants:
             grad_norm_opt=norm(problem.mean_gradient(xs)),
             exp_lips_sq=problem.exp_lips_grad_sq(),
             sigmas=problem.sigma_values(),
-            dist0=dist_intersection(problem.rows, x0, tol=dykstra_tol),
+            dist0=dist_intersection(problem.rows, x0, tol=tol),
             mu0=float(mu0),
-            gamma=gamma,
             exp_subgrad_sq=problem.exp_subgrad_sq,
             meta=meta)
 

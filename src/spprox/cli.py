@@ -81,7 +81,7 @@ def _cmd_estimate_kappa(args) -> int:
     config = parse_config(args.config)
     problem = generate(config.spec)
     rng = RandomSource(config.base_seed).spawn(999_983)
-    kappa_hat = estimate_kappa(problem, args.probes, rng)
+    kappa_hat = estimate_kappa(problem, args.probes, rng, tol=config.feas_tol)
     print(f"kappa_hat (lower bound, {args.probes} probes): {kappa_hat:.6g}")
     print("note: a sampled estimate certifies a lower bound on the "
           "regularity constant only")
@@ -95,8 +95,9 @@ def _cmd_plan(args) -> int:
         problem.exp_subgrad_sq = args.subgrad_sq
     rng = RandomSource(config.base_seed).spawn(999_983)
     c = bounds.ProblemConstants.measure(
-        problem, np.zeros(problem.dim), args.mu0, gamma=args.gamma,
-        kappa=args.kappa, kappa_probes=args.probes, rng=rng)
+        problem, np.zeros(problem.dim), args.mu0,
+        kappa=args.kappa, kappa_probes=args.probes, rng=rng,
+        tol=config.feas_tol)
     print(f"constants: r0={c.r0:.6g} kappa={c.kappa:.6g} eta^2={c.exp_grad_sq_opt:.6g} "
           f"E[L^2]={c.exp_lips_sq:.6g} dist0={c.dist0:.6g}")
     try:

@@ -1,11 +1,11 @@
 """Simple convex sets with exact projections, plus intersection oracles.
 
 Every set kind is polyhedral, so a finite intersection is one ``Polyhedron``
-of unit rows {z : C z <= d, A z = b}.  ``project_intersection`` projects
-onto it exactly by Lawson and Hanson's least-distance program (equality rows
-eliminated by a null-space reduction, the rest solved as a nonnegative
-least-squares problem) and certifies the answer by its KKT conditions; an
-empty intersection raises.
+of unit rows {z : C z <= d}; a hyperplane is two opposite rows.
+``project_intersection`` projects onto it exactly by Lawson and Hanson's
+least-distance program, solved as a nonnegative least-squares problem, and
+certifies the answer by its KKT conditions; an empty intersection, certified
+by the Farkas weights of the same solve, raises.
 ``estimate_kappa`` probes the linear-regularity ratio
 dist_X(x)^2 / E[dist_{X_S}(x)^2]; being sampled, it certifies a lower bound
 on the regularity constant only.
@@ -20,13 +20,12 @@ from .core import Array, RandomSource, as_vector, norm
 
 class ConstraintSet:
     kind = "abstract"
-    equality = False  # whether ``rows`` are equalities
 
     def __init__(self, dim: int):
         self.dim = dim
 
     def rows(self):
-        """(C, d) with the set equal to {x : C x <= d} (= d if ``equality``)."""
+        """(C, d) with the set equal to {x : C x <= d}."""
         raise NotImplementedError
 
     def _check(self, x: Array) -> Array:
@@ -59,7 +58,7 @@ class WholeSpace(ConstraintSet):
 
 
 class _OneRow(ConstraintSet):
-    """A set of one row c'x <= d or c'x = d (nonzero c)."""
+    """A set given by one normal c (nonzero) and offset d."""
 
     def __init__(self, c, d: float):
         c = as_vector(c)
@@ -71,14 +70,14 @@ class _OneRow(ConstraintSet):
         self.d = float(d)
         self._c_nrm = float(np.sqrt(self._c_sq))
 
-    def rows(self):
-        return self.c[None, :], np.array([self.d])
-
 
 class Halfspace(_OneRow):
     """{x : c'x <= d}."""
 
     kind = "halfspace"
+
+    def rows(self):
+        return self.c[None, :], np.array([self.d])
 
     def project(self, x):
         x = self._check(x)
@@ -96,7 +95,9 @@ class Hyperplane(_OneRow):
     """{x : c'x = d}."""
 
     kind = "hyperplane"
-    equality = True
+
+    def rows(self):  # c'x <= d and -c'x <= -d
+        return np.stack([self.c, -self.c]), np.array([self.d, -self.d])
 
     def project(self, x):
         x = self._check(x)
@@ -134,9 +135,6 @@ class NonnegativeOrthant(ConstraintSet):
     """{x : x >= 0}."""
 
     kind = "nonneg-orthant"
-
-    def __init__(self, dim: int):
-        super().__init__(dim)
 
     def project(self, x):
         x = self._check(x)
@@ -209,14 +207,18 @@ def _nnls(E, f, passive=None):
     raise DykstraError("NNLS did not terminate", best=w)
 
 
-def _ldp(C, d, x, passive=None):
-    """Least-distance projection of x onto {z : C z <= d} (unit rows).
+def _ldp(C, d, x, scale, passive=None):
+    """Least-distance projection of x onto {z : C z <= d} (unit rows), at the
+    scale 1 + ||x||_inf + max|d|.
 
     u = z - x solves min ||u|| s.t. -C u >= C x - d.  Lawson and Hanson
     (*Solving Least Squares Problems*, 1974, ch. 23): NNLS on
-    E = [-C'; (C x - d)'], f = e_{n+1} gives r = E w - f and u = -r[:n]/r[n];
-    r = 0 certifies an empty set.  Returns z and the passive set (active
-    rows), or None when x is feasible.
+    E = [-C'; (C x - d)'], f = e_{n+1} gives w >= 0, r = E w - f and
+    u = -r[:n]/r[n].  The weights are a Farkas certificate of an empty set
+    when max|C'w| scale < 1e-9 (-d'w): every z in the set has
+    (C'w)'z <= d'w, so none lies within 1e9 scale / n of the origin.
+    Returns z and the passive set (active rows), or None when x is
+    feasible.
     """
     h = C @ x - d  # violations, scaled below to a largest value of 1
     top = float(h.max(initial=0.0))
@@ -224,9 +226,14 @@ def _ldp(C, d, x, passive=None):
         return x.copy(), None
     n = x.shape[0]
     w, r = _nnls(np.vstack([-C.T, h / top]), np.eye(n + 1)[n], passive)
-    if -r[n] <= 1e-14:
-        raise DykstraError("empty intersection: the rows are inconsistent",
-                           best=x.copy())
+    if float(np.abs(r[:n]).max()) * scale < -1e-9 * float(d @ w):  # r = -C'w
+        raise DykstraError("empty intersection: the rows admit a Farkas "
+                           "certificate", best=x.copy())
+    # r[n] = -1 / (1 + ||u||^2 / top^2) is lost to roundoff once ||u|| passes
+    # top / sqrt(eps): there is no step to certify
+    if not r[n] < 0.0:
+        raise DykstraError("least-distance certificate failed: the solve "
+                           "gives no step", best=x.copy())
     return x - (top / r[n]) * r[:n], w > 0.0
 
 
@@ -249,68 +256,39 @@ class WarmStart:
 
 
 class Polyhedron:
-    """{z : C z <= d, A z = b} as arrays of unit rows, built once per family.
+    """{z : C z <= d} as an array of unit rows, built once per family.
 
-    A halfspace gives one row, an orthant n rows, a box 2n rows and the
-    whole space none; a hyperplane gives one equality row.  ``owner`` maps
-    the rows of [C; A] to the ``sets`` they came from (by default every row
-    is its own set).  Equality rows are eliminated by a null-space
-    reduction z = z0 + N y (Lawson and Hanson, ch. 20-22): y is projected
-    onto {y : (C N) y <= d - C z0} and mapped back.  The last cold
-    projection (one not warm-started) is memoized: it is a pure function of
-    x and the tolerance.
+    A halfspace gives one row, a hyperplane two opposite rows, an orthant n
+    rows, a box 2n rows and the whole space none.  ``owner`` maps the rows
+    to the ``sets`` they came from (by default every row is its own set).
+    The last cold projection (one not warm-started) is memoized: it is a
+    pure function of x and the tolerance.
     """
 
-    def __init__(self, C, d, A=None, b=None, owner=None, sets=None):
+    def __init__(self, C, d, owner=None, sets=None):
         C = np.asarray(C, dtype=np.float64)
-        dim = C.shape[1]
-        self.dim = dim
+        self.dim = C.shape[1]
         self.C, self.d = _unit_rows(C, d)
-        self.A, self.b = _unit_rows(np.empty((0, dim)) if A is None else A,
-                                    np.empty(0) if b is None else b)
-        rows = len(self.d) + len(self.b)
-        self.owner = np.arange(rows) if owner is None else owner
-        self.sets = rows if sets is None else sets
-        self._scale = float(np.abs(np.concatenate([self.d, self.b]))
-                            .max(initial=0.0))
+        self.owner = np.arange(len(self.d)) if owner is None else owner
+        self.sets = len(self.d) if sets is None else sets
+        self._scale = float(np.abs(self.d).max(initial=0.0))
         self._memo = None
-        self._null = None
-        if len(self.b):
-            U, sv, Vt = np.linalg.svd(self.A)
-            r = int(np.sum(sv > max(self.A.shape) * np.finfo(float).eps
-                           * sv[0]))
-            z0 = Vt[:r].T @ ((U[:, :r].T @ self.b) / sv[:r])
-            N = Vt[r:].T
-            Cr, dr = self.C @ N, self.d - self.C @ z0
-            keep = np.sqrt(np.einsum("ij,ij->i", Cr, Cr)) > 1e-12
-            # a row constant on {A z = b} holds everywhere on it or nowhere
-            self._gap = max(float(np.abs(self.A @ z0 - self.b).max()),
-                            float((-dr[~keep]).max(initial=0.0)))
-            self._null = (z0, N, keep, *_unit_rows(Cr[keep], dr[keep]))
 
     @classmethod
     def of(cls, sets, dim: int) -> "Polyhedron":
         """The rows of a family of ``ConstraintSet`` objects."""
-
-        def stack(group):  # filled set by set: no per-set arrays pile up
-            sizes = [len(s.rows()[1]) for _, s in group]
-            C, d = np.empty((sum(sizes), dim)), np.empty(sum(sizes))
-            at = np.cumsum([0] + sizes)
-            for (_, s), lo, hi in zip(group, at, at[1:]):
-                C[lo:hi], d[lo:hi] = s.rows()
-            return C, d, np.repeat([i for i, _ in group], sizes).astype(int)
-
-        C, d, own = stack([(i, s) for i, s in enumerate(sets)
-                           if not s.equality])
-        A, b, own_eq = stack([(i, s) for i, s in enumerate(sets) if s.equality])
-        return cls(C, d, A, b, owner=np.concatenate([own, own_eq]),
+        sizes = [len(s.rows()[1]) for s in sets]
+        # filled set by set: no per-set arrays pile up
+        C, d = np.empty((sum(sizes), dim)), np.empty(sum(sizes))
+        at = np.cumsum([0] + sizes)
+        for s, lo, hi in zip(sets, at, at[1:]):
+            C[lo:hi], d[lo:hi] = s.rows()
+        return cls(C, d, owner=np.repeat(np.arange(len(sets)), sizes),
                    sets=len(sets))
 
     def violations(self, x: Array) -> Array:
-        """Per-row distances: positive inequality violations, then absolute
-        equality residuals."""
-        return np.concatenate([np.maximum(self.C @ x - self.d, 0.0),
-                               np.abs(self.A @ x - self.b)])
+        """Per-row distances: the positive violations."""
+        return np.maximum(self.C @ x - self.d, 0.0)
 
     def set_sq_distances(self, x: Array) -> Array:
         """dist_{X_i}(x)^2 for every set i: the sum over its rows."""
@@ -329,8 +307,7 @@ class Polyhedron:
         if start is None and self._memo is not None and self._memo[0] == key:
             z, passive = self._memo[1:]
         else:
-            z, passive = self._solve(
-                x, tol * (1.0 + float(np.abs(x).max()) + self._scale), start)
+            z, passive = self._solve(x, tol, start)
             if start is None:
                 self._memo = (key, z, passive)
         if warm is not None and passive is not None:
@@ -338,25 +315,12 @@ class Polyhedron:
         return z.copy()
 
     def _solve(self, x, tol, start):
-        active = np.zeros(len(self.d), dtype=bool)
-        if self._null is None:
-            z, passive = _ldp(self.C, self.d, x, start)
-            if passive is not None:
-                active = passive
-        else:
-            z0, N, keep, Cr, dr = self._null
-            if not self._gap <= tol:
-                raise DykstraError(
-                    f"empty intersection: the equality rows leave a gap of "
-                    f"{self._gap:.3g}", best=x.copy())
-            y, passive = _ldp(Cr, dr, N.T @ (x - z0), start)
-            z = z0 + N @ y
-            if passive is not None:
-                active[keep] = passive
+        scale = 1.0 + float(np.abs(x).max()) + self._scale
+        z, passive = _ldp(self.C, self.d, x, scale, start)
+        tol *= scale
         slack = self.C @ z - self.d
-        worst = max(float(slack.max(initial=0.0)),
-                    float(np.abs(slack[active]).max(initial=0.0)),
-                    float(np.abs(self.A @ z - self.b).max(initial=0.0)))
+        worst = max(float(slack.max(initial=0.0)), 0.0 if passive is None
+                    else float(np.abs(slack[passive]).max(initial=0.0)))
         if not worst <= tol:  # also catches NaN
             raise DykstraError(
                 f"least-distance certificate failed: residual {worst:.3g} "
@@ -370,8 +334,8 @@ def project_intersection(sets, x, tol: float = 1e-10,
 
     ``sets`` is a sequence of ``ConstraintSet`` objects or their
     ``Polyhedron``.  One least-distance NNLS solve projects every family;
-    the answer is returned only when its KKT certificate (feasibility,
-    complementary slackness, equality residuals) holds to
+    the answer is returned only when its KKT certificate (feasibility and
+    complementary slackness) holds to
     tol * (1 + ||x||_inf + max_i |d_i|), and an empty intersection or a
     failed certificate raises DykstraError.  ``warm`` starts the solve from
     the passive set of the last solve that used it, and records this one's.
@@ -394,24 +358,21 @@ def dist_intersection(sets, x, tol: float = 1e-10,
 
 
 def estimate_kappa(problem, probes: int, rng: RandomSource,
-                   center=None, radius: float | None = None,
-                   dykstra_tol: float = 1e-10) -> float:
+                   tol: float = 1e-10) -> float:
     """Empirical lower bound on the linear-regularity constant.
 
-    Probe points are drawn uniformly on a sphere of radius
-    ``2 max(1, ||center||)`` (overridable) around ``center``, which defaults
-    to the known optimum or the origin and should be a feasible anchor of the
-    iterate region.  Each probe contributes
-    dist_X(x)^2 / E[dist_{X_S}(x)^2]; probes with denominator below 1e-14
-    are skipped, and the maximum ratio is returned.
+    Probe points are drawn uniformly on the sphere of radius
+    ``2 max(1, ||c||)`` around the center c, the known optimum or else the
+    origin: a feasible anchor of the iterate region.  Each probe contributes
+    dist_X(x)^2 / E[dist_{X_S}(x)^2], with dist_X certified at ``tol`` as in
+    ``project_intersection``; probes with denominator below 1e-14 are
+    skipped, and the maximum ratio is returned.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    if center is None:
-        center = problem.x_star if problem.x_star is not None else np.zeros(problem.dim)
-    center = as_vector(center, problem.dim)
-    if radius is None:
-        radius = 2.0 * max(1.0, norm(center))
+    center = (problem.x_star if problem.x_star is not None
+              else np.zeros(problem.dim))
+    radius = 2.0 * max(1.0, norm(center))
     best = None
     for _ in range(probes):
         u = rng.normal(problem.dim)
@@ -422,7 +383,7 @@ def estimate_kappa(problem, probes: int, rng: RandomSource,
         den = problem.mean_constraint_sq_distance(x)
         if den < 1e-14:
             continue
-        num = dist_intersection(problem.rows, x, tol=dykstra_tol) ** 2
+        num = dist_intersection(problem.rows, x, tol=tol) ** 2
         ratio = num / den
         if best is None or ratio > best:
             best = ratio

@@ -199,14 +199,11 @@ def _pooled_traces(problem: StochasticProblem, cells: list,
 
 
 def run_cell(problem: StochasticProblem, solver_config: SolverConfig,
-             runs: int, base_seed: int, workers: int = 1,
-             name: str = "cell", metadata: dict | None = None) -> AggregateTrace:
+             runs: int, base_seed: int, name: str = "cell",
+             metadata: dict | None = None) -> AggregateTrace:
     """Monte-Carlo repetitions of one cell; seeds are base_seed + run index."""
-    seeds = [base_seed + i for i in range(runs)]
-    if workers and workers > 1:
-        traces = _pooled_traces(problem, [(solver_config, seeds)], workers)[0]
-    else:
-        traces = [_execute_run(solver_config, s, problem) for s in seeds]
+    traces = [_execute_run(solver_config, base_seed + i, problem)
+              for i in range(runs)]
     return aggregate(name, traces, metadata)
 
 
@@ -440,7 +437,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> dict
     if config.kappa_probes > 0:
         probe_rng = RandomSource(config.base_seed).spawn(999_983)
         try:
-            kappa_hat = estimate_kappa(problem, config.kappa_probes, probe_rng)
+            kappa_hat = estimate_kappa(problem, config.kappa_probes, probe_rng,
+                                       tol=config.feas_tol)
             meta_common["kappa_hat_lower_bound"] = kappa_hat
         except ValueError:
             meta_common["kappa_hat_lower_bound"] = None
@@ -456,7 +454,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> dict
             return None
         try:
             c = bounds_mod.ProblemConstants.measure(
-                problem, np.zeros(problem.dim), mu0, kappa=kap)
+                problem, np.zeros(problem.dim), mu0, kappa=kap,
+                tol=config.feas_tol)
         except (ValueError, bounds_mod.MissingConstantError):
             c = None
         constants_cache[mu0] = c

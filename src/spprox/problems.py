@@ -44,7 +44,7 @@ def _refine_optimum(problem: StochasticProblem) -> Array:
 
     With M = L L' and y = L'x the objective x'Mx - 2h'x equals
     ||y - L^-1 h||^2 up to a constant, so the minimizer is the projection of
-    L^-1 h onto {y : C L^-T y <= d, A L^-T y = b}, mapped back by x = L^-T y.
+    L^-1 h onto {y : C L^-T y <= d}, mapped back by x = L^-T y.
     """
     quad, rows = problem._quad, problem.rows
     if quad is None:
@@ -54,8 +54,7 @@ def _refine_optimum(problem: StochasticProblem) -> Array:
     except np.linalg.LinAlgError:
         raise ReferenceSolveError(
             "objective is not strongly convex (Cholesky failed)") from None
-    y = Polyhedron(np.linalg.solve(L, rows.C.T).T, rows.d,
-                   np.linalg.solve(L, rows.A.T).T, rows.b).project(
+    y = Polyhedron(np.linalg.solve(L, rows.C.T).T, rows.d).project(
         np.linalg.solve(L, quad.h))
     return np.linalg.solve(L.T, y)
 

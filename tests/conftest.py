@@ -117,17 +117,18 @@ def fd_gradient(f, x, h: float = 1e-6):
 
 def enum_polyhedron_projection(sets, x):
     """Exact projection onto an intersection of polyhedral sets by KKT
-    enumeration: every equality row is active, plus a subset of the rest."""
+    enumeration: every equality row (one c'x = d per hyperplane) is active,
+    plus a subset of the inequality rows of the rest."""
     x = np.asarray(x, dtype=float)
     dim = x.shape[0]
 
-    def stack(group):
-        rows = [s.rows() for s in group]
+    def stack(rows):
         return (np.vstack([np.empty((0, dim))] + [C for C, _ in rows]),
                 np.concatenate([np.empty(0)] + [d for _, d in rows]))
 
-    C, d = stack([s for s in sets if not s.equality])
-    A, b = stack([s for s in sets if s.equality])
+    C, d = stack([s.rows() for s in sets if not isinstance(s, Hyperplane)])
+    A, b = stack([(s.c[None, :], np.array([s.d])) for s in sets
+                  if isinstance(s, Hyperplane)])
     p, q = len(d), len(b)
     rows, rhs = np.vstack([A, C]), np.concatenate([b, d])
     best, best_dist = None, np.inf

@@ -125,6 +125,40 @@ def test_empty_halfspace_intersection_raises():
         project_intersection(sets, [3.0, 2.0])
 
 
+@pytest.mark.parametrize("kind", [Halfspace, Hyperplane])
+def test_inconsistent_parallel_pairs_are_reported_empty(kind):
+    # c'z <= d (or = d) against c'z >= d + gap, the second row scaled by k;
+    # the gap spans 1e-5 to 1 of the scale 1 + ||x||_inf + max|d|
+    rng = RandomSource(71)
+    for _ in range(667):
+        dim = 2 + rng.integers(3)
+        c = rng.normal(dim) * 10.0 ** rng.uniform(-2, 2)
+        d = float(rng.normal())
+        k = 10.0 ** rng.uniform(-2, 2)
+        x = 10.0 ** rng.uniform(-1, 3) * rng.normal(dim)
+        nc = float(np.linalg.norm(c))
+        scale = 1.0 + np.abs(x).max() + abs(d) / nc
+        gap = 10.0 ** rng.uniform(-5, 0) * scale * nc
+        if kind is Halfspace:
+            sets = [Halfspace(c, d), Halfspace(-k * c, -k * (d + gap))]
+        else:
+            sets = [Hyperplane(c, d), Hyperplane(k * c, k * (d + gap))]
+        with pytest.raises(DykstraError, match="empty intersection"):
+            project_intersection(sets, x)
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-10])
+def test_thin_wedge_is_not_reported_empty(eps):
+    # {|z_0| <= -eps z_1} holds the origin, the projection of (0, 1)
+    sets = [Halfspace([1.0, eps], 0.0), Halfspace([-1.0, eps], 0.0)]
+    try:
+        z = project_intersection(sets, np.array([0.0, 1.0]))
+    except DykstraError as err:
+        assert "certificate failed" in str(err)
+    else:
+        assert max(s.distance(z) for s in sets) <= 1e-9
+
+
 def test_far_probe_projection_is_certified(desk_ls):
     # the first kappa probe of RandomSource(1) around the desk optimum
     xs = desk_ls.x_star
@@ -184,7 +218,7 @@ def test_working_set_matches_enumeration():
 
 
 def _mixed_family(rng, dim):
-    """Boxes, orthants, hyperplanes and halfspaces sharing a point."""
+    """Boxes, orthants, 1-3 hyperplanes and halfspaces sharing a point."""
     anchor = 0.2 + np.abs(rng.normal(dim))
     sets = [NonnegativeOrthant(dim),
             Box(anchor - 0.1 - np.abs(rng.normal(dim)),
@@ -192,8 +226,12 @@ def _mixed_family(rng, dim):
     for _ in range(1 + rng.integers(3)):
         c = rng.normal(dim)
         sets.append(Halfspace(c, float(c @ anchor) + 0.5 * float(rng.uniform())))
-    c = rng.normal(dim) if rng.integers(3) else np.eye(dim)[0]
-    sets.append(Hyperplane(c, float(c @ anchor)))
+    for i in range(1 + rng.integers(3)):
+        if i and not rng.integers(3):  # a scaled duplicate: dependent rows
+            c = -2.5 * sets[-1].c
+        else:
+            c = rng.normal(dim) if rng.integers(3) else np.eye(dim)[0]
+        sets.append(Hyperplane(c, float(c @ anchor)))
     return sets
 
 

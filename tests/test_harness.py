@@ -10,7 +10,7 @@ from spprox import (AggregateTrace, Cell, ConfigError, ExperimentConfig,
                     GeneratorSpec, RandomSource, aggregate, emit_csv,
                     emit_svg, log_log_slope, parse_config, parse_csv,
                     run_experiment)
-from spprox import DykstraError, SolverError, harness
+from spprox import DykstraError, Polyhedron, SolverError, harness
 from spprox.harness import CONFIG_TEMPLATES, CSV_HEADER, emit_run_csv
 
 
@@ -221,6 +221,37 @@ def test_overlay_bounds_adds_dashed_curves(tmp_path):
     polys = [e for e in root.iter() if e.tag.endswith("polyline")]
     assert len(polys) == 2
     assert sum("stroke-dasharray" in e.attrib for e in polys) == 1
+
+
+def test_run_certifies_every_intersection_solve_at_feas_tol(tmp_path,
+                                                           monkeypatch):
+    tols = []
+    project = Polyhedron.project
+
+    def spy(self, x, tol=1e-10, warm=None):
+        tols.append(tol)
+        return project(self, x, tol, warm)
+
+    generate = harness.generate
+
+    def generate_then_spy(spec):  # the reference solve is not a run's
+        problem = generate(spec)
+        monkeypatch.setattr(Polyhedron, "project", spy)
+        return problem
+
+    monkeypatch.setattr(harness, "generate", generate_then_spy)
+    config = ExperimentConfig(
+        spec=GeneratorSpec("constrained-ls", n=4, m=40, seed=2),
+        cells=[Cell("spp", 0.5, 1.0)], runs=2, base_seed=5,
+        outdir=str(tmp_path / "tol"), iterations=40, stride=10, workers=1,
+        overlay_bounds=True, kappa_probes=1, feas_tol=1e-8)
+    (agg,) = run_experiment(config).values()
+    # the run's records, the kappa probe and the overlay's dist_X(x0)
+    assert agg.metadata["kappa_hat_lower_bound"] is not None
+    svg = ET.parse(next(Path(config.outdir).glob("*.svg"))).getroot()
+    assert any("stroke-dasharray" in e.attrib for e in svg.iter()
+               if e.tag.endswith("polyline"))
+    assert len(tols) >= 3 and set(tols) == {1e-8}
 
 
 def test_parse_config_roundtrip(tmp_path):
