@@ -17,7 +17,6 @@ import numpy as np
 
 from . import bounds
 from .constraints import estimate_kappa
-from .core import RandomSource
 from .harness import (CONFIG_TEMPLATES, ConfigError, parse_config,
                       run_experiment)
 from .problems import generate
@@ -80,8 +79,8 @@ def _cmd_gen_config(args) -> int:
 def _cmd_estimate_kappa(args) -> int:
     config = parse_config(args.config)
     problem = generate(config.spec)
-    rng = RandomSource(config.base_seed).spawn(999_983)
-    kappa_hat = estimate_kappa(problem, args.probes, rng, tol=config.feas_tol)
+    kappa_hat = estimate_kappa(problem, args.probes, config.probe_source(),
+                               tol=config.feas_tol)
     print(f"kappa_hat (lower bound, {args.probes} probes): {kappa_hat:.6g}")
     print("note: a sampled estimate certifies a lower bound on the "
           "regularity constant only")
@@ -93,11 +92,10 @@ def _cmd_plan(args) -> int:
     problem = generate(config.spec)
     if args.subgrad_sq is not None:
         problem.exp_subgrad_sq = args.subgrad_sq
-    rng = RandomSource(config.base_seed).spawn(999_983)
     c = bounds.ProblemConstants.measure(
         problem, np.zeros(problem.dim), args.mu0,
-        kappa=args.kappa, kappa_probes=args.probes, rng=rng,
-        tol=config.feas_tol)
+        kappa=args.kappa, kappa_probes=args.probes,
+        rng=config.probe_source(), tol=config.feas_tol)
     print(f"constants: r0={c.r0:.6g} kappa={c.kappa:.6g} eta^2={c.exp_grad_sq_opt:.6g} "
           f"E[L^2]={c.exp_lips_sq:.6g} dist0={c.dist0:.6g}")
     try:

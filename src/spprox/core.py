@@ -158,17 +158,6 @@ class StochasticProblem:
 
     # -- sample space -------------------------------------------------------
 
-    @property
-    def component_count(self) -> int:
-        return len(self.losses) * len(self.constraints)
-
-    def component(self, i: int):
-        """The i-th (loss, constraint) pair of the discrete sample space."""
-        if not 0 <= i < self.component_count:
-            raise IndexError(i)
-        nc = len(self.constraints)
-        return self.losses[i // nc], self.constraints[i % nc]
-
     def sample_indices(self, rng: RandomSource, count: int):
         """Draw ``count`` uniform (loss index, constraint index) pairs.
 

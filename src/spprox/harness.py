@@ -12,6 +12,7 @@ run index, so serial and parallel execution emit byte-identical CSVs.
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 import math
 import os
@@ -27,7 +28,8 @@ from .constraints import estimate_kappa
 from .core import RandomSource, StochasticProblem
 from .problems import GeneratorSpec, generate
 from .schedules import ConstantStepsize, PolynomialDecay, theta0
-from .solvers import RunTrace, SolverConfig, epochs_for_budget, run
+from .solvers import (ALGORITHMS, RunTrace, SolverConfig, epochs_for_budget,
+                      run)
 
 CSV_HEADER = "k,mean_sqdist,se_sqdist,mean_feas,se_feas,mean_obj,se_obj,stepsize"
 
@@ -69,6 +71,10 @@ class ExperimentConfig:
     feas_tol: float = 1e-10
     debug_runs: bool = False
 
+    def probe_source(self) -> RandomSource:
+        """The random stream of the kappa probes, apart from every run's."""
+        return RandomSource(self.base_seed).spawn(999_983)
+
     def validate(self):
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
@@ -91,8 +97,9 @@ class ExperimentConfig:
                 raise ConfigError("b_policy must be 'mean' or a finite number")
         if not self.cells:
             raise ConfigError("no solver cells configured")
+        names = set()
         for cell in self.cells:
-            if cell.algorithm not in ("spp", "aspp", "sgd", "rspp"):
+            if cell.algorithm not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {cell.algorithm!r}")
             if not (math.isfinite(cell.mu0) and cell.mu0 > 0):
                 raise ConfigError("mu0 must be positive and finite")
@@ -100,6 +107,10 @@ class ExperimentConfig:
                 raise ConfigError("gamma must be finite and >= 0")
             if cell.algorithm == "rspp" and cell.gamma == 0:
                 raise ConfigError("rspp needs gamma > 0")
+            if cell.name in names:  # its files would overwrite another's
+                raise ConfigError(f"two solver cells (algorithms x mu0 x "
+                                  f"gamma) share the output name {cell.name!r}")
+            names.add(cell.name)
 
 
 @dataclass
@@ -124,39 +135,43 @@ class AggregateTrace:
     traces: list = field(default_factory=list)  # per-run RunTrace, run-index order
 
 
-def _mean_se(stack: list):
-    """Column means and standard errors over possibly truncated runs."""
-    length = max(len(a) for a in stack)
-    mean = np.full(length, math.nan)
-    se = np.full(length, math.nan)
-    counts = np.zeros(length, dtype=np.int64)
-    for j in range(length):
-        vals = np.array([a[j] for a in stack if len(a) > j])
-        vals = vals[np.isfinite(vals)]
-        counts[j] = len(vals)
-        if len(vals) >= 1:
-            mean[j] = float(np.mean(vals))
-            se[j] = (float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
-                     if len(vals) >= 2 else 0.0)
-    return mean, se, counts
+def _mean_se(values: np.ndarray):
+    """Means, standard errors and counts of the finite entries along the last
+    (runs) axis: NaN where none is finite, an se of 0 where one is.
+
+    A record whose runs are all finite reduces bit for bit as ``np.mean``/
+    ``np.std(ddof=1)`` of its runs (the same pairwise sum along the
+    contiguous axis); a masked entry adds 0, which may move the last bit.
+    """
+    finite = np.isfinite(values)
+    counts = finite.sum(axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(finite, values, 0.0).sum(axis=-1) / counts
+        dev = np.where(finite, values - mean[..., None], 0.0)
+        se = np.sqrt((dev * dev).sum(axis=-1) / (counts - 1)) / np.sqrt(counts)
+    return mean, np.where(counts == 1, 0.0, se), counts
 
 
 def aggregate(name: str, traces: list, metadata: dict | None = None) -> AggregateTrace:
-    """Deterministic reduction of per-run traces (run-index order)."""
+    """Deterministic reduction of per-run traces (run-index order).
+
+    The four metrics are reduced as one NaN-padded (metric, record, run)
+    array, so a run truncated by divergence counts at its recorded ks only.
+    """
     longest = max(traces, key=lambda t: len(t.ks))
-    mean_sq, se_sq, counts = _mean_se([t.sqdist for t in traces])
-    mean_fe, se_fe, _ = _mean_se([t.feas for t in traces])
-    mean_ob, se_ob, _ = _mean_se([t.objective for t in traces])
-    mean_ft, se_ft, _ = _mean_se([t.test_obj for t in traces])
+    values = np.full((4, len(longest.ks), len(traces)), math.nan)
+    for i, t in enumerate(traces):
+        values[:, :len(t.ks), i] = (t.sqdist, t.feas, t.objective, t.test_obj)
+    mean, se, counts = _mean_se(values)
     return AggregateTrace(
         name=name,
         ks=longest.ks.copy(),
         stepsizes=longest.stepsizes.copy(),
-        mean_sqdist=mean_sq, se_sqdist=se_sq,
-        mean_feas=mean_fe, se_feas=se_fe,
-        mean_obj=mean_ob, se_obj=se_ob,
-        mean_ftest=mean_ft, se_ftest=se_ft,
-        counts=counts,
+        mean_sqdist=mean[0], se_sqdist=se[0],
+        mean_feas=mean[1], se_feas=se[1],
+        mean_obj=mean[2], se_obj=se[2],
+        mean_ftest=mean[3], se_ftest=se[3],
+        counts=counts[0],
         runs=len(traces),
         diverged=sum(1 for t in traces if t.diverged),
         metadata=dict(metadata or {}),
@@ -287,6 +302,16 @@ def emit_svg(traces, overlays, path, title: str = "",
     svg = ET.Element("svg", xmlns="http://www.w3.org/2000/svg",
                      width=str(width), height=str(height),
                      viewBox=f"0 0 {width} {height}")
+
+    def text(x, y, label, size, anchor=None, transform=None):
+        el = ET.SubElement(svg, "text", x=str(x), y=str(y), fill="black")
+        if anchor is not None:
+            el.set("text-anchor", anchor)
+        el.set("font-size", str(size))
+        if transform is not None:
+            el.set("transform", transform)
+        el.text = label
+
     ET.SubElement(svg, "rect", x="0", y="0", width=str(width),
                   height=str(height), fill="white")
     # frame and ticks
@@ -297,21 +322,13 @@ def emit_svg(traces, overlays, path, title: str = "",
         ET.SubElement(svg, "line", x1=str(ml), y1=f"{y:.2f}",
                       x2=str(ml + pw), y2=f"{y:.2f}",
                       stroke="#dddddd")
-        lab = ET.SubElement(svg, "text", x=str(ml - 8), y=f"{y + 4:.2f}",
-                            fill="black")
-        lab.set("text-anchor", "end")
-        lab.set("font-size", "12")
-        lab.text = f"1e{dec}"
+        text(ml - 8, f"{y + 4:.2f}", f"1e{dec}", 12, anchor="end")
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         k = kmin + frac * (kmax - kmin)
         x = sx(k)
         ET.SubElement(svg, "line", x1=f"{x:.2f}", y1=str(mt + ph),
                       x2=f"{x:.2f}", y2=str(mt + ph + 5), stroke="black")
-        lab = ET.SubElement(svg, "text", x=f"{x:.2f}", y=str(mt + ph + 20),
-                            fill="black")
-        lab.set("text-anchor", "middle")
-        lab.set("font-size", "12")
-        lab.text = f"{k:.0f}"
+        text(f"{x:.2f}", mt + ph + 20, f"{k:.0f}", 12, anchor="middle")
 
     def polyline(ks, ys, color, dashed):
         if len(ks) == 0:
@@ -334,27 +351,14 @@ def emit_svg(traces, overlays, path, title: str = "",
                              y2=str(legend_y - 4), stroke=color)
         if dashed:
             line.set("stroke-dasharray", "6 3")
-        lab = ET.SubElement(svg, "text", x=str(ml + pw + 40), y=str(legend_y),
-                            fill="black")
-        lab.set("font-size", "12")
-        lab.text = label
+        text(ml + pw + 40, legend_y, label, 12)
         legend_y += 17
 
     if title:
-        t = ET.SubElement(svg, "text", x=str(ml + pw // 2), y="24", fill="black")
-        t.set("text-anchor", "middle")
-        t.set("font-size", "15")
-        t.text = title
-    xl = ET.SubElement(svg, "text", x=str(ml + pw // 2), y=str(height - 12),
-                       fill="black")
-    xl.set("text-anchor", "middle")
-    xl.set("font-size", "13")
-    xl.text = "iteration k"
-    yl = ET.SubElement(svg, "text", x="18", y=str(mt + ph // 2), fill="black")
-    yl.set("text-anchor", "middle")
-    yl.set("font-size", "13")
-    yl.set("transform", f"rotate(-90 18 {mt + ph // 2})")
-    yl.text = ylabel
+        text(ml + pw // 2, 24, title, 15, anchor="middle")
+    text(ml + pw // 2, height - 12, "iteration k", 13, anchor="middle")
+    text(18, mt + ph // 2, ylabel, 13, anchor="middle",
+         transform=f"rotate(-90 18 {mt + ph // 2})")
 
     ET.ElementTree(svg).write(path, encoding="utf-8", xml_declaration=True)
 
@@ -375,35 +379,16 @@ def log_log_slope(ks, ys) -> float:
 
 # -- experiment driver ----------------------------------------------------------
 
-def _metric_kind(problem: StochasticProblem) -> str:
-    if problem.x_star is not None:
-        return "sqdist"
-    if problem.test_objective is not None:
-        return "ftest"
-    return "obj"
+# A problem's figures plot the curve of the first row whose problem attribute
+# is set (None: any problem): (attribute, AggregateTrace field, y label).
+_PRIMARY_CURVES = (
+    ("x_star", "mean_sqdist", "mean squared distance to optimum"),
+    ("test_objective", "mean_ftest", "held-out objective"),
+    (None, "mean_obj", "objective"),
+)
 
 
-def _curve(trace: AggregateTrace, kind: str):
-    return {"sqdist": trace.mean_sqdist,
-            "ftest": trace.mean_ftest,
-            "obj": trace.mean_obj}[kind]
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def run_experiment(config: ExperimentConfig, workers: int | None = None) -> dict:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Execute every grid cell, aggregate, and write CSV/SVG outputs.
 
     Returns {cell name: AggregateTrace}.  Output files per cell:
@@ -416,10 +401,9 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> dict
     problem = generate(config.spec)
     K = config.iterations if config.iterations > 0 else problem.one_pass
     stride = config.stride if config.stride > 0 else max(1, K // 50)
-    if workers is None:  # 0: the CPUs this process may run on
-        workers = config.workers or (len(os.sched_getaffinity(0))
-                                     if hasattr(os, "sched_getaffinity")
-                                     else os.cpu_count() or 1)
+    workers = config.workers or (  # 0: the CPUs this process may run on
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -435,31 +419,23 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> dict
 
     kappa_hat = None
     if config.kappa_probes > 0:
-        probe_rng = RandomSource(config.base_seed).spawn(999_983)
         try:
-            kappa_hat = estimate_kappa(problem, config.kappa_probes, probe_rng,
+            kappa_hat = estimate_kappa(problem, config.kappa_probes,
+                                       config.probe_source(),
                                        tol=config.feas_tol)
             meta_common["kappa_hat_lower_bound"] = kappa_hat
         except ValueError:
             meta_common["kappa_hat_lower_bound"] = None
 
-    constants_cache = {}
-
+    @functools.cache
     def constants_for(mu0):
-        if mu0 in constants_cache:
-            return constants_cache[mu0]
-        kap = max(kappa_hat, 1.0) if kappa_hat is not None else problem.kappa
-        if problem.x_star is None or kap is None:
-            constants_cache[mu0] = None
-            return None
         try:
-            c = bounds_mod.ProblemConstants.measure(
-                problem, np.zeros(problem.dim), mu0, kappa=kap,
+            return bounds_mod.ProblemConstants.measure(
+                problem, np.zeros(problem.dim), mu0,
+                kappa=max(kappa_hat, 1.0) if kappa_hat is not None else None,
                 tol=config.feas_tol)
-        except (ValueError, bounds_mod.MissingConstantError):
-            c = None
-        constants_cache[mu0] = c
-        return c
+        except ValueError:  # no optimum or no kappa: no overlay
+            return None
 
     solver_cfgs = [SolverConfig(
         algorithm=cell.algorithm, schedule=cell.schedule(),
@@ -488,20 +464,18 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> dict
             for i, tr in enumerate(agg.traces):
                 emit_run_csv(tr, outdir / f"{cell.name}_run{i:03d}.csv")
         meta_path = outdir / f"{cell.name}.meta.json"
-        meta_path.write_text(json.dumps(_jsonable(agg.metadata), indent=1,
+        meta_path.write_text(json.dumps(agg.metadata, indent=1,
                                         sort_keys=True) + "\n")
         groups.setdefault(cell.gamma, []).append((cell, agg))
 
-    kind = _metric_kind(problem)
-    ylabels = {"sqdist": "mean squared distance to optimum",
-               "ftest": "held-out objective",
-               "obj": "objective"}
+    _, curve, ylabel = next(row for row in _PRIMARY_CURVES if row[0] is None
+                            or getattr(problem, row[0]) is not None)
     for gamma, members in groups.items():
         curves = []
         overlays = []
         for cell, agg in members:
-            curves.append((cell.name, agg.ks, _curve(agg, kind)))
-            if config.overlay_bounds and kind == "sqdist":
+            curves.append((cell.name, agg.ks, getattr(agg, curve)))
+            if config.overlay_bounds and curve == "mean_sqdist":
                 c = constants_for(cell.mu0)
                 if c is None:
                     continue
@@ -521,7 +495,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> dict
         gname = "const" if gamma == 0 else f"{gamma:g}"
         emit_svg(curves, overlays, outdir / f"fig_gamma_{gname}.svg",
                  title=f"{config.spec.family}, gamma = {gname}",
-                 ylabel=ylabels[kind])
+                 ylabel=ylabel)
     return results
 
 

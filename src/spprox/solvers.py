@@ -108,60 +108,11 @@ class RunTrace:
     max_sampled_violation: float = 0.0
 
 
-class _Recorder:
-    def __init__(self, problem: StochasticProblem, config: SolverConfig,
-                 track_iterate: bool = False):
-        self.problem = problem
-        self.config = config
-        self.ks = []
-        self.steps = []
-        self.sqdist = []
-        self.feas = []
-        self.obj = []
-        self.ftest = []
-        self.iterate_sqdist = [] if track_iterate else None
-        self.warm = WarmStart()  # run-local, so a run's bits are its own
-
-    def record(self, k: int, point: Array, stepsize: float, iterate: Array):
-        p = self.problem
-        self.ks.append(k)
-        self.steps.append(stepsize)
-        if p.x_star is not None:
-            d = point - p.x_star
-            self.sqdist.append(float(np.dot(d, d)))
-        else:
-            self.sqdist.append(math.nan)
-        if self.config.record_feasibility:
-            self.feas.append(dist_intersection(
-                p.rows, point, tol=self.config.feas_tol, warm=self.warm))
-        else:
-            self.feas.append(math.nan)
-        self.obj.append(p.objective(point))
-        if p.test_objective is not None:
-            self.ftest.append(float(p.test_objective(point)))
-        else:
-            self.ftest.append(math.nan)
-        if self.iterate_sqdist is not None:
-            if p.x_star is not None:
-                d = iterate - p.x_star
-                self.iterate_sqdist.append(float(np.dot(d, d)))
-            else:
-                self.iterate_sqdist.append(math.nan)
-
-    def build(self, algorithm: str, final: Array, **extra) -> RunTrace:
-        it = (np.array(self.iterate_sqdist)
-              if self.iterate_sqdist is not None else None)
-        return RunTrace(
-            algorithm=algorithm,
-            ks=np.array(self.ks, dtype=np.int64),
-            stepsizes=np.array(self.steps),
-            sqdist=np.array(self.sqdist),
-            feas=np.array(self.feas),
-            objective=np.array(self.obj),
-            test_obj=np.array(self.ftest),
-            final=final.copy(),
-            iterate_sqdist=it,
-            **extra)
+def _sqdist(point: Array, x_star: Array | None) -> float:
+    if x_star is None:
+        return math.nan
+    d = point - x_star
+    return float(np.dot(d, d))
 
 
 def rspp_schedule(mu0: float, gamma: float, epochs: int):
@@ -224,7 +175,9 @@ def run(problem: StochasticProblem, config: SolverConfig,
         mus = config.schedule.block(0, config.iterations)
     K = len(mus)
     li, ci = problem.sample_indices(rng, K)
-    rec = _Recorder(problem, config, track_iterate=averaged)
+    x_star, test_objective = problem.x_star, problem.test_objective
+    warm = WarmStart()  # run-local, so a run's bits are its own
+    records = []  # one row of RunTrace columns per recorded k
     wavg, wsum = np.zeros_like(x), 0.0
     epoch_outputs = []
     max_viol = 0.0
@@ -234,7 +187,15 @@ def run(problem: StochasticProblem, config: SolverConfig,
             point = (wavg / wsum) if (averaged and k > 0) else x
             mu_k = (float(mus[min(k, K - 1)]) if restarted
                     else config.schedule.at(k))
-            rec.record(k, point, mu_k, iterate=x)
+            records.append((
+                k, mu_k, _sqdist(point, x_star),
+                dist_intersection(problem.rows, point, tol=config.feas_tol,
+                                  warm=warm)
+                if config.record_feasibility else math.nan,
+                problem.objective(point),
+                float(test_objective(point))
+                if test_objective is not None else math.nan,
+                _sqdist(x, x_star)))
         if k == K:
             break
         mu = float(mus[k])
@@ -267,6 +228,10 @@ def run(problem: StochasticProblem, config: SolverConfig,
                      epoch_stepsizes=list(map(float, mu_ts)),
                      epoch_lengths=list(map(int, k_ts)),
                      epoch_outputs=epoch_outputs)
-    return rec.build(alg, x, diverged=diverged_at is not None,
-                     diverged_at=diverged_at, max_sampled_violation=max_viol,
-                     **extra)
+    ks, stepsizes, sqdist, feas, objective, test_obj, iterate_sqdist = (
+        np.array(records).T)
+    return RunTrace(alg, ks.astype(np.int64), stepsizes, sqdist, feas,
+                    objective, test_obj, final=x.copy(),
+                    iterate_sqdist=iterate_sqdist if averaged else None,
+                    diverged=diverged_at is not None, diverged_at=diverged_at,
+                    max_sampled_violation=max_viol, **extra)

@@ -310,12 +310,12 @@ def test_criterion_12_reproducibility(tmp_path):
     cells = [Cell("spp", 1.0, 1.0), Cell("aspp", 0.5, 0.5)]
     c_ser = ExperimentConfig(spec=spec, cells=cells, runs=4, base_seed=20,
                              outdir=str(tmp_path / "ser"), iterations=80,
-                             stride=20)
+                             stride=20, workers=1)
     c_par = ExperimentConfig(spec=spec, cells=cells, runs=4, base_seed=20,
                              outdir=str(tmp_path / "par"), iterations=80,
-                             stride=20)
-    run_experiment(c_ser, workers=1)
-    run_experiment(c_par, workers=2)
+                             stride=20, workers=2)
+    run_experiment(c_ser)
+    run_experiment(c_par)
     files = sorted(Path(c_ser.outdir).glob("*.csv"))
     assert files
     for f in files:

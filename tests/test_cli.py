@@ -93,6 +93,9 @@ _FAMILY_USING = {"noise": "random-ls-polyhedron", "train_frac": "markowitz",
     ("problem", "lam", "0", []),
     ("problem", "margin", "-0.5", []),
     ("problem", "m", "2", []),
+    ("solvers", "mu0", "0.5, 0.5000001", []),  # both spp_mu0.5_g1
+    ("solvers", "algorithms", "spp, spp", []),
+    ("solvers", "gamma", "1, 1.0000001", []),
 ])
 def test_invalid_run_keys_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
                                                  section, key, value, argv):

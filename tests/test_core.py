@@ -71,15 +71,6 @@ def _two_component_problem():
     return StochasticProblem(losses, sets, 2)
 
 
-def test_component_accessor_product_space():
-    p = _two_component_problem()
-    assert p.component_count == 4
-    seen = {(id(f), id(s)) for f, s in (p.component(i) for i in range(4))}
-    assert len(seen) == 4
-    with pytest.raises(IndexError):
-        p.component(4)
-
-
 def test_x_star_feasibility_enforced():
     losses = [QuadraticNorm(2, 1.0)]
     sets = [Halfspace(np.array([1.0, 0.0]), 0.0)]

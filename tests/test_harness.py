@@ -76,22 +76,55 @@ def test_emit_svg_overlays_dashed(tmp_path):
     assert len(dashed) == 1
 
 
-def test_aggregate_handles_truncated_runs():
+def _metric_trace(sqdist, feas, objective):
+    """A RunTrace of the given metrics; shorter than its cell's longest run
+    means diverged, as an sgd run stops recording when it diverges."""
     from spprox.solvers import RunTrace
-    t_full = RunTrace("sgd", ks=np.array([0, 10, 20]),
-                      stepsizes=np.ones(3), sqdist=np.array([4.0, 2.0, 1.0]),
-                      feas=np.zeros(3), objective=np.ones(3),
-                      test_obj=np.full(3, math.nan), final=np.zeros(2))
-    t_stop = RunTrace("sgd", ks=np.array([0, 10]),
-                      stepsizes=np.ones(2), sqdist=np.array([4.0, 8.0]),
-                      feas=np.zeros(2), objective=np.ones(2),
-                      test_obj=np.full(2, math.nan), final=np.zeros(2),
-                      diverged=True, diverged_at=14)
-    agg = aggregate("cell", [t_full, t_stop])
-    assert agg.diverged == 1
-    assert agg.counts.tolist() == [2, 2, 1]
-    assert agg.mean_sqdist[1] == pytest.approx(5.0)
-    assert agg.mean_sqdist[2] == pytest.approx(1.0)
+    n = len(sqdist)
+    return RunTrace("sgd", ks=np.arange(n) * 10, stepsizes=np.ones(n),
+                    sqdist=np.asarray(sqdist, dtype=float),
+                    feas=np.asarray(feas, dtype=float),
+                    objective=np.asarray(objective, dtype=float),
+                    test_obj=np.full(n, math.nan), final=np.zeros(2))
+
+
+def _two_runs():
+    return [_metric_trace([4.0, 2.0, 1.0], np.zeros(3), np.ones(3)),
+            _metric_trace([4.0, 8.0], np.zeros(2), np.ones(2))], [2, 2, 1]
+
+
+def _twelve_runs():
+    rng = np.random.default_rng(3)
+    lengths = [6] * 8 + [4, 2, 6, 5]
+    traces = [_metric_trace(rng.uniform(0.5, 2.0, n), rng.uniform(0, 1e-3, n),
+                            rng.normal(5.0, 1.0, n)) for n in lengths]
+    traces[2].sqdist[3] = math.nan  # a non-finite entry is excluded
+    return traces, [12, 12, 11, 10, 10, 9]
+
+
+@pytest.mark.parametrize("make", [_two_runs, _twelve_runs])
+def test_aggregate_handles_truncated_runs(make):
+    traces, counts = make()
+    longest = max(len(t.ks) for t in traces)
+    for t in traces:
+        if len(t.ks) < longest:
+            t.diverged, t.diverged_at = True, int(t.ks[-1]) + 4
+    agg = aggregate("cell", traces)
+    assert agg.diverged == sum(len(t.ks) < longest for t in traces)
+    assert agg.counts.tolist() == counts
+    assert np.array_equal(agg.ks, np.arange(longest) * 10)
+    for metric, mean, se in (("sqdist", agg.mean_sqdist, agg.se_sqdist),
+                             ("feas", agg.mean_feas, agg.se_feas),
+                             ("objective", agg.mean_obj, agg.se_obj)):
+        for j in range(longest):  # per-column oracle over the finite entries
+            vals = np.array([getattr(t, metric)[j] for t in traces
+                             if len(t.ks) > j])
+            vals = vals[np.isfinite(vals)]
+            want_se = (np.std(vals, ddof=1) / math.sqrt(len(vals))
+                       if len(vals) > 1 else 0.0)
+            assert mean[j] == pytest.approx(np.mean(vals), rel=1e-15, abs=0)
+            assert se[j] == pytest.approx(want_se, rel=1e-15, abs=0)
+    assert np.isnan(agg.mean_ftest).all() and np.isnan(agg.se_ftest).all()
 
 
 def test_log_log_slope_recovers_power_law():
@@ -168,9 +201,10 @@ def test_debug_runs_match_aggregate(tmp_path):
 def test_serial_parallel_identical(tmp_path):
     base = dict(cells=[Cell("spp", 1.0, 1.0), Cell("aspp", 1.0, 0.5)], runs=4)
     c1 = _tiny_config(tmp_path, outdir=str(tmp_path / "ser"), **base)
-    c2 = _tiny_config(tmp_path, outdir=str(tmp_path / "par"), **base)
-    run_experiment(c1, workers=1)
-    run_experiment(c2, workers=2)
+    c2 = _tiny_config(tmp_path, outdir=str(tmp_path / "par"), workers=2,
+                      **base)
+    run_experiment(c1)
+    run_experiment(c2)
     for f in sorted(Path(c1.outdir).glob("*.csv")):
         assert f.read_bytes() == (Path(c2.outdir) / f.name).read_bytes()
 
@@ -188,10 +222,11 @@ def test_one_pool_per_experiment(tmp_path, monkeypatch):
     base = dict(cells=[Cell("spp", 1.0, 1.0), Cell("rspp", 1.0, 0.5),
                        Cell("sgd", 0.5, 0.5)], runs=3)
     c1 = _tiny_config(tmp_path, outdir=str(tmp_path / "ser"), **base)
-    c2 = _tiny_config(tmp_path, outdir=str(tmp_path / "par"), **base)
-    run_experiment(c1, workers=1)
+    c2 = _tiny_config(tmp_path, outdir=str(tmp_path / "par"), workers=2,
+                      **base)
+    run_experiment(c1)
     assert opened == []
-    run_experiment(c2, workers=2)
+    run_experiment(c2)
     assert opened == [2]
     csvs = sorted(Path(c1.outdir).glob("*.csv"))
     assert len(csvs) == 3
