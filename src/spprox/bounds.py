@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import dist_intersection, estimate_kappa
 from .core import Array, RandomSource, StochasticProblem, norm
-from .schedules import StepsizeSchedule, phi
+from .schedules import StepsizeSchedule, mean_theta_sq, phi
 
 
 class MissingConstantError(ValueError):
@@ -47,7 +47,6 @@ class ProblemConstants:
     dist0: float
     mu0: float
     exp_subgrad_sq: float | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kappa is not None and self.kappa < 1.0:
@@ -55,16 +54,9 @@ class ProblemConstants:
 
     # -- derived aggregates ---------------------------------------------------
 
-    def _weights(self) -> Array:
-        n = len(self.sigmas)
-        return np.full(n, 1.0 / n)
-
     def theta0_at(self, mu: float) -> float:
         """E[1/(1 + mu sigma)^2] over the component distribution."""
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        s = np.asarray(self.sigmas, dtype=np.float64)
-        return float(np.dot(self._weights(), 1.0 / (1.0 + mu * s) ** 2))
+        return mean_theta_sq(self.sigmas, mu)
 
     @property
     def eta(self) -> float:
@@ -117,23 +109,21 @@ class ProblemConstants:
 
         kappa resolution order: explicit argument, then ``problem.kappa``,
         then an empirical estimate with ``kappa_probes`` probes (requires
-        ``rng``); otherwise an error.  The estimate is a lower bound and is
-        reported as such in ``meta``.  ``tol`` certifies every
-        intersection projection, dist0's and the probes', as in
-        ``project_intersection``.
+        ``rng``), floored at 1; otherwise an error.  The estimate is a lower
+        bound.  ``exp_subgrad_sq``, user-supplied, stays unset.  ``tol``
+        certifies every intersection projection, dist0's and the probes', as
+        in ``project_intersection``.
         """
         if problem.x_star is None:
             raise MissingConstantError(
                 "problem has no known optimum x*; refusing to guess constants")
         x0 = np.asarray(x0, dtype=np.float64)
-        meta = {}
         if kappa is None:
             if problem.kappa is not None:
                 kappa = problem.kappa
             elif kappa_probes > 0 and rng is not None:
                 kappa = max(1.0, estimate_kappa(problem, kappa_probes, rng,
                                                 tol=tol))
-                meta["kappa_source"] = "empirical lower bound"
             else:
                 raise MissingConstantError(
                     "no kappa available: pass kappa= or kappa_probes with rng")
@@ -146,9 +136,7 @@ class ProblemConstants:
             exp_lips_sq=problem.exp_lips_grad_sq(),
             sigmas=problem.sigma_values(),
             dist0=dist_intersection(problem.rows, x0, tol=tol),
-            mu0=float(mu0),
-            exp_subgrad_sq=problem.exp_subgrad_sq,
-            meta=meta)
+            mu0=float(mu0))
 
 
 def _require(c: ProblemConstants, names) -> None:

@@ -90,12 +90,11 @@ def _cmd_estimate_kappa(args) -> int:
 def _cmd_plan(args) -> int:
     config = parse_config(args.config)
     problem = generate(config.spec)
-    if args.subgrad_sq is not None:
-        problem.exp_subgrad_sq = args.subgrad_sq
     c = bounds.ProblemConstants.measure(
         problem, np.zeros(problem.dim), args.mu0,
         kappa=args.kappa, kappa_probes=args.probes,
         rng=config.probe_source(), tol=config.feas_tol)
+    c.exp_subgrad_sq = args.subgrad_sq
     print(f"constants: r0={c.r0:.6g} kappa={c.kappa:.6g} eta^2={c.exp_grad_sq_opt:.6g} "
           f"E[L^2]={c.exp_lips_sq:.6g} dist0={c.dist0:.6g}")
     try:
@@ -123,10 +122,7 @@ def main(argv=None) -> int:
                 "estimate-kappa": _cmd_estimate_kappa, "plan": _cmd_plan}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures map to exit code 2

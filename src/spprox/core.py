@@ -105,10 +105,6 @@ class StochasticProblem:
         within ``FEASIBILITY_TOL``; checked again whenever it is set.
     kappa : float, optional
         Known (or externally estimated) linear-regularity constant.
-    exp_subgrad_sq : float, optional
-        User-supplied bound on the expected squared subgradient norm over the
-        iterate region; the least-squares losses are only locally Lipschitz,
-        so this cannot be derived from the components.
     test_objective : callable, optional
         Held-out objective F_test(x) (portfolio experiments).
     one_pass : int, optional
@@ -122,8 +118,7 @@ class StochasticProblem:
     """
 
     def __init__(self, losses, constraints, dim, x_star=None, kappa=None,
-                 exp_subgrad_sq=None, test_objective=None, one_pass=None,
-                 meta=None):
+                 test_objective=None, one_pass=None, meta=None):
         self.losses = tuple(losses)
         self.constraints = tuple(constraints)
         self.dim = int(dim)
@@ -132,7 +127,6 @@ class StochasticProblem:
         if not self.constraints:
             raise ValueError("at least one constraint set is required")
         self.kappa = kappa
-        self.exp_subgrad_sq = exp_subgrad_sq
         self.test_objective = test_objective
         self.one_pass = int(one_pass) if one_pass else len(self.losses)
         self.meta = dict(meta) if meta else {}
@@ -168,32 +162,28 @@ class StochasticProblem:
         ci = rng.integers_block(len(self.constraints), count)
         return li, ci
 
-    # -- exact expectations over the finite marginals -------------------------
-
-    def _lweights(self) -> Array:
-        return np.full(len(self.losses), 1.0 / len(self.losses))
+    # -- exact expectations over the uniform loss marginal -------------------
 
     def objective(self, x: Array) -> float:
         """Exact F(x) = E[f(x;S)] over the finite loss marginal."""
         if self._quad is not None:
             return self._quad(x)
-        w = self._lweights()
-        return float(sum(wi * f.value(x) for wi, f in zip(w, self.losses)))
+        w = 1.0 / len(self.losses)
+        return float(sum(w * f.value(x) for f in self.losses))
 
     def mean_gradient(self, x: Array) -> Array:
         """Exact gradient of F at x."""
-        w = self._lweights()
+        w = 1.0 / len(self.losses)
         g = np.zeros(self.dim)
-        for wi, f in zip(w, self.losses):
-            g += wi * f.gradient(x)
+        for f in self.losses:
+            g += w * f.gradient(x)
         return g
 
     def exp_grad_norm_sq(self, x: Array) -> float:
         """Exact E[||grad f(x;S)||^2]."""
-        w = self._lweights()
-        return float(sum(wi * float(np.dot(g, g))
-                         for wi, g in ((wi, f.gradient(x))
-                                       for wi, f in zip(w, self.losses))))
+        w = 1.0 / len(self.losses)
+        return float(sum(w * float(np.dot(g, g))
+                         for g in (f.gradient(x) for f in self.losses)))
 
     def sigma_values(self) -> Array:
         """Per-component restricted strong-convexity constants."""
@@ -202,7 +192,7 @@ class StochasticProblem:
     def exp_lips_grad_sq(self) -> float:
         """E[L_{f,S}^2] with L the gradient-Lipschitz constants."""
         L = np.array([f.lips_grad for f in self.losses])
-        return float(np.dot(self._lweights(), L ** 2))
+        return float(np.mean(L ** 2))
 
     def mean_constraint_sq_distance(self, x: Array) -> float:
         """Exact E[dist_{X_S}(x)^2] over the constraint marginal: the sum of
@@ -213,16 +203,16 @@ class StochasticProblem:
     # -- internals ------------------------------------------------------------
 
     def _build_quadratic_objective(self):
-        w = self._lweights()
+        w = 1.0 / len(self.losses)
         M = np.zeros((self.dim, self.dim))
         h = np.zeros(self.dim)
         c = 0.0
-        for wi, f in zip(w, self.losses):
+        for f in self.losses:
             terms = f.quad_terms()
             if terms is None:
                 return None
             Mi, hi, ci = terms
-            M += wi * Mi
-            h += wi * hi
-            c += wi * ci
+            M += w * Mi
+            h += w * hi
+            c += w * ci
         return QuadraticForm(M, h, c)

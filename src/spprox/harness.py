@@ -45,9 +45,13 @@ class Cell:
     gamma: float  # 0 means a constant stepsize mu0
 
     @property
+    def gamma_label(self) -> str:
+        """The stepsize exponent as named in outputs: "const" or ``%g``."""
+        return "const" if self.gamma == 0 else f"{self.gamma:g}"
+
+    @property
     def name(self) -> str:
-        g = "const" if self.gamma == 0 else f"{self.gamma:g}"
-        return f"{self.algorithm}_mu{self.mu0:g}_g{g}"
+        return f"{self.algorithm}_mu{self.mu0:g}_g{self.gamma_label}"
 
     def schedule(self):
         if self.gamma == 0:
@@ -88,13 +92,6 @@ class ExperimentConfig:
             self.spec.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.spec.b_policy != "mean":
-            try:
-                target = float(self.spec.b_policy)
-            except (TypeError, ValueError):
-                target = math.nan
-            if not math.isfinite(target):
-                raise ConfigError("b_policy must be 'mean' or a finite number")
         if not self.cells:
             raise ConfigError("no solver cells configured")
         names = set()
@@ -194,23 +191,20 @@ def _execute_run(solver_config: SolverConfig, seed: int,
     return run(problem, cfg, RandomSource(seed))
 
 
-def _pooled_traces(problem: StochasticProblem, cells: list,
-                   workers: int) -> list:
-    """Traces per ``(solver_config, seeds)`` in ``cells``, all from one pool.
+def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
+                   seeds: range, workers: int) -> list:
+    """Traces of every config in ``solver_cfgs`` at every seed, from one pool.
 
-    Every run is queued up front; one that raises cancels the queued rest.
+    Every run is queued up front; if one raises, ``map``'s result iterator
+    cancels the queued rest.
     """
-    tasks = sum(len(seeds) for _, seeds in cells)
-    with ProcessPoolExecutor(max_workers=min(workers, tasks),
+    tasks = [(cfg, seed) for cfg in solver_cfgs for seed in seeds]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
                              initializer=_install_problem,
                              initargs=(problem,)) as pool:
-        futures = [[pool.submit(_execute_run, cfg, s) for s in seeds]
-                   for cfg, seeds in cells]
-        try:
-            return [[f.result() for f in fs] for fs in futures]
-        except BaseException:  # a failed run or an interrupt
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
+        traces = list(pool.map(_execute_run, *zip(*tasks)))
+    runs = len(seeds)
+    return [traces[i:i + runs] for i in range(0, len(traces), runs)]
 
 
 def run_cell(problem: StochasticProblem, solver_config: SolverConfig,
@@ -447,8 +441,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         for cell in config.cells]
     if workers > 1:
         seeds = range(config.base_seed, config.base_seed + config.runs)
-        pooled = _pooled_traces(problem, [(c, seeds) for c in solver_cfgs],
-                                workers)
+        pooled = _pooled_traces(problem, solver_cfgs, seeds, workers)
         aggs = [aggregate(cell.name, traces, dict(meta_common))
                 for cell, traces in zip(config.cells, pooled)]
     else:
@@ -466,11 +459,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
         meta_path = outdir / f"{cell.name}.meta.json"
         meta_path.write_text(json.dumps(agg.metadata, indent=1,
                                         sort_keys=True) + "\n")
-        groups.setdefault(cell.gamma, []).append((cell, agg))
+        groups.setdefault(cell.gamma_label, []).append((cell, agg))
 
     _, curve, ylabel = next(row for row in _PRIMARY_CURVES if row[0] is None
                             or getattr(problem, row[0]) is not None)
-    for gamma, members in groups.items():
+    for gname, members in groups.items():
         curves = []
         overlays = []
         for cell, agg in members:
@@ -492,7 +485,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
                     continue
                 ks = agg.ks[agg.ks >= 1] if cell.gamma != 0 else agg.ks
                 overlays.append((cell.name + " bound", ks, np.array(vals)))
-        gname = "const" if gamma == 0 else f"{gamma:g}"
         emit_svg(curves, overlays, outdir / f"fig_gamma_{gname}.svg",
                  title=f"{config.spec.family}, gamma = {gname}",
                  ylabel=ylabel)
@@ -512,7 +504,6 @@ _PROBLEM_KEYS = {
     "spread": float, "returns_csv": str, "periods": int, "split_seed": int,
     "b_policy": str, "train_frac": float,
 }
-_SOLVER_KEYS = {"algorithms": str, "mu0": str, "gamma": str}
 
 
 def _coerce(raw: str, typ, key: str):
@@ -563,22 +554,18 @@ def parse_config(path) -> ExperimentConfig:
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
 
-    algorithms, mu0s, gammas = ["spp"], [1.0], [1.0]
+    grid = {"algorithms": ["spp"], "mu0": [1.0], "gamma": [1.0]}
     if parser.has_section("solvers"):
         for key, raw in parser.items("solvers"):
-            if key not in _SOLVER_KEYS:
+            if key not in grid:
                 raise ConfigError(f"unknown key {key!r} in [solvers]")
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if not parts:
                 raise ConfigError(f"empty list for {key!r}")
-            if key == "algorithms":
-                algorithms = parts
-            elif key == "mu0":
-                mu0s = [_coerce(p, float, key) for p in parts]
-            else:
-                gammas = [_coerce(p, float, key) for p in parts]
-    config.cells = [Cell(a, m, g) for a in algorithms for m in mu0s
-                    for g in gammas]
+            grid[key] = (parts if key == "algorithms"
+                         else [_coerce(p, float, key) for p in parts])
+    config.cells = [Cell(a, m, g) for a in grid["algorithms"]
+                    for m in grid["mu0"] for g in grid["gamma"]]
     config.validate()
     return config
 

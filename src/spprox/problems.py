@@ -94,14 +94,9 @@ def gen_constrained_ls(n: int = 20, m: int = 2000, seed: int = 0,
     p = len(losses)
 
     C = rng.normal((p, n))
-    for _ in range(100):
-        v = np.zeros(p)
-        v[active:] = 0.1 + 0.9 * rng.uniform(size=p - active)
-        d = C @ x_gt + v
-        if np.all(C @ x_gt <= d + 1e-12):
-            break
-    else:  # pragma: no cover
-        raise RuntimeError("could not place the ground truth inside the polyhedron")
+    v = np.zeros(p)  # slack: the first ``active`` rows are tight at x_gt
+    v[active:] = 0.1 + 0.9 * rng.uniform(size=p - active)
+    d = C @ x_gt + v
     constraints = [Halfspace(C[i], d[i]) for i in range(p)]
 
     H = (Q * lams) @ Q.T
@@ -189,7 +184,7 @@ def gen_finite_sum(n: int = 5, m: int = 8, seed: int = 0,
 
 @dataclass
 class ReturnsTable:
-    """Per-period asset returns with column means."""
+    """Per-period asset returns, one column per asset."""
 
     assets: list
     returns: Array
@@ -201,10 +196,6 @@ class ReturnsTable:
     @property
     def n_assets(self) -> int:
         return self.returns.shape[1]
-
-    @property
-    def a_av(self) -> Array:
-        return self.returns.mean(axis=0)
 
 
 def load_returns_csv(path) -> ReturnsTable:
@@ -291,6 +282,8 @@ def build_markowitz(table: ReturnsTable, b_policy="mean", seed: int = 0,
     nonnegative orthant, the budget halfspace e'x <= 1, and the return
     halfspace a_av'x >= b, independently of the loss row.  Rows are split
     train/test by a seeded shuffle (floor(train_frac * T) training rows).
+    A target above max(0, max_i a_av_i), the best return a budget portfolio
+    reaches, leaves the constraint family empty and is an error.
     """
     T = table.periods
     n = table.n_assets
@@ -305,6 +298,11 @@ def build_markowitz(table: ReturnsTable, b_policy="mean", seed: int = 0,
     test = table.returns[test_idx]
     a_av = train.mean(axis=0)
     b = float(np.mean(a_av)) if b_policy == "mean" else float(b_policy)
+    best = max(0.0, float(a_av.max()))  # max a_av'x over x >= 0, e'x <= 1
+    if b > best:
+        raise ValueError(f"b_policy: target return {b:g} exceeds {best:g}, "
+                         f"the best a budget portfolio reaches; the "
+                         f"constraint family is empty")
     losses = [LinearResidualSquared(row, b) for row in train]
     constraints = [NonnegativeOrthant(n),
                    Halfspace(np.ones(n), 1.0),
@@ -371,6 +369,12 @@ class GeneratorSpec:
             need(math.isfinite(self.spread), "spread", "finite")
         elif fam == "markowitz":
             need(self.split_seed >= 0, "split_seed", ">= 0")
+            try:
+                target = float(self.b_policy)
+            except (TypeError, ValueError):
+                target = math.nan
+            need(self.b_policy == "mean" or math.isfinite(target), "b_policy",
+                 "'mean' or a finite number")
             need(0 < self.train_frac < 1, "train_frac", "in (0, 1)")
             if synthetic:
                 need(self.periods >= 2, "periods", ">= 2")

@@ -29,24 +29,29 @@ def theta(mu: float, sigma: float) -> float:
     return 1.0 / (1.0 + mu * sigma)
 
 
+def mean_theta_sq(sigmas, mu: float) -> float:
+    """E[theta_S(mu)^2] = E[1/(1 + mu sigma_S)^2] under the uniform law on
+    the components' ``sigmas``."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    return float(np.mean(1.0 / (1.0 + mu * np.asarray(sigmas, float)) ** 2))
+
+
 def theta0(problem, mu0: float) -> float:
-    """E[theta_S(mu0)^2] = E[1/(1 + mu0 sigma_{f,S})^2], exactly.
+    """theta0 = E[theta_S(mu0)^2] over the problem's components, exactly.
 
     Requires some component to carry strong convexity (E[sigma] > 0),
     otherwise the expectation is 1 and the strongly convex analysis is void.
     """
-    if mu0 <= 0:
-        raise ValueError("mu0 must be positive")
     sigmas = problem.sigma_values()
-    weights = problem._lweights()
-    if float(np.dot(weights, sigmas)) <= 0.0:
+    if float(np.mean(sigmas)) <= 0.0:
         raise ValueError("all components have sigma = 0; "
                          "strong-convexity assumption violated")
-    return float(np.dot(weights, 1.0 / (1.0 + mu0 * sigmas) ** 2))
+    return mean_theta_sq(sigmas, mu0)
 
 
 class StepsizeSchedule:
-    kind = "abstract"
+    """mu_k, the stepsize at iteration k = 0, 1, ..."""
 
     def at(self, k: int) -> float:
         raise NotImplementedError
@@ -62,8 +67,6 @@ class StepsizeSchedule:
 
 class ConstantStepsize(StepsizeSchedule):
     """mu_k = mu for all k."""
-
-    kind = "constant"
 
     def __init__(self, mu: float):
         if mu <= 0:
@@ -86,8 +89,6 @@ class PolynomialDecay(StepsizeSchedule):
     The k = 0 value is mu0: the analyses start their sums at index 0 with
     mu0 while defining the decay for k >= 1 only.
     """
-
-    kind = "poly-decay"
 
     def __init__(self, mu0: float, gamma: float):
         if mu0 <= 0:

@@ -124,17 +124,11 @@ def rspp_schedule(mu0: float, gamma: float, epochs: int):
 
 
 def epochs_for_budget(gamma: float, iterations: int) -> int:
-    """Largest T whose total inner iterations sum(ceil(t^gamma)) fit the budget."""
-    total = 0
-    t = 0
-    while True:
-        nxt = total + math.ceil((t + 1) ** gamma)
-        if nxt > iterations and t >= 1:
-            return t
-        t += 1
-        total = nxt
-        if t > 10_000_000:  # pragma: no cover
-            raise ValueError("budget too large")
+    """Largest T >= 1 whose total inner iterations sum(ceil(t^gamma)) fit the
+    budget.  The sum is at least T^(1+gamma)/(1+gamma), which caps T."""
+    cap = math.floor(((1.0 + gamma) * max(iterations, 1)) ** (1 / (1 + gamma)))
+    totals = np.cumsum(rspp_schedule(1.0, gamma, cap + 2)[1])
+    return max(1, int(np.count_nonzero(totals <= iterations)))
 
 
 def run(problem: StochasticProblem, config: SolverConfig,

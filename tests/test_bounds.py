@@ -35,16 +35,14 @@ def convex_bounds_alt(c, k, schedule):
 
 
 def envelope_alt(c, mu, k):
-    tb = float(np.average(1.0 / (1.0 + mu * np.asarray(c.sigmas)) ** 2,
-                          weights=c._weights()))
+    tb = float(np.average(1.0 / (1.0 + mu * np.asarray(c.sigmas)) ** 2))
     gap = 1.0 - math.sqrt(tb)
     radius = math.sqrt(c.exp_grad_sq_opt) / gap * mu
     return tb ** k * (2.0 * c.r0 ** 2) + 2.0 * radius ** 2, radius
 
 
 def strongly_convex_alt(c, k, gamma):
-    th0 = float(np.average(1.0 / (1.0 + c.mu0 * np.asarray(c.sigmas)) ** 2,
-                           weights=c._weights()))
+    th0 = float(np.average(1.0 / (1.0 + c.mu0 * np.asarray(c.sigmas)) ** 2))
     A = max(c.r0, math.sqrt(c.exp_grad_sq_opt) * c.mu0 / (1.0 - math.sqrt(th0)))
     B = (math.sqrt(2.0) * math.sqrt(c.exp_grad_sq_opt)
          + math.sqrt(2.0) * A * math.sqrt(c.exp_lips_sq))
@@ -77,8 +75,7 @@ def strongly_convex_alt(c, k, gamma):
 
 
 def rspp_plan_alt(epsilon, gamma, c):
-    th0 = float(np.average(1.0 / (1.0 + c.mu0 * np.asarray(c.sigmas)) ** 2,
-                           weights=c._weights()))
+    th0 = float(np.average(1.0 / (1.0 + c.mu0 * np.asarray(c.sigmas)) ** 2))
     A = max(c.r0, math.sqrt(c.exp_grad_sq_opt) * c.mu0 / (1.0 - math.sqrt(th0)))
     B = math.sqrt(2.0 * c.exp_grad_sq_opt) + A * math.sqrt(2.0 * c.exp_lips_sq)
     eta = math.sqrt(c.exp_grad_sq_opt)

@@ -58,6 +58,7 @@ def _with_key(section: str, key: str, value: str, text: str = TINY) -> str:
 
 
 _FAMILY_USING = {"noise": "random-ls-polyhedron", "train_frac": "markowitz",
+                 "b_policy": "markowitz",
                  "margin": "feasibility", "lam": "feasibility",
                  "sets": "feasibility", "active": "constrained-ls",
                  "m": "random-ls-polyhedron"}
@@ -111,6 +112,26 @@ def test_invalid_run_keys_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
     assert main(["run", str(cfg), *argv]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_unreachable_return_target_fails_before_output(tmp_path, monkeypatch,
+                                                       capsys, workers):
+    # a 100% return target empties orthant + budget + return set; without
+    # feasibility records no projection would notice
+    text = _with_key("problem", "family", "markowitz")
+    for key, value in (("periods", "40"), ("b_policy", "1.0")):
+        text = _with_key("problem", key, value, text)
+    for key, value in (("record_feasibility", "false"), ("workers", workers)):
+        text = _with_key("experiment", key, value, text)
+    cfg = tmp_path / "infeasible.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    monkeypatch.setenv("SPPROX_OUTDIR", str(out))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "b_policy" in err and "constraint family is empty" in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -185,6 +185,18 @@ def test_figure_one_reproduction_counts(tmp_path):
         assert len(polys) == 8
 
 
+def test_gammas_that_print_alike_share_one_figure(tmp_path):
+    config = _tiny_config(tmp_path, cells=[Cell("spp", 1.0, 0.5),
+                                           Cell("aspp", 1.0, 0.5000001)])
+    run_experiment(config)
+    svgs = list(Path(config.outdir).glob("*.svg"))
+    assert [p.name for p in svgs] == ["fig_gamma_0.5.svg"]
+    polys = [e for e in ET.parse(svgs[0]).getroot().iter()
+             if e.tag.endswith("polyline")]
+    assert len(polys) == 2
+    assert not any("stroke-dasharray" in e.attrib for e in polys)
+
+
 def test_debug_runs_match_aggregate(tmp_path):
     config = _tiny_config(tmp_path, runs=4, debug_runs=True)
     results = run_experiment(config)

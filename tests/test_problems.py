@@ -142,7 +142,7 @@ def test_load_returns_csv(tmp_path):
     path.write_text("a,b\n1,2\n3,4\n5,6\n")
     table = load_returns_csv(path)
     assert table.periods == 3 and table.n_assets == 2
-    assert np.allclose(table.a_av, [3.0, 4.0])
+    assert np.allclose(table.returns.mean(axis=0), [3.0, 4.0])
 
 
 def test_load_returns_csv_date_column(tmp_path):
@@ -207,6 +207,24 @@ def test_markowitz_split_is_partition():
     assert prob.meta["test_rows"] == 11
     with pytest.raises(ValueError):
         build_markowitz(table, train_frac=0.0)
+
+
+@pytest.mark.parametrize("b_policy", ["foo", "nan", "inf", None])
+def test_generator_spec_rejects_bad_b_policy(b_policy):
+    with pytest.raises(ValueError, match="b_policy"):
+        GeneratorSpec("markowitz", b_policy=b_policy).validate()
+    GeneratorSpec("markowitz", b_policy="0.001").validate()
+
+
+def test_markowitz_rejects_unreachable_target():
+    table = synth_returns(periods=200, n=6, seed=1)
+    best = build_markowitz(table, seed=2).meta["a_av"].max()
+    assert best > 0
+    build_markowitz(table, b_policy=best, seed=2)  # one asset reaches it
+    with pytest.raises(ValueError, match="b_policy"):
+        build_markowitz(table, b_policy=np.nextafter(best, 1.0), seed=2)
+    with pytest.raises(ValueError, match="b_policy"):
+        build_markowitz(table, b_policy=1.0, seed=2)
 
 
 def test_generator_spec_dispatch():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -158,6 +159,35 @@ def test_epochs_for_budget():
     assert epochs_for_budget(1.0, 55) == 10
     assert epochs_for_budget(1.0, 54) == 9
     assert epochs_for_budget(0.5, 1) == 1
+
+
+def _epochs_for_budget_loop(gamma, iterations):
+    """The epoch count as a scalar loop over ceil(t^gamma): the oracle."""
+    total = 0
+    t = 0
+    while True:
+        nxt = total + math.ceil((t + 1) ** gamma)
+        if nxt > iterations and t >= 1:
+            return t
+        t += 1
+        total = nxt
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9, 1.0,
+                                   1.5, 2.0])
+def test_epochs_for_budget_matches_loop(gamma):
+    for budget in range(1, 3001):
+        assert (epochs_for_budget(gamma, budget)
+                == _epochs_for_budget_loop(gamma, budget)), budget
+
+
+def test_epochs_for_budget_large_budget_is_fast():
+    t0 = time.perf_counter()
+    T = epochs_for_budget(0.5, 10 ** 6)
+    assert time.perf_counter() - t0 < 1.0
+    assert T == _epochs_for_budget_loop(0.5, 10 ** 6)
+    assert np.sum(rspp_schedule(1.0, 0.5, T)[1]) <= 10 ** 6
+    assert np.sum(rspp_schedule(1.0, 0.5, T + 1)[1]) > 10 ** 6
 
 
 def test_seed_determinism(small_ls):
