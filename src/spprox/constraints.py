@@ -302,6 +302,8 @@ class Polyhedron:
         if x.shape != (self.dim,):
             raise ValueError(f"dimension mismatch: expected ({self.dim},), "
                              f"got {x.shape}")
+        if not np.isfinite(x).all():  # LAPACK would fail on it less clearly
+            raise ValueError("cannot project a non-finite point")
         start = None if warm is None else warm.passive
         key = (x.tobytes(), tol)
         if start is None and self._memo is not None and self._memo[0] == key:

@@ -2,11 +2,13 @@
 
 A configuration names one generated problem and a grid of solver cells
 (algorithm x mu0 x gamma).  Each cell runs ``runs`` Monte-Carlo repetitions
-with seeds ``base_seed + run_index``.  With more than one worker, an
-experiment opens one process pool: its initializer installs the problem once
-per worker, and every (cell, run) task, queued up front, carries only its
-``(SolverConfig, seed)``.  Aggregation is a deterministic reduction keyed by
-run index, so serial and parallel execution emit byte-identical CSVs.
+with seeds ``base_seed + run_index``.  With ``workers`` > 1 processes, the
+flattened (cell, run) tasks are dealt into ``workers`` interleaved shares:
+the parent runs share 0, and one pool of ``workers - 1`` processes, whose
+initializer installs the problem once each, runs one share per process.  A
+task carries only its ``(SolverConfig, seed)``.  Aggregation is a
+deterministic reduction keyed by run index, so serial and parallel execution
+emit byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -191,18 +193,35 @@ def _execute_run(solver_config: SolverConfig, seed: int,
     return run(problem, cfg, RandomSource(seed))
 
 
+def _run_share(share: list) -> list:
+    return [_execute_run(cfg, seed) for cfg, seed in share]
+
+
 def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
                    seeds: range, workers: int) -> list:
-    """Traces of every config in ``solver_cfgs`` at every seed, from one pool.
+    """Traces of every config in ``solver_cfgs`` at every seed.
 
-    Every run is queued up front; if one raises, ``map``'s result iterator
-    cancels the queued rest.
+    Task i of the flattened (config, seed) list goes to share ``i % workers``
+    (2 <= workers <= tasks).  The parent runs share 0 and a pool of
+    ``workers - 1`` processes runs one share each.  If a share raises, the
+    unstarted shares are cancelled and the original exception propagates.
     """
     tasks = [(cfg, seed) for cfg in solver_cfgs for seed in seeds]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+    traces = [None] * len(tasks)
+    with ProcessPoolExecutor(max_workers=workers - 1,
                              initializer=_install_problem,
                              initargs=(problem,)) as pool:
-        traces = list(pool.map(_execute_run, *zip(*tasks)))
+        futures = [pool.submit(_run_share, tasks[i::workers])
+                   for i in range(1, workers)]
+        try:
+            traces[::workers] = [_execute_run(cfg, seed, problem)
+                                 for cfg, seed in tasks[::workers]]
+            for i, future in enumerate(futures, 1):
+                traces[i::workers] = future.result()
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
     runs = len(seeds)
     return [traces[i:i + runs] for i in range(0, len(traces), runs)]
 
@@ -439,6 +458,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         feas_tol=config.feas_tol,
         record_feasibility=config.record_feasibility)
         for cell in config.cells]
+    workers = min(workers, len(solver_cfgs) * config.runs)
     if workers > 1:
         seeds = range(config.base_seed, config.base_seed + config.runs)
         pooled = _pooled_traces(problem, solver_cfgs, seeds, workers)

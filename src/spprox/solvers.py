@@ -75,6 +75,8 @@ class SolverConfig:
         x0 = np.asarray(self.x0, dtype=np.float64)
         if x0.shape != (dim,):
             raise ValueError(f"x0 must have shape ({dim},)")
+        if not np.isfinite(x0).all():
+            raise ValueError("x0 must be finite")
         return x0.copy()
 
 

@@ -34,15 +34,20 @@ def convex_bounds_alt(c, k, schedule):
     return upper, lower, feas
 
 
+def mean_theta_sq_alt(sigmas, mu):
+    """E[1/(1 + mu sigma_S)^2] over the uniform law, by an exact sum."""
+    return math.fsum(1.0 / (1.0 + mu * s) ** 2 for s in sigmas) / len(sigmas)
+
+
 def envelope_alt(c, mu, k):
-    tb = float(np.average(1.0 / (1.0 + mu * np.asarray(c.sigmas)) ** 2))
+    tb = mean_theta_sq_alt(c.sigmas, mu)
     gap = 1.0 - math.sqrt(tb)
     radius = math.sqrt(c.exp_grad_sq_opt) / gap * mu
     return tb ** k * (2.0 * c.r0 ** 2) + 2.0 * radius ** 2, radius
 
 
 def strongly_convex_alt(c, k, gamma):
-    th0 = float(np.average(1.0 / (1.0 + c.mu0 * np.asarray(c.sigmas)) ** 2))
+    th0 = mean_theta_sq_alt(c.sigmas, c.mu0)
     A = max(c.r0, math.sqrt(c.exp_grad_sq_opt) * c.mu0 / (1.0 - math.sqrt(th0)))
     B = (math.sqrt(2.0) * math.sqrt(c.exp_grad_sq_opt)
          + math.sqrt(2.0) * A * math.sqrt(c.exp_lips_sq))
@@ -75,7 +80,7 @@ def strongly_convex_alt(c, k, gamma):
 
 
 def rspp_plan_alt(epsilon, gamma, c):
-    th0 = float(np.average(1.0 / (1.0 + c.mu0 * np.asarray(c.sigmas)) ** 2))
+    th0 = mean_theta_sq_alt(c.sigmas, c.mu0)
     A = max(c.r0, math.sqrt(c.exp_grad_sq_opt) * c.mu0 / (1.0 - math.sqrt(th0)))
     B = math.sqrt(2.0 * c.exp_grad_sq_opt) + A * math.sqrt(2.0 * c.exp_lips_sq)
     eta = math.sqrt(c.exp_grad_sq_opt)

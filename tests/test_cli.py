@@ -199,7 +199,7 @@ def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-# Seed 5 is run 1 of every cell: the first cell fails with the rest queued.
+# Fails run 1 (seed 5) of the cell named by argv[2], with the rest running.
 FAIL_AT_SEED_5 = """\
 import sys
 from spprox import cli, harness
@@ -208,7 +208,7 @@ from spprox.solvers import SolverError
 real_run = harness.run
 
 def failing_run(problem, config, rng=None):
-    if config.seed == 5:
+    if config.seed == 5 and config.algorithm == sys.argv[2]:
         raise SolverError("injected failure at seed 5", 7)
     return real_run(problem, config, rng)
 
@@ -217,29 +217,37 @@ sys.exit(cli.main(["run", sys.argv[1]]))
 """
 
 
+# With base_seed 4 and 3 runs of spp, rspp and sgd over 2 workers, task i
+# goes to share i % 2: seed 5 of rspp is task 4, in the parent's share; seed 5
+# of sgd is task 7, in the pool process's share.
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="pool workers inherit the patched run only by fork")
-def test_worker_failure_propagates(tmp_path, monkeypatch):
+@pytest.mark.parametrize("algorithm, where", [("rspp", "parent"),
+                                              ("sgd", "pool")])
+def test_worker_failure_propagates(tmp_path, monkeypatch, algorithm, where):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(_with_key("solvers", "algorithms", "spp, rspp, sgd",
                              _with_key("experiment", "runs", "3",
                                        _with_key("experiment", "workers", "2"))))
     real_run = harness.run
+    parent = os.getpid()
 
     def failing_run(problem, config, rng=None):
-        if config.seed == 5:
-            raise SolverError("injected failure at seed 5", 7)
+        if config.seed == 5 and config.algorithm == algorithm:
+            place = "parent" if os.getpid() == parent else "pool"
+            raise SolverError(f"injected failure at seed 5 in the {place}", 7)
         return real_run(problem, config, rng)
 
     monkeypatch.setattr(harness, "run", failing_run)
     config = parse_config(cfg)
     config.outdir = str(tmp_path / "lib")
-    with pytest.raises(SolverError, match="seed 5") as err:
+    with pytest.raises(SolverError, match=f"seed 5 in the {where}") as err:
         run_experiment(config)
     assert err.value.iteration == 7
     assert not list(Path(config.outdir).glob("*.csv"))
 
     monkeypatch.setenv("SPPROX_OUTDIR", str(tmp_path / "cli"))
-    out = _run_python(FAIL_AT_SEED_5, str(cfg))  # times out if it hangs
+    # times out if it hangs
+    out = _run_python(FAIL_AT_SEED_5, str(cfg), algorithm)
     assert out.returncode == 2, out.stderr
     assert "injected failure at seed 5" in out.stderr

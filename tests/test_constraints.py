@@ -250,6 +250,17 @@ def test_mixed_families_match_enumeration():
             assert np.linalg.norm(rows.project(x, warm=warm) - exact) <= 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_polyhedron_rejects_non_finite_point(bad, capfd):
+    rows = Polyhedron.of([Halfspace(np.array([1.0, 0.0]), 0.5),
+                          Halfspace(np.array([0.0, 1.0]), 1.0)], 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        rows.project(np.array([bad, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        rows.project(np.array([0.0, bad]), warm=WarmStart())
+    assert "DLASCL" not in capfd.readouterr().err  # no LAPACK call was made
+
+
 def test_row_mean_sq_distance_matches_set_loop():
     rng = RandomSource(43)
     for _ in range(20):

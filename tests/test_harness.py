@@ -221,7 +221,9 @@ def test_serial_parallel_identical(tmp_path):
         assert f.read_bytes() == (Path(c2.outdir) / f.name).read_bytes()
 
 
-def test_one_pool_per_experiment(tmp_path, monkeypatch):
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """The ``max_workers`` of every process pool the harness opens."""
     opened = []
 
     class CountingPool(harness.ProcessPoolExecutor):
@@ -230,20 +232,49 @@ def test_one_pool_per_experiment(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-    # 3 runs per cell do not divide evenly over 2 workers
+    return opened
+
+
+def _assert_same_csvs(c1, c2, count):
+    csvs = sorted(Path(c1.outdir).glob("*.csv"))
+    assert len(csvs) == count
+    for f in csvs:
+        assert f.read_bytes() == (Path(c2.outdir) / f.name).read_bytes()
+
+
+def test_one_pool_per_experiment(tmp_path, opened_pools):
+    # 3 runs per cell do not divide evenly over 2 workers; the parent is one
     base = dict(cells=[Cell("spp", 1.0, 1.0), Cell("rspp", 1.0, 0.5),
                        Cell("sgd", 0.5, 0.5)], runs=3)
     c1 = _tiny_config(tmp_path, outdir=str(tmp_path / "ser"), **base)
     c2 = _tiny_config(tmp_path, outdir=str(tmp_path / "par"), workers=2,
                       **base)
     run_experiment(c1)
-    assert opened == []
+    assert opened_pools == []
     run_experiment(c2)
-    assert opened == [2]
-    csvs = sorted(Path(c1.outdir).glob("*.csv"))
-    assert len(csvs) == 3
-    for f in csvs:
-        assert f.read_bytes() == (Path(c2.outdir) / f.name).read_bytes()
+    assert opened_pools == [1]
+    _assert_same_csvs(c1, c2, 3)
+
+
+def test_uneven_shares_match_serial(tmp_path, opened_pools):
+    # 7 tasks over 3 workers: shares of 3, 2 and 2 tasks
+    base = dict(cells=[Cell("spp", 1.0, 1.0), Cell("aspp", 1.0, 0.5),
+                       Cell("sgd", 0.5, 0.5), Cell("rspp", 1.0, 0.5),
+                       Cell("spp", 2.0, 0.5), Cell("aspp", 0.5, 1.0),
+                       Cell("sgd", 0.5, 1.0)], runs=1)
+    c1 = _tiny_config(tmp_path, outdir=str(tmp_path / "ser"), **base)
+    c3 = _tiny_config(tmp_path, outdir=str(tmp_path / "par"), workers=3,
+                      **base)
+    run_experiment(c1)
+    run_experiment(c3)
+    assert opened_pools == [2]
+    _assert_same_csvs(c1, c3, 7)
+
+
+def test_one_task_grid_opens_no_pool(tmp_path, opened_pools):
+    config = _tiny_config(tmp_path, workers=2)
+    assert len(run_experiment(config)) == 1
+    assert opened_pools == []
 
 
 def test_run_errors_survive_pickling():

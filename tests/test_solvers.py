@@ -291,3 +291,18 @@ def test_config_validation():
         SolverConfig("rspp", sched, epochs=3).validate(2)  # needs decay
     with pytest.raises(ValueError):
         SolverConfig("nope", sched, iterations=5).validate(2)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("algorithm", ["sgd", "spp"])
+def test_non_finite_x0_rejected(algorithm, record, capfd):
+    # not a divergence at iteration 1, nor a failed SVD in the recorder
+    prob = _single(_half_sq_dist(2, [1.0, 2.0]),
+                   Halfspace(np.array([1.0, 0.0]), 0.5),
+                   x_star=np.array([0.5, 2.0]))
+    for bad in (np.nan, np.inf):
+        cfg = SolverConfig(algorithm, ConstantStepsize(1.0), iterations=5,
+                           x0=np.array([bad, 0.0]), record_feasibility=record)
+        with pytest.raises(ValueError, match="x0"):
+            run(prob, cfg, RandomSource(0))
+    assert "DLASCL" not in capfd.readouterr().err
