@@ -15,8 +15,8 @@ from .components import (BatchLeastSquares, ComposedScalar, HuberScalar,
                          ProxSolveError, QuadraticNorm, SquareScalar)
 from .constraints import (Box, ConstraintSet, DykstraError, Halfspace,
                           Hyperplane, NonnegativeOrthant, Polyhedron,
-                          WarmStart, WholeSpace, dist_intersection,
-                          estimate_kappa, project_intersection)
+                          WholeSpace, dist_intersection, estimate_kappa,
+                          project_intersection)
 from .core import RandomSource, StochasticProblem, as_vector, dot, norm
 from .harness import (AggregateTrace, Cell, ConfigError, ExperimentConfig,
                       aggregate, emit_csv, emit_svg, log_log_slope,

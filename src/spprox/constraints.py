@@ -2,10 +2,10 @@
 
 Every set kind is polyhedral, so a finite intersection is one ``Polyhedron``
 of unit rows {z : C z <= d}; a hyperplane is two opposite rows.
-``project_intersection`` projects onto it exactly by Lawson and Hanson's
-least-distance program, solved as a nonnegative least-squares problem, and
-certifies the answer by its KKT conditions; an empty intersection, certified
-by the Farkas weights of the same solve, raises.
+``project_intersection`` projects onto it (or a stack of points, each from
+the previous point's active rows) by Goldfarb and Idnani's dual active-set
+method and certifies the answer by its KKT conditions; an empty
+intersection, certified by a dual ray of the same solve, raises.
 ``estimate_kappa`` probes the linear-regularity ratio
 dist_X(x)^2 / E[dist_{X_S}(x)^2]; being sampled, it certifies a lower bound
 on the regularity constant only.
@@ -160,81 +160,28 @@ class DykstraError(RuntimeError):
         return type(self), (self.args[0], self.best)
 
 
-def _nnls(E, f, passive=None):
-    """Lawson-Hanson active-set solve of min ||E w - f|| over w >= 0.
-
-    ``passive`` (a boolean mask) starts the loop from that passive set, as in
-    Bro and De Jong (J. Chemometrics, 1997): columns are dropped until the
-    least-squares solution on the rest is positive.  Returns w and the
-    residual r = E w - f.
-    """
-    k = E.shape[1]
-    w = np.zeros(k)
-    free = np.zeros(k, dtype=bool) if passive is None else passive.copy()
-    while free.any():
-        cols = np.flatnonzero(free)
-        s = np.linalg.lstsq(E[:, cols], f, rcond=None)[0]
-        if s.min() > 0.0:
-            w[cols] = s
-            break
-        free[cols[s <= 0.0]] = False
-    tol = 10.0 * np.finfo(float).eps * max(E.shape) * float(np.abs(E).max())
-    grad = E.T @ (f - E @ w)
-    for _ in range(3 * k + 10):
-        j = int(np.argmax(np.where(free, -np.inf, grad)))
-        if free[j] or grad[j] <= tol:
-            return w, E @ w - f
-        free[j] = True
-        while True:
-            cols = np.flatnonzero(free)
-            s = np.zeros(k)
-            s[cols] = np.linalg.lstsq(E[:, cols], f, rcond=None)[0]
-            if s[cols].min() > 0.0:
-                w = s
-                grad = E.T @ (f - E @ w)
-                break
-            if s[j] <= 0.0 and w[j] == 0.0:  # j gains only roundoff: bar it
-                free[j] = False
-                grad[j] = -np.inf
-                break
-            out = cols[s[cols] <= 0.0]
-            ratios = w[out] / (w[out] - s[out])
-            i = int(np.argmin(ratios))
-            w = w + ratios[i] * (s - w)
-            w[out[i]] = 0.0
-            free &= w > 0.0
-            w[~free] = 0.0
-    raise DykstraError("NNLS did not terminate", best=w)
+def _factor(C, rows):
+    """C_A' = J [T; 0], J orthogonal, T triangular: J and T^-1 (n x n)."""
+    J, T = np.linalg.qr(C[rows].T, mode="complete")
+    Tinv = np.zeros_like(J)
+    Tinv[:len(rows), :len(rows)] = np.linalg.inv(T[:len(rows)])
+    return J, Tinv
 
 
-def _ldp(C, d, x, scale, passive=None):
-    """Least-distance projection of x onto {z : C z <= d} (unit rows), at the
-    scale 1 + ||x||_inf + max|d|.
-
-    u = z - x solves min ||u|| s.t. -C u >= C x - d.  Lawson and Hanson
-    (*Solving Least Squares Problems*, 1974, ch. 23): NNLS on
-    E = [-C'; (C x - d)'], f = e_{n+1} gives w >= 0, r = E w - f and
-    u = -r[:n]/r[n].  The weights are a Farkas certificate of an empty set
-    when max|C'w| scale < 1e-9 (-d'w): every z in the set has
-    (C'w)'z <= d'w, so none lies within 1e9 scale / n of the origin.
-    Returns z and the passive set (active rows), or None when x is
-    feasible.
-    """
-    h = C @ x - d  # violations, scaled below to a largest value of 1
-    top = float(h.max(initial=0.0))
-    if top <= 0.0:
-        return x.copy(), None
-    n = x.shape[0]
-    w, r = _nnls(np.vstack([-C.T, h / top]), np.eye(n + 1)[n], passive)
-    if float(np.abs(r[:n]).max()) * scale < -1e-9 * float(d @ w):  # r = -C'w
-        raise DykstraError("empty intersection: the rows admit a Farkas "
-                           "certificate", best=x.copy())
-    # r[n] = -1 / (1 + ||u||^2 / top^2) is lost to roundoff once ||u|| passes
-    # top / sqrt(eps): there is no step to certify
-    if not r[n] < 0.0:
-        raise DykstraError("least-distance certificate failed: the solve "
-                           "gives no step", best=x.copy())
-    return x - (top / r[n]) * r[:n], w > 0.0
+def _equality(C, d, x, rows, J, Tinv):
+    """Projection z = x - C_A' mu onto {z : C_A z = d_A} by the factors of
+    the rows A, dropping the most negative multiplier mu until none is: z,
+    refined by a second pass from z, mu and the rows and factors kept."""
+    while True:
+        q = len(rows)
+        Ti, Jq, CA, dA = Tinv[:q, :q], J[:, :q], C[rows], d[rows]
+        y = Ti.T @ (CA @ x - dA)
+        mu = Ti @ y
+        if not rows or mu.min() >= 0.0:
+            z = x - Jq @ y
+            return z - Jq @ (Ti.T @ (CA @ z - dA)), mu, (rows, J, Tinv)
+        del rows[int(np.argmin(mu))]
+        J, Tinv = _factor(C, rows)
 
 
 def _unit_rows(C, d):
@@ -245,24 +192,14 @@ def _unit_rows(C, d):
     return C / nrm[:, None], np.asarray(d, dtype=np.float64) / nrm
 
 
-class WarmStart:
-    """The passive set of one run's last least-distance solve.
-
-    Handed to ``project_intersection`` so that the next solve of the same
-    run starts from it; a run owns its own, so no state crosses runs.
-    """
-
-    passive = None
-
-
 class Polyhedron:
     """{z : C z <= d} as an array of unit rows, built once per family.
 
     A halfspace gives one row, a hyperplane two opposite rows, an orthant n
     rows, a box 2n rows and the whole space none.  ``owner`` maps the rows
     to the ``sets`` they came from (by default every row is its own set).
-    The last cold projection (one not warm-started) is memoized: it is a
-    pure function of x and the tolerance.
+    The last cold projection (the first of a stack) is memoized: it is a
+    pure function of x and the tolerance, and every run starts at x0.
     """
 
     def __init__(self, C, d, owner=None, sets=None):
@@ -295,52 +232,93 @@ class Polyhedron:
         v = self.violations(x)
         return np.bincount(self.owner, weights=v * v, minlength=self.sets)
 
-    def project(self, x: Array, tol: float = 1e-10,
-                warm: WarmStart | None = None) -> Array:
-        """Certified projection of x; see ``project_intersection``."""
+    def project(self, x: Array, tol: float = 1e-10) -> Array:
+        """Certified projection of x, or of each row of a stack of points;
+        see ``project_intersection``."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ValueError(f"dimension mismatch: expected ({self.dim},), "
                              f"got {x.shape}")
         if not np.isfinite(x).all():  # LAPACK would fail on it less clearly
             raise ValueError("cannot project a non-finite point")
-        start = None if warm is None else warm.passive
-        key = (x.tobytes(), tol)
-        if start is None and self._memo is not None and self._memo[0] == key:
-            z, passive = self._memo[1:]
-        else:
-            z, passive = self._solve(x, tol, start)
-            if start is None:
-                self._memo = (key, z, passive)
-        if warm is not None and passive is not None:
-            warm.passive = passive
-        return z.copy()
+        points = np.atleast_2d(x)
+        key = (points[0].tobytes(), tol)
+        if self._memo is None or self._memo[0] != key:
+            self._memo = (key, *self._solve(points[0], tol, None))
+        z, state = [self._memo[1]], self._memo[2]
+        for point in points[1:]:  # each from the previous point's rows
+            zi, state = self._solve(point, tol, state)
+            z.append(zi)
+        return np.reshape(z, x.shape)
 
     def _solve(self, x, tol, start):
+        """Goldfarb and Idnani's dual method from the rows and factors
+        ``start``: z = x - C_A' lam, lam >= 0, the rows A tight.  The most
+        violated row p has c_p = C_A' r + h; a step along -h adds p unless
+        some lam_j with r_j > 0 reaches 0 first, which drops row j.  A
+        dependent p (h ~ 0) violated within tol is set aside; with no
+        r_j > 0, e_p - r is a dual ray: a Farkas certificate of emptiness
+        once its gap d_A'r - d_p exceeds tol.  Returns z and the state."""
+        C, d, n, eps = self.C, self.d, len(x), np.finfo(float).eps
         scale = 1.0 + float(np.abs(x).max()) + self._scale
-        z, passive = _ldp(self.C, self.d, x, scale, start)
-        tol *= scale
-        slack = self.C @ z - self.d
-        worst = max(float(slack.max(initial=0.0)), 0.0 if passive is None
-                    else float(np.abs(slack[passive]).max(initial=0.0)))
+        tol, roundoff, dependent = (tol * scale, 16.0 * eps * scale,
+                                    (16.0 * eps * n) ** 2)
+        rows, J, Tinv = start or ([], np.eye(n), np.zeros((n, n)))
+        z, lam, (rows, J, Tinv) = _equality(C, d, x, list(rows), J.copy(),
+                                            Tinv.copy())
+        aside, p = np.zeros(len(d), dtype=bool), None
+        for _ in range(10 * (len(d) + n)):
+            if p is None:  # the next row to add
+                s = np.where(aside, -np.inf, C @ z - d)
+                s[rows] = -np.inf
+                if not (s > roundoff).any():
+                    break
+                p, lam_p = int(np.argmax(s)), 0.0
+            q, v = len(rows), J.T @ C[p]
+            r, u = Tinv[:q, :q] @ v[:q], v[q:]
+            hh, viol = float(u @ u), float(C[p] @ z) - d[p]
+            block = np.flatnonzero(r > 0.0)
+            if hh <= dependent and (viol <= tol or not block.size):
+                if viol > tol and float(d[rows] @ r) - d[p] > tol:
+                    raise DykstraError("empty intersection: a dual ray is "
+                                       "a Farkas certificate", best=z)
+                aside[p], p = True, None
+                continue
+            ratios = lam[block] / r[block]
+            full = viol / hh if hh > dependent else np.inf
+            t = min(full, ratios.min(initial=np.inf))
+            z, lam, lam_p = z - t * (J[:, q:] @ u), lam - t * r, lam_p + t
+            if t == full:  # reflect u to a e_1: T gains the column (T r, a)
+                a, w = -np.copysign(norm(u), u[0]), u.copy()
+                w[0] -= a
+                J[:, q:] -= np.outer(J[:, q:] @ w, w) * (2.0 / (w @ w))
+                Tinv[:q, q], Tinv[q, q] = -r / a, 1.0 / a
+                rows, lam, p = rows + [p], np.append(lam, lam_p), None
+            else:
+                k = int(block[np.argmin(ratios)])
+                del rows[k]
+                J, Tinv = _factor(C, rows)
+                lam, aside[:] = np.delete(lam, k), False
+        else:
+            raise DykstraError("dual active-set solve did not stop", best=z)
+        z, _, state = _equality(C, d, x, rows, J, Tinv)
+        slack = C @ z - d
+        worst = max(float(slack.max(initial=0.0)),
+                    float(np.abs(slack[state[0]]).max(initial=0.0)))
         if not worst <= tol:  # also catches NaN
-            raise DykstraError(
-                f"least-distance certificate failed: residual {worst:.3g} "
-                f"exceeds {tol:.3g}", best=z)
-        return z, passive
+            raise DykstraError(f"least-distance certificate failed: "
+                               f"residual {worst:.3g} > {tol:.3g}", best=z)
+        return z, state
 
 
-def project_intersection(sets, x, tol: float = 1e-10,
-                         warm: WarmStart | None = None) -> Array:
-    """Projection of x onto the intersection of ``sets``.
-
-    ``sets`` is a sequence of ``ConstraintSet`` objects or their
-    ``Polyhedron``.  One least-distance NNLS solve projects every family;
-    the answer is returned only when its KKT certificate (feasibility and
-    complementary slackness) holds to
-    tol * (1 + ||x||_inf + max_i |d_i|), and an empty intersection or a
-    failed certificate raises DykstraError.  ``warm`` starts the solve from
-    the passive set of the last solve that used it, and records this one's.
+def project_intersection(sets, x, tol: float = 1e-10) -> Array:
+    """Projection of x, or of a stack of points (rows) solved in order,
+    onto the intersection of ``sets`` (``ConstraintSet`` objects or their
+    ``Polyhedron``).  Each point starts from the previous one's active rows,
+    the first cold.  An answer is returned only when its KKT certificate
+    (feasibility and complementary slackness to tol * (1 + ||x||_inf +
+    max_i |d_i|), nonnegative multipliers) holds; an empty intersection or
+    a failed certificate raises DykstraError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -348,15 +326,17 @@ def project_intersection(sets, x, tol: float = 1e-10,
         sets = list(sets)
         if not sets:
             raise ValueError("need at least one set")
-        sets = Polyhedron.of(sets, np.shape(x)[0])
-    return sets.project(x, tol, warm)
+        sets = Polyhedron.of(sets, np.shape(x)[-1])
+    return sets.project(x, tol)
 
 
-def dist_intersection(sets, x, tol: float = 1e-10,
-                      warm: WarmStart | None = None) -> float:
-    """Distance from x to the intersection of ``sets``."""
+def dist_intersection(sets, x, tol: float = 1e-10):
+    """Distance from x to the intersection of ``sets``, or the array of
+    distances of a stack of points (see ``project_intersection``)."""
     x = np.asarray(x, dtype=np.float64)
-    return norm(x - project_intersection(sets, x, tol=tol, warm=warm))
+    dist = [norm(r) for r in np.atleast_2d(
+        x - project_intersection(sets, x, tol=tol))]
+    return np.array(dist) if x.ndim == 2 else dist[0]
 
 
 def estimate_kappa(problem, probes: int, rng: RandomSource,

@@ -170,7 +170,7 @@ def aggregate(name: str, traces: list, metadata: dict | None = None) -> Aggregat
         mean_feas=mean[1], se_feas=se[1],
         mean_obj=mean[2], se_obj=se[2],
         mean_ftest=mean[3], se_ftest=se[3],
-        counts=counts[0],
+        counts=counts[2],  # objective: finite wherever a run recorded
         runs=len(traces),
         diverged=sum(1 for t in traces if t.diverged),
         metadata=dict(metadata or {}),

@@ -54,8 +54,8 @@ def _refine_optimum(problem: StochasticProblem) -> Array:
     except np.linalg.LinAlgError:
         raise ReferenceSolveError(
             "objective is not strongly convex (Cholesky failed)") from None
-    y = Polyhedron(np.linalg.solve(L, rows.C.T).T, rows.d).project(
-        np.linalg.solve(L, quad.h))
+    y = project_intersection(Polyhedron(np.linalg.solve(L, rows.C.T).T,
+                                        rows.d), np.linalg.solve(L, quad.h))
     return np.linalg.solve(L.T, y)
 
 

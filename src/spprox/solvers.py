@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import WarmStart, dist_intersection
+from .constraints import dist_intersection
 from .core import Array, RandomSource, StochasticProblem
 from .schedules import PolynomialDecay, StepsizeSchedule
 
@@ -172,8 +172,8 @@ def run(problem: StochasticProblem, config: SolverConfig,
     K = len(mus)
     li, ci = problem.sample_indices(rng, K)
     x_star, test_objective = problem.x_star, problem.test_objective
-    warm = WarmStart()  # run-local, so a run's bits are its own
     records = []  # one row of RunTrace columns per recorded k
+    points = []  # recorded output points: one feasibility call per run
     wavg, wsum = np.zeros_like(x), 0.0
     epoch_outputs = []
     max_viol = 0.0
@@ -183,12 +183,9 @@ def run(problem: StochasticProblem, config: SolverConfig,
             point = (wavg / wsum) if (averaged and k > 0) else x
             mu_k = (float(mus[min(k, K - 1)]) if restarted
                     else config.schedule.at(k))
+            points.append(point)
             records.append((
-                k, mu_k, _sqdist(point, x_star),
-                dist_intersection(problem.rows, point, tol=config.feas_tol,
-                                  warm=warm)
-                if config.record_feasibility else math.nan,
-                problem.objective(point),
+                k, mu_k, _sqdist(point, x_star), problem.objective(point),
                 float(test_objective(point))
                 if test_objective is not None else math.nan,
                 _sqdist(x, x_star)))
@@ -224,8 +221,11 @@ def run(problem: StochasticProblem, config: SolverConfig,
                      epoch_stepsizes=list(map(float, mu_ts)),
                      epoch_lengths=list(map(int, k_ts)),
                      epoch_outputs=epoch_outputs)
-    ks, stepsizes, sqdist, feas, objective, test_obj, iterate_sqdist = (
+    ks, stepsizes, sqdist, objective, test_obj, iterate_sqdist = (
         np.array(records).T)
+    feas = (dist_intersection(problem.rows, np.array(points),
+                              tol=config.feas_tol)
+            if config.record_feasibility else np.full(len(ks), math.nan))
     return RunTrace(alg, ks.astype(np.int64), stepsizes, sqdist, feas,
                     objective, test_obj, final=x.copy(),
                     iterate_sqdist=iterate_sqdist if averaged else None,

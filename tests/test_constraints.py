@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls
@@ -6,11 +9,10 @@ from conftest import enum_polyhedron_projection, random_set
 from spprox import (Box, DykstraError, Halfspace, Hyperplane,
                     NonnegativeOrthant, PolynomialDecay, Polyhedron,
                     ProblemConstants, QuadraticNorm, RandomSource,
-                    SolverConfig, StochasticProblem, WarmStart, WholeSpace,
+                    SolverConfig, StochasticProblem, WholeSpace,
                     build_markowitz, dist_intersection, estimate_kappa,
                     gen_constrained_ls, project_intersection, run,
                     synth_returns)
-from spprox import constraints
 from spprox.problems import _refine_optimum
 
 
@@ -147,6 +149,47 @@ def test_inconsistent_parallel_pairs_are_reported_empty(kind):
             project_intersection(sets, x)
 
 
+def test_tiny_gap_parallel_pairs_are_reported_empty():
+    # absolute gaps 1e-4 to 10 at ||x|| up to 1e3: every pair is empty, and
+    # a gap above the certificate tolerance must not read "certificate failed"
+    rng = RandomSource(73)
+    for _ in range(667):
+        dim = 2 + rng.integers(3)
+        c = rng.normal(dim) * 10.0 ** rng.uniform(-2, 2)
+        d, k = float(rng.normal()), 10.0 ** rng.uniform(-2, 2)
+        u = rng.normal(dim)
+        x = 10.0 ** rng.uniform(-1, 3) * u / np.linalg.norm(u)
+        gap = 10.0 ** rng.uniform(-4, 1) * float(np.linalg.norm(c))
+        sets = [Halfspace(c, d), Halfspace(-k * c, -k * (d + gap))]
+        with pytest.raises(DykstraError, match="empty intersection"):
+            project_intersection(sets, x)
+
+
+def _exact_2x2(c1, d1, c2, d2):
+    """The point where c1'z = d1 and c2'z = d2, in exact rationals."""
+    (a, b), (c, e) = map(Fraction, c1), map(Fraction, c2)
+    f, g = Fraction(d1), Fraction(d2)
+    det = a * e - b * c
+    return np.array([float((f * e - b * g) / det), float((a * g - f * c) / det)])
+
+
+def test_nearly_parallel_hyperplanes_match_exact_solve():
+    # two hyperplanes 0.5 to 5 degrees apart meet in one point
+    rng = RandomSource(73)
+    worst = 0.0
+    for _ in range(300):
+        a = 2.0 * math.pi * float(rng.uniform())
+        b = a + math.radians(float(rng.uniform(0.5, 5.0)))
+        c1 = 10.0 ** rng.uniform(-1, 1) * np.array([math.cos(a), math.sin(a)])
+        c2 = 10.0 ** rng.uniform(-1, 1) * np.array([math.cos(b), math.sin(b)])
+        d1, d2 = float(rng.normal()), float(rng.normal())
+        z = project_intersection([Hyperplane(c1, d1), Hyperplane(c2, d2)],
+                                 3.0 * rng.normal(2))
+        exact = _exact_2x2(c1, d1, c2, d2)
+        worst = max(worst, np.linalg.norm(z - exact) / np.linalg.norm(exact))
+    assert worst <= 1e-13
+
+
 @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-10])
 def test_thin_wedge_is_not_reported_empty(eps):
     # {|z_0| <= -eps z_1} holds the origin, the projection of (0, 1)
@@ -240,14 +283,13 @@ def test_mixed_families_match_enumeration():
     for _ in range(40):
         dim = 2 + rng.integers(2)
         sets = _mixed_family(rng, dim)
-        rows = Polyhedron.of(sets, dim)
-        warm = WarmStart()
-        for _ in range(3):
-            x = 3 * rng.normal(dim)
+        xs = 3 * rng.normal((3, dim))
+        # the stack is solved cold, then from the previous point's rows
+        stacked = Polyhedron.of(sets, dim).project(xs)
+        for x, z in zip(xs, stacked):
             exact = enum_polyhedron_projection(sets, x)
-            # cold, then warm-started from the previous point's passive set
             assert np.linalg.norm(project_intersection(sets, x) - exact) <= 1e-9
-            assert np.linalg.norm(rows.project(x, warm=warm) - exact) <= 1e-9
+            assert np.linalg.norm(z - exact) <= 1e-9
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -257,7 +299,7 @@ def test_polyhedron_rejects_non_finite_point(bad, capfd):
     with pytest.raises(ValueError, match="non-finite"):
         rows.project(np.array([bad, 0.0]))
     with pytest.raises(ValueError, match="non-finite"):
-        rows.project(np.array([0.0, bad]), warm=WarmStart())
+        rows.project(np.array([[3.0, 2.0], [0.0, bad]]))
     assert "DLASCL" not in capfd.readouterr().err  # no LAPACK call was made
 
 
@@ -272,41 +314,54 @@ def test_row_mean_sq_distance_matches_set_loop():
         assert abs(prob.mean_constraint_sq_distance(x) - loop) <= 1e-12 * loop
 
 
-def _feas_is_bit_stable(problem, cfg, seed, monkeypatch):
-    # every solve's starting passive set, to see that no warm state leaks
-    starts = []
-    nnls = constraints._nnls
-
-    def spy(E, f, passive=None):
-        starts.append(None if passive is None else passive.tobytes())
-        return nnls(E, f, passive)
-
-    monkeypatch.setattr(constraints, "_nnls", spy)
-    first = run(problem, cfg, RandomSource(seed)).feas
-    fresh, starts[:] = list(starts), []
-    assert np.all(np.isfinite(first)) and fresh[0] is None
+def _feas_is_bit_stable(problem, cfg, seed):
+    # each run's records are one stacked solve of its own points
+    first = run(problem, cfg, RandomSource(seed))
+    assert np.all(np.isfinite(first.feas))
     for other in (seed + 1, seed + 2):
         run(problem, cfg, RandomSource(other))
     estimate_kappa(problem, 2, RandomSource(seed + 3))
     ProblemConstants.measure(problem, np.zeros(problem.dim), 1.0, kappa=2.0)
-    starts[:] = []
-    assert np.array_equal(run(problem, cfg, RandomSource(seed)).feas, first)
-    # the first record (x0, as in measure) is a memo hit, the rest start
-    # from exactly the passive sets of the fresh run
-    assert starts == fresh[1:]
+    again = run(problem, cfg, RandomSource(seed))
+    assert np.array_equal(again.feas, first.feas)
+    return first
 
 
-def test_feasibility_record_bits_do_not_depend_on_history_desk(monkeypatch):
+def _recorded_points(problem, cfg, seed):
+    """The output points a spp/aspp run records: the iterate, or for aspp
+    the stepsize-weighted average of the iterates before it."""
+    K = cfg.iterations
+    mus = cfg.schedule.block(0, K)
+    li, ci = problem.sample_indices(RandomSource(seed), K)
+    x, wavg, wsum, points = np.zeros(problem.dim), 0.0, 0.0, []
+    for k in range(K + 1):
+        if k % cfg.stride == 0:
+            points.append(wavg / wsum if cfg.algorithm == "aspp" and k else x)
+        if k < K:
+            mu = float(mus[k])
+            wavg, wsum = wavg + mu * x, wsum + mu
+            x = problem.constraints[ci[k]].project(
+                problem.losses[li[k]].prox(x, mu))
+    return np.array(points)
+
+
+def _feas_is_one_stacked_call(problem, cfg, seed):
+    trace = _feas_is_bit_stable(problem, cfg, seed)
+    points = _recorded_points(problem, cfg, seed)
+    assert np.array_equal(trace.feas, dist_intersection(
+        problem.rows, points, tol=cfg.feas_tol))
+
+
+def test_feasibility_record_bits_do_not_depend_on_history_desk():
     problem = gen_constrained_ls(n=20, m=2000, seed=7)
     cfg = SolverConfig("aspp", PolynomialDecay(1.0, 1.0), iterations=600,
                        stride=100)
-    _feas_is_bit_stable(problem, cfg, 5, monkeypatch)
+    _feas_is_one_stacked_call(problem, cfg, 5)
 
 
-def test_feasibility_record_bits_do_not_depend_on_history_markowitz(
-        monkeypatch):
+def test_feasibility_record_bits_do_not_depend_on_history_markowitz():
     problem = build_markowitz(synth_returns(periods=300, n=10, seed=3))
     problem.x_star = _refine_optimum(problem)
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 0.5), iterations=400,
                        stride=20)
-    _feas_is_bit_stable(problem, cfg, 9, monkeypatch)
+    _feas_is_one_stacked_call(problem, cfg, 9)

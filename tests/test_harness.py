@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from spprox import (AggregateTrace, Cell, ConfigError, ExperimentConfig,
-                    GeneratorSpec, RandomSource, aggregate, emit_csv,
+                    GeneratorSpec, PolynomialDecay, RandomSource,
+                    SolverConfig, aggregate, build_markowitz, emit_csv,
                     emit_svg, log_log_slope, parse_config, parse_csv,
-                    run_experiment)
+                    run_cell, run_experiment, synth_returns)
 from spprox import DykstraError, Polyhedron, SolverError, harness
 from spprox.harness import CONFIG_TEMPLATES, CSV_HEADER, emit_run_csv
 
@@ -99,7 +100,17 @@ def _twelve_runs():
     traces = [_metric_trace(rng.uniform(0.5, 2.0, n), rng.uniform(0, 1e-3, n),
                             rng.normal(5.0, 1.0, n)) for n in lengths]
     traces[2].sqdist[3] = math.nan  # a non-finite entry is excluded
-    return traces, [12, 12, 11, 10, 10, 9]
+    return traces, [12, 12, 11, 11, 10, 9]  # runs that recorded each k
+
+
+def test_counts_are_runs_recorded_on_markowitz():
+    # no known optimum, so sqdist is NaN at every record
+    problem = build_markowitz(synth_returns(periods=200, n=5, seed=2))
+    cfg = SolverConfig("spp", PolynomialDecay(1.0, 0.5), iterations=40,
+                       stride=10)
+    agg = run_cell(problem, cfg, runs=3, base_seed=7)
+    assert np.isnan(agg.mean_sqdist).all()
+    assert agg.counts.tolist() == [3] * len(agg.ks)
 
 
 @pytest.mark.parametrize("make", [_two_runs, _twelve_runs])
@@ -306,9 +317,9 @@ def test_run_certifies_every_intersection_solve_at_feas_tol(tmp_path,
     tols = []
     project = Polyhedron.project
 
-    def spy(self, x, tol=1e-10, warm=None):
+    def spy(self, x, tol=1e-10):
         tols.append(tol)
-        return project(self, x, tol, warm)
+        return project(self, x, tol)
 
     generate = harness.generate
 
