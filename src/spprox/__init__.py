@@ -23,8 +23,8 @@ from .harness import (AggregateTrace, Cell, ConfigError, ExperimentConfig,
                       parse_config, parse_csv, run_cell, run_experiment)
 from .problems import (GeneratorSpec, ReturnsTable, build_markowitz, generate,
                        gen_constrained_ls, gen_feasibility, gen_finite_sum,
-                       gen_random_ls_polyhedron, load_returns_csv,
-                       synth_returns)
+                       gen_markowitz, gen_random_ls_polyhedron,
+                       load_returns_csv, synth_returns)
 from .schedules import (ConstantStepsize, PolynomialDecay, StepsizeSchedule,
                         phi, theta, theta0)
 from .solvers import (RunTrace, SolverConfig, SolverError, epochs_for_budget,

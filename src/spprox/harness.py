@@ -28,7 +28,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .constraints import estimate_kappa
 from .core import RandomSource, StochasticProblem
-from .problems import GeneratorSpec, generate
+from .problems import FAMILIES, GeneratorSpec, generate, knob_defaults
 from .schedules import ConstantStepsize, PolynomialDecay, theta0
 from .solvers import (ALGORITHMS, RunTrace, SolverConfig, epochs_for_budget,
                       run)
@@ -518,25 +518,14 @@ _EXPERIMENT_KEYS = {
     "kappa_probes": int, "iterations": int, "stride": int, "workers": int,
     "record_feasibility": bool, "feas_tol": float, "debug_runs": bool,
 }
-_PROBLEM_KEYS = {
-    "family": str, "n": int, "m": int, "seed": int, "noise": float,
-    "active": int, "lam": float, "sets": int, "margin": float,
-    "spread": float, "returns_csv": str, "periods": int, "split_seed": int,
-    "b_policy": str, "train_frac": float,
-}
 
 
 def _coerce(raw: str, typ, key: str):
     try:
         if typ is bool:
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return typ(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value {raw!r} for key {key!r}") from None
 
 
@@ -555,7 +544,6 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}]")
 
     config = ExperimentConfig()
-    spec_kwargs = {}
     if parser.has_section("experiment"):
         for key, raw in parser.items("experiment"):
             if key not in _EXPERIMENT_KEYS:
@@ -563,16 +551,15 @@ def parse_config(path) -> ExperimentConfig:
             val = _coerce(raw, _EXPERIMENT_KEYS[key], key)
             attr = "outdir" if key == "output_dir" else key
             setattr(config, attr, val)
-    if parser.has_section("problem"):
-        for key, raw in parser.items("problem"):
-            if key not in _PROBLEM_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [problem]")
-            spec_kwargs[key] = _coerce(raw, _PROBLEM_KEYS[key], key)
-    family = spec_kwargs.pop("family", "constrained-ls")
-    try:
-        config.spec = GeneratorSpec(family, **spec_kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    knobs = dict(parser.items("problem") if parser.has_section("problem")
+                 else ())
+    family = knobs.pop("family", "constrained-ls")
+    defaults = knob_defaults(family) if family in FAMILIES else {}
+    # a knob parses as its default's type; one the family does not take
+    # stays text, for validate to reject
+    config.spec = GeneratorSpec(family, **{
+        key: _coerce(raw, type(defaults.get(key, "")), key)
+        for key, raw in knobs.items()})
 
     grid = {"algorithms": ["spp"], "mu0": [1.0], "gamma": [1.0]}
     if parser.has_section("solvers"):
@@ -593,7 +580,8 @@ def parse_config(path) -> ExperimentConfig:
 CONFIG_TEMPLATES = {
     "constrained-ls": """\
 # spprox experiment configuration (INI syntax, '#' comments)
-# Unknown keys are errors; every key shown carries its default.
+# Unknown keys are errors; an omitted key takes its default, the value shown
+# except for seed (0) and the [solvers] lists (spp, 1 and 1).
 
 [experiment]
 runs = 30                # Monte-Carlo repetitions per cell

@@ -11,6 +11,9 @@ finite-sum            strongly convex quadratic components around random
                       centers (clean analysis instance).
 markowitz             portfolio model built from a returns table.
 
+``FAMILIES`` maps each family to its generator, whose signature alone lists
+the family's knobs and their defaults; a ``GeneratorSpec`` holds the knobs set.
+
 Generated problems store their known optimum as the minimizer of the realized
 finite-sum objective over the constraint intersection.  For constrained-ls
 the planted ground truth differs from that minimizer at desk scale by the
@@ -20,8 +23,10 @@ statistical error of the sample; it is kept in ``meta["ground_truth"]``.
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -60,7 +65,7 @@ def _refine_optimum(problem: StochasticProblem) -> Array:
 
 
 def gen_constrained_ls(n: int = 20, m: int = 2000, seed: int = 0,
-                       noise: float = 1.0, active: int = 3,
+                       noise: float = 1.0, active: int = 3, *,
                        refine: bool = True) -> StochasticProblem:
     """Constrained least squares with planted structure.
 
@@ -317,97 +322,90 @@ def build_markowitz(table: ReturnsTable, b_policy="mean", seed: int = 0,
 
 # -- family dispatch -----------------------------------------------------------
 
-@dataclass
-class GeneratorSpec:
-    """Family selector plus knobs; ``validate`` checks them before dispatch."""
+def gen_markowitz(n: int = 25, periods: int = 1276, seed: int = 0,
+                  split_seed: int = 0, b_policy: str | float = "mean",
+                  train_frac: float = 0.9,
+                  returns_csv: str = "") -> StochasticProblem:
+    """``build_markowitz`` split by ``split_seed``, over the table at
+    ``returns_csv`` or else over ``synth_returns(periods, n, seed)``."""
+    table = (load_returns_csv(returns_csv) if returns_csv
+             else synth_returns(periods=periods, n=n, seed=seed))
+    return build_markowitz(table, b_policy=b_policy, seed=split_seed,
+                           train_frac=train_frac)
 
-    family: str
-    n: int = 20
-    m: int = 2000
-    seed: int = 0
-    noise: float = 1.0
-    active: int = 3
-    lam: float = 1.0
-    sets: int = 20
-    margin: float = 0.1
-    spread: float = 1.0
-    returns_csv: str | None = None
-    periods: int = 1276
-    split_seed: int = 0
-    b_policy: object = "mean"
-    train_frac: float = 0.9
+
+FAMILIES = {"constrained-ls": gen_constrained_ls,
+            "random-ls-polyhedron": gen_random_ls_polyhedron,
+            "feasibility": gen_feasibility, "finite-sum": gen_finite_sum,
+            "markowitz": gen_markowitz}
+
+
+def knob_defaults(family: str) -> dict:
+    """The knobs of ``family``: its generator's parameters, with defaults."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown problem family {family!r}")
+    params = inspect.signature(FAMILIES[family]).parameters.values()
+    return {p.name: p.default for p in params
+            if p.kind is p.POSITIONAL_OR_KEYWORD}
+
+
+class GeneratorSpec:
+    """A family plus the knobs set for its generator; a knob left out takes
+    the generator's default.  ``validate`` checks both before dispatch."""
+
+    def __init__(self, family: str, **knobs):
+        self.family = family
+        self.knobs = knobs
 
     def validate(self):
-        """Raise ValueError, naming the knob, for any value the family's
-        generator would reject or fail on."""
+        """Raise ValueError, naming the knob, for a knob the family's
+        generator does not take or a value it would reject or fail on."""
         fam = self.family
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown problem family {fam!r}")
+        defaults = knob_defaults(fam)
+        for key in self.knobs:
+            if key not in defaults:
+                raise ValueError(f"problem family {fam} takes no knob {key!r}")
+        v = SimpleNamespace(**{**defaults, **self.knobs})
 
         def need(ok, key, what):
             if not ok:  # also False for NaN comparisons
                 raise ValueError(f"{key} must be {what} for {fam}")
 
-        synthetic = fam != "markowitz" or not self.returns_csv
+        synthetic = not getattr(v, "returns_csv", "")
         ls = fam in ("constrained-ls", "random-ls-polyhedron")
         if synthetic:
             least_n = 2 if ls else 1
-            need(self.seed >= 0, "seed", ">= 0")
-            need(self.n >= least_n, "n", f">= {least_n}")
+            need(v.seed >= 0, "seed", ">= 0")
+            need(v.n >= least_n, "n", f">= {least_n}")
         if ls:
-            need(self.m >= self.n, "m", ">= n")
-            need(math.isfinite(self.noise), "noise", "finite")
+            need(v.m >= v.n, "m", ">= n")
+            need(math.isfinite(v.noise), "noise", "finite")
         if fam == "constrained-ls":
-            need(0 <= self.active <= self.m // 2 + self.m // self.n, "active",
+            need(0 <= v.active <= v.m // 2 + v.m // v.n, "active",
                  "between 0 and the constraint count m/2 + m/n")
         elif fam == "feasibility":
-            need(self.sets >= 1, "sets", ">= 1")
-            need(0 < self.lam < math.inf, "lam", "positive and finite")
-            need(0 <= self.margin < math.inf, "margin", "finite and >= 0")
+            need(v.sets >= 1, "sets", ">= 1")
+            need(0 < v.lam < math.inf, "lam", "positive and finite")
+            need(0 <= v.margin < math.inf, "margin", "finite and >= 0")
         elif fam == "finite-sum":
-            need(self.m >= 1, "m", ">= 1")
-            need(math.isfinite(self.spread), "spread", "finite")
+            need(v.m >= 1, "m", ">= 1")
+            need(math.isfinite(v.spread), "spread", "finite")
         elif fam == "markowitz":
-            need(self.split_seed >= 0, "split_seed", ">= 0")
+            need(v.split_seed >= 0, "split_seed", ">= 0")
             try:
-                target = float(self.b_policy)
+                target = float(v.b_policy)
             except (TypeError, ValueError):
                 target = math.nan
-            need(self.b_policy == "mean" or math.isfinite(target), "b_policy",
+            need(v.b_policy == "mean" or math.isfinite(target), "b_policy",
                  "'mean' or a finite number")
-            need(0 < self.train_frac < 1, "train_frac", "in (0, 1)")
+            need(0 < v.train_frac < 1, "train_frac", "in (0, 1)")
             if synthetic:
-                need(self.periods >= 2, "periods", ">= 2")
-                need(1 <= math.floor(self.train_frac * self.periods)
-                     < self.periods, "train_frac",
+                need(v.periods >= 2, "periods", ">= 2")
+                need(1 <= math.floor(v.train_frac * v.periods)
+                     < v.periods, "train_frac",
                      "a split leaving train and test rows of `periods`")
 
 
-FAMILIES = ("constrained-ls", "random-ls-polyhedron", "feasibility",
-            "finite-sum", "markowitz")
-
-
 def generate(spec: GeneratorSpec) -> StochasticProblem:
-    fam = spec.family
-    if fam == "constrained-ls":
-        return gen_constrained_ls(n=spec.n, m=spec.m, seed=spec.seed,
-                                  noise=spec.noise, active=spec.active)
-    if fam == "random-ls-polyhedron":
-        return gen_random_ls_polyhedron(n=spec.n, m=spec.m, seed=spec.seed,
-                                        noise=spec.noise)
-    if fam == "feasibility":
-        return gen_feasibility(n=spec.n, sets=spec.sets, seed=spec.seed,
-                               lam=spec.lam, margin=spec.margin)
-    if fam == "finite-sum":
-        return gen_finite_sum(n=spec.n, m=spec.m, seed=spec.seed,
-                              spread=spec.spread)
-    if fam == "markowitz":
-        if spec.returns_csv:
-            table = load_returns_csv(spec.returns_csv)
-        else:
-            table = synth_returns(periods=spec.periods, n=spec.n,
-                                  seed=spec.seed)
-        return build_markowitz(table, b_policy=spec.b_policy,
-                               seed=spec.split_seed,
-                               train_frac=spec.train_frac)
-    raise ValueError(f"unknown problem family {fam!r}")
+    spec.validate()
+    return FAMILIES[spec.family](**spec.knobs)

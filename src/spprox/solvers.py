@@ -165,11 +165,12 @@ def run(problem: StochasticProblem, config: SolverConfig,
     if restarted:
         sched: PolynomialDecay = config.schedule  # validated
         mu_ts, k_ts = rspp_schedule(sched.mu0, sched.gamma, config.epochs)
-        mus = np.repeat(mu_ts, k_ts)
+        # the last epoch's stepsize stands for the record at k = K
+        mus = np.append(np.repeat(mu_ts, k_ts), mu_ts[-1])
         epoch_ends = np.cumsum(k_ts).tolist()
     else:
-        mus = config.schedule.block(0, config.iterations)
-    K = len(mus)
+        mus = config.schedule.block(0, config.iterations + 1)
+    K = len(mus) - 1  # mus[k] steps iteration k and is recorded at k
     li, ci = problem.sample_indices(rng, K)
     x_star, test_objective = problem.x_star, problem.test_objective
     records = []  # one row of RunTrace columns per recorded k
@@ -181,11 +182,9 @@ def run(problem: StochasticProblem, config: SolverConfig,
     for k in range(K + 1):
         if k % config.stride == 0:
             point = (wavg / wsum) if (averaged and k > 0) else x
-            mu_k = (float(mus[min(k, K - 1)]) if restarted
-                    else config.schedule.at(k))
             points.append(point)
             records.append((
-                k, mu_k, _sqdist(point, x_star), problem.objective(point),
+                k, _sqdist(point, x_star), problem.objective(point),
                 float(test_objective(point))
                 if test_objective is not None else math.nan,
                 _sqdist(x, x_star)))
@@ -221,12 +220,12 @@ def run(problem: StochasticProblem, config: SolverConfig,
                      epoch_stepsizes=list(map(float, mu_ts)),
                      epoch_lengths=list(map(int, k_ts)),
                      epoch_outputs=epoch_outputs)
-    ks, stepsizes, sqdist, objective, test_obj, iterate_sqdist = (
-        np.array(records).T)
+    ks, sqdist, objective, test_obj, iterate_sqdist = np.array(records).T
+    ks = ks.astype(np.int64)
     feas = (dist_intersection(problem.rows, np.array(points),
                               tol=config.feas_tol)
             if config.record_feasibility else np.full(len(ks), math.nan))
-    return RunTrace(alg, ks.astype(np.int64), stepsizes, sqdist, feas,
+    return RunTrace(alg, ks, mus[ks], sqdist, feas,
                     objective, test_obj, final=x.copy(),
                     iterate_sqdist=iterate_sqdist if averaged else None,
                     diverged=diverged_at is not None, diverged_at=diverged_at,

@@ -4,20 +4,37 @@ removed name must fail here, not first in a benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from spprox import constraints, problems, solvers
+from spprox import cli, constraints, parse_config, problems, solvers
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+CONFIG = """\
+[experiment]
+runs = 2
+iterations = 30
+stride = 10
+
+[problem]
+family = finite-sum
+m = 4
+n = 3
+
+[solvers]
+algorithms = spp, rspp
+gamma = 0.5, 1
+"""
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_and_restores_every_patch():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     originals = (solvers.dist_intersection, constraints.dist_intersection,
                  constraints.project_intersection,
                  problems.project_intersection)
@@ -31,3 +48,21 @@ def test_tracer_installs_and_restores_every_patch():
     assert (solvers.dist_intersection, constraints.dist_intersection,
             constraints.project_intersection,
             problems.project_intersection) == originals
+
+
+def test_traced_run_passes_the_bench_self_check(tmp_path, monkeypatch):
+    # the wrappers must see generation, every cell and every run: a path
+    # around harness.generate, run_cell or run leaves them blind
+    tracer, bench = _load("tracer"), _load("run")
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG)
+    monkeypatch.setenv("SPPROX_OUTDIR", str(tmp_path / "out"))
+    t = tracer.Tracer("t")
+    try:
+        tracer.install(t)
+        assert cli.main(["run", str(cfg), "--workers", "1"]) == 0
+    finally:
+        t.restore()
+    cells = {cell.name: None for cell in parse_config(cfg).cells}
+    assert len(cells) == 4
+    assert bench.tracer_self_check(t.to_json(), {"cells": cells}) == []

@@ -9,6 +9,7 @@ import pytest
 import spprox
 from spprox import ConfigError, SolverError, harness, parse_config, run_experiment
 from spprox.cli import main
+from spprox.problems import knob_defaults
 
 TINY = """\
 [experiment]
@@ -57,6 +58,15 @@ def _with_key(section: str, key: str, value: str, text: str = TINY) -> str:
     return "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
 
 
+def _with_family(family: str, text: str = TINY) -> str:
+    """``text`` under ``family``, less TINY's knobs the family does not take."""
+    for key in ("m", "n", "seed"):
+        if key not in knob_defaults(family):
+            text = "".join(ln + "\n" for ln in text.splitlines()
+                           if not ln.startswith(f"{key} ="))
+    return _with_key("problem", "family", family, text)
+
+
 _FAMILY_USING = {"noise": "random-ls-polyhedron", "train_frac": "markowitz",
                  "b_policy": "markowitz",
                  "margin": "feasibility", "lam": "feasibility",
@@ -102,7 +112,7 @@ def test_invalid_run_keys_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
                                                  section, key, value, argv):
     cfg = tmp_path / "bad.ini"
     # a problem knob is checked under a family whose generator uses it
-    text = _with_key("problem", "family", _FAMILY_USING.get(key, "finite-sum"))
+    text = _with_family(_FAMILY_USING.get(key, "finite-sum"))
     cfg.write_text(_with_key(section, key, value, text))
     if not argv:
         with pytest.raises(ConfigError, match=key):
@@ -114,12 +124,27 @@ def test_invalid_run_keys_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, key", [("feasibility", "noise"),
+                                         ("markowitz", "m")])
+def test_knob_the_family_does_not_take_is_rejected(tmp_path, monkeypatch,
+                                                   capsys, family, key):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(_with_key("problem", key, "3", _with_family(family)))
+    with pytest.raises(ConfigError, match=f"{family} takes no knob '{key}'"):
+        parse_config(cfg)
+    out = tmp_path / "out"
+    monkeypatch.setenv("SPPROX_OUTDIR", str(out))
+    assert main(["run", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_unreachable_return_target_fails_before_output(tmp_path, monkeypatch,
                                                        capsys, workers):
     # a 100% return target empties orthant + budget + return set; without
     # feasibility records no projection would notice
-    text = _with_key("problem", "family", "markowitz")
+    text = _with_family("markowitz")
     for key, value in (("periods", "40"), ("b_policy", "1.0")):
         text = _with_key("problem", key, value, text)
     for key, value in (("record_feasibility", "false"), ("workers", workers)):

@@ -13,6 +13,7 @@ from spprox import (AggregateTrace, Cell, ConfigError, ExperimentConfig,
                     run_cell, run_experiment, synth_returns)
 from spprox import DykstraError, Polyhedron, SolverError, harness
 from spprox.harness import CONFIG_TEMPLATES, CSV_HEADER, emit_run_csv
+from spprox.problems import FAMILIES, generate
 
 
 def _toy_aggregate(records: int) -> AggregateTrace:
@@ -350,6 +351,20 @@ def test_parse_config_roundtrip(tmp_path):
         config = parse_config(path)
         config.validate()
         assert config.spec.family == family
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_alone_builds_its_generator_defaults(tmp_path, family):
+    path = tmp_path / "f.ini"
+    path.write_text(f"[problem]\nfamily = {family}\n")
+    got, want = generate(parse_config(path).spec), FAMILIES[family]()
+    assert got.dim == want.dim
+    assert (len(got.losses), len(got.constraints), got.one_pass) == (
+        len(want.losses), len(want.constraints), want.one_pass)
+    if want.x_star is None:
+        assert got.x_star is None
+    else:
+        assert np.array_equal(got.x_star, want.x_star)
 
 
 def test_parse_config_unknown_key(tmp_path):

@@ -246,6 +246,18 @@ def test_trace_record_count_and_finiteness(small_ls):
         assert tr.max_sampled_violation <= 1e-9
 
 
+@pytest.mark.parametrize("algorithm", ["spp", "aspp", "sgd"])
+def test_recorded_stepsize_is_the_one_stepped(small_ls, algorithm):
+    # at gamma = 0.75, mu0 / k**gamma in Python and in numpy differ by an
+    # ulp at some k; the record must carry the value the step used
+    K, schedule = 1000, PolynomialDecay(1.0, 0.75)
+    cfg = SolverConfig(algorithm, schedule, iterations=K, stride=20,
+                       record_feasibility=False)
+    tr = run(small_ls, cfg, RandomSource(3))
+    assert len(tr.ks) == 51
+    assert np.array_equal(tr.stepsizes, schedule.block(0, K + 1)[tr.ks])
+
+
 class _PoisonComponent(LossComponent):
     kind = "poison"
 
