@@ -25,8 +25,7 @@ from .problems import (GeneratorSpec, ReturnsTable, build_markowitz, generate,
                        gen_constrained_ls, gen_feasibility, gen_finite_sum,
                        gen_markowitz, gen_random_ls_polyhedron,
                        load_returns_csv, synth_returns)
-from .schedules import (ConstantStepsize, PolynomialDecay, StepsizeSchedule,
-                        phi, theta, theta0)
+from .schedules import PolynomialDecay, phi, theta, theta0
 from .solvers import (RunTrace, SolverConfig, SolverError, epochs_for_budget,
                       rspp_schedule, run)
 

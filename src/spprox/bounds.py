@@ -24,7 +24,7 @@ import numpy as np
 
 from .constraints import dist_intersection, estimate_kappa
 from .core import Array, RandomSource, StochasticProblem, norm
-from .schedules import StepsizeSchedule, mean_theta_sq, phi
+from .schedules import PolynomialDecay, mean_theta_sq, phi
 
 
 class MissingConstantError(ValueError):
@@ -146,7 +146,7 @@ def _require(c: ProblemConstants, names) -> None:
 
 
 def convex_bounds(c: ProblemConstants, k: int,
-                  schedule: StepsizeSchedule) -> tuple[float, float, float]:
+                  schedule: PolynomialDecay) -> tuple[float, float, float]:
     """Convex-case certificates after k iterations of the averaged scheme.
 
     Returns (suboptimality upper bound, suboptimality lower bound,
@@ -159,7 +159,7 @@ def convex_bounds(c: ProblemConstants, k: int,
     _require(c, ("exp_subgrad_sq", "kappa", "r0"))
     L2 = c.exp_subgrad_sq
     s1, s2 = schedule.partial_sums(k)
-    mu0 = schedule.at(0)
+    mu0 = schedule.mu0
     R = mu0 * c.kappa * (c.r0 ** 2 + L2 * s2)
     ratio = s2 / s1
     upper = R / (2.0 * mu0 * c.kappa * s1)

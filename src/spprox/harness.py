@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -29,7 +29,7 @@ from . import bounds as bounds_mod
 from .constraints import estimate_kappa
 from .core import RandomSource, StochasticProblem
 from .problems import FAMILIES, GeneratorSpec, generate, knob_defaults
-from .schedules import ConstantStepsize, PolynomialDecay, theta0
+from .schedules import PolynomialDecay, theta0
 from .solvers import (ALGORITHMS, RunTrace, SolverConfig, epochs_for_budget,
                       run)
 
@@ -55,9 +55,7 @@ class Cell:
     def name(self) -> str:
         return f"{self.algorithm}_mu{self.mu0:g}_g{self.gamma_label}"
 
-    def schedule(self):
-        if self.gamma == 0:
-            return ConstantStepsize(self.mu0)
+    def schedule(self) -> PolynomialDecay:
         return PolynomialDecay(self.mu0, self.gamma)
 
 
@@ -100,10 +98,10 @@ class ExperimentConfig:
         for cell in self.cells:
             if cell.algorithm not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {cell.algorithm!r}")
-            if not (math.isfinite(cell.mu0) and cell.mu0 > 0):
-                raise ConfigError("mu0 must be positive and finite")
-            if not (math.isfinite(cell.gamma) and cell.gamma >= 0):
-                raise ConfigError("gamma must be finite and >= 0")
+            try:
+                cell.schedule()
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
             if cell.algorithm == "rspp" and cell.gamma == 0:
                 raise ConfigError("rspp needs gamma > 0")
             if cell.name in names:  # its files would overwrite another's
@@ -513,13 +511,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 # -- configuration files ---------------------------------------------------------
 
-_EXPERIMENT_KEYS = {
-    "runs": int, "base_seed": int, "output_dir": str, "overlay_bounds": bool,
-    "kappa_probes": int, "iterations": int, "stride": int, "workers": int,
-    "record_feasibility": bool, "feas_tol": float, "debug_runs": bool,
-}
-
-
 def _coerce(raw: str, typ, key: str):
     try:
         if typ is bool:
@@ -544,13 +535,15 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}]")
 
     config = ExperimentConfig()
+    # an [experiment] key is a defaulted field, parsed as its default's type
+    settable = {"output_dir" if f.name == "outdir" else f.name: f
+                for f in fields(config) if f.default is not MISSING}
     if parser.has_section("experiment"):
         for key, raw in parser.items("experiment"):
-            if key not in _EXPERIMENT_KEYS:
+            if key not in settable:
                 raise ConfigError(f"unknown key {key!r} in [experiment]")
-            val = _coerce(raw, _EXPERIMENT_KEYS[key], key)
-            attr = "outdir" if key == "output_dir" else key
-            setattr(config, attr, val)
+            f = settable[key]
+            setattr(config, f.name, _coerce(raw, type(f.default), key))
     knobs = dict(parser.items("problem") if parser.has_section("problem")
                  else ())
     family = knobs.pop("family", "constrained-ls")
@@ -561,7 +554,9 @@ def parse_config(path) -> ExperimentConfig:
         key: _coerce(raw, type(defaults.get(key, "")), key)
         for key, raw in knobs.items()})
 
-    grid = {"algorithms": ["spp"], "mu0": [1.0], "gamma": [1.0]}
+    (cell,) = config.cells  # the default grid
+    grid = {"algorithms": [cell.algorithm], "mu0": [cell.mu0],
+            "gamma": [cell.gamma]}
     if parser.has_section("solvers"):
         for key, raw in parser.items("solvers"):
             if key not in grid:
@@ -634,7 +629,8 @@ output_dir = out
 
 [problem]
 family = markowitz
-# returns_csv = path/to/returns.csv   # omit to use the synthetic table
+# returns_csv = path/to/returns.csv   # omit to use the synthetic table;
+#   periods, n and seed shape only that table: leave them out beside it
 periods = 1276           # synthetic table size
 n = 25
 seed = 7

@@ -399,6 +399,9 @@ class GeneratorSpec:
             need(v.b_policy == "mean" or math.isfinite(target), "b_policy",
                  "'mean' or a finite number")
             need(0 < v.train_frac < 1, "train_frac", "in (0, 1)")
+            for key in ("n", "periods", "seed"):  # shape the synthetic table
+                need(synthetic or key not in self.knobs, key,
+                     "left out beside returns_csv")
             if synthetic:
                 need(v.periods >= 2, "periods", ">= 2")
                 need(1 <= math.floor(v.train_frac * v.periods)

@@ -1,4 +1,5 @@
-"""Stepsize schedules, contraction factors, and the phi_alpha helper."""
+"""The stepsize law mu0 / k^gamma (gamma = 0 constant), contraction factors,
+and the phi_alpha helper."""
 
 from __future__ import annotations
 
@@ -50,69 +51,29 @@ def theta0(problem, mu0: float) -> float:
     return mean_theta_sq(sigmas, mu0)
 
 
-class StepsizeSchedule:
-    """mu_k, the stepsize at iteration k = 0, 1, ..."""
+class PolynomialDecay:
+    """The stepsize law mu_k = mu0 / k^gamma for k >= 1, with mu_0 = mu0.
 
-    def at(self, k: int) -> float:
-        raise NotImplementedError
-
-    def partial_sums(self, k: int) -> tuple[float, float]:
-        """(sum_{i<k} mu_i, sum_{i<k} mu_i^2)."""
-        raise NotImplementedError
-
-    def block(self, start: int, count: int) -> np.ndarray:
-        """Stepsizes for iterations start, ..., start+count-1."""
-        return np.array([self.at(start + i) for i in range(count)])
-
-
-class ConstantStepsize(StepsizeSchedule):
-    """mu_k = mu for all k."""
-
-    def __init__(self, mu: float):
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        self.mu = float(mu)
-
-    def at(self, k):
-        return self.mu
-
-    def partial_sums(self, k):
-        return k * self.mu, k * self.mu ** 2
-
-    def block(self, start, count):
-        return np.full(count, self.mu)
-
-
-class PolynomialDecay(StepsizeSchedule):
-    """mu_k = mu0 / k^gamma for k >= 1, with mu_0 = mu0 by convention.
-
-    The k = 0 value is mu0: the analyses start their sums at index 0 with
-    mu0 while defining the decay for k >= 1 only.
+    gamma = 0 is the constant stepsize mu0 (mu0 / k^0 == mu0 exactly).  The
+    k = 0 value is mu0: the analyses start their sums at index 0 with mu0
+    while defining the decay for k >= 1 only.
     """
 
     def __init__(self, mu0: float, gamma: float):
-        if mu0 <= 0:
-            raise ValueError("mu0 must be positive")
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(mu0) and mu0 > 0):
+            raise ValueError("mu0 must be positive and finite")
+        if not (math.isfinite(gamma) and gamma >= 0):
+            raise ValueError("gamma must be finite and >= 0")
         self.mu0 = float(mu0)
         self.gamma = float(gamma)
 
-    def at(self, k):
-        if k <= 0:
-            return self.mu0
-        return self.mu0 / float(k) ** self.gamma
+    def partial_sums(self, k: int) -> tuple[float, float]:
+        """(sum_{i<k} mu_i, sum_{i<k} mu_i^2)."""
+        mus = self.block(0, k)
+        return float(mus.sum()), float((mus * mus).sum())
 
-    def partial_sums(self, k):
-        if k <= 0:
-            return 0.0, 0.0
-        ks = np.arange(1, k, dtype=np.float64)
-        decays = ks ** -self.gamma
-        s1 = self.mu0 * (1.0 + float(decays.sum()))
-        s2 = self.mu0 ** 2 * (1.0 + float((decays ** 2).sum()))
-        return s1, s2
-
-    def block(self, start, count):
+    def block(self, start: int, count: int) -> np.ndarray:
+        """Stepsizes for iterations start, ..., start+count-1."""
         ks = np.arange(start, start + count, dtype=np.float64)
         ks[ks < 1.0] = 1.0
         return self.mu0 / ks ** self.gamma

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constraints import dist_intersection
 from .core import Array, RandomSource, StochasticProblem
-from .schedules import PolynomialDecay, StepsizeSchedule
+from .schedules import PolynomialDecay
 
 DIVERGENCE_NORM = 1e12
 
@@ -41,15 +41,15 @@ class SolverConfig:
     """Algorithm choice plus run parameters.
 
     ``iterations`` is the budget K for spp/aspp/sgd; ``epochs`` is the
-    restart budget T for rspp (the schedule must then be a polynomial decay,
-    whose mu0/gamma define the per-epoch stepsize mu_t = mu0 / t^gamma and
+    restart budget T for rspp (the schedule's gamma must then be positive;
+    its mu0/gamma define the per-epoch stepsize mu_t = mu0 / t^gamma and
     length K_t = ceil(t^gamma)).  Metrics are recorded at every iteration
     index divisible by ``stride`` (so a full run yields
     floor(K / stride) + 1 records).
     """
 
     algorithm: str
-    schedule: StepsizeSchedule
+    schedule: PolynomialDecay
     iterations: int = 0
     epochs: int = 0
     seed: int = 0
@@ -66,8 +66,8 @@ class SolverConfig:
         if self.algorithm == "rspp":
             if self.epochs < 1:
                 raise ValueError("rspp needs epochs >= 1")
-            if not isinstance(self.schedule, PolynomialDecay):
-                raise ValueError("rspp needs a PolynomialDecay schedule")
+            if self.schedule.gamma <= 0:
+                raise ValueError("rspp needs gamma > 0")
         elif self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.x0 is None:
@@ -119,9 +119,8 @@ def _sqdist(point: Array, x_star: Array | None) -> float:
 
 def rspp_schedule(mu0: float, gamma: float, epochs: int):
     """Per-epoch stepsizes mu_t = mu0/t^gamma and lengths K_t = ceil(t^gamma)."""
-    ts = np.arange(1, epochs + 1, dtype=np.float64)
-    mu_ts = mu0 / ts ** gamma
-    k_ts = np.ceil(ts ** gamma).astype(np.int64)
+    mu_ts = PolynomialDecay(mu0, gamma).block(1, epochs)
+    k_ts = np.ceil(np.arange(1.0, epochs + 1) ** gamma).astype(np.int64)
     return mu_ts, k_ts
 
 
@@ -163,7 +162,7 @@ def run(problem: StochasticProblem, config: SolverConfig,
     rng = rng if rng is not None else RandomSource(config.seed)
     sgd, averaged, restarted = alg == "sgd", alg == "aspp", alg == "rspp"
     if restarted:
-        sched: PolynomialDecay = config.schedule  # validated
+        sched = config.schedule
         mu_ts, k_ts = rspp_schedule(sched.mu0, sched.gamma, config.epochs)
         # the last epoch's stepsize stands for the record at k = K
         mus = np.append(np.repeat(mu_ts, k_ts), mu_ts[-1])

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import prox_oracle, random_component, random_set
-from spprox import (BatchLeastSquares, Cell, ConstantStepsize,
-                    ExperimentConfig, GeneratorSpec, PolynomialDecay,
-                    ProblemConstants, RandomSource, SolverConfig,
+from spprox import (BatchLeastSquares, Cell, ExperimentConfig,
+                    GeneratorSpec, PolynomialDecay, ProblemConstants,
+                    RandomSource, SolverConfig,
                     StochasticProblem, WholeSpace, build_markowitz,
                     constant_step_envelope, estimate_kappa, gen_feasibility,
                     run, run_experiment, rspp_plan, rspp_schedule,
@@ -113,7 +113,7 @@ def test_criterion_03_deterministic_recursion():
     prob = StochasticProblem([comp], [WholeSpace(4)], 4, x_star=c, kappa=1.0)
     mu = 0.6
     x0 = np.array([5.0, 2.0, -4.0, 1.0])
-    cfg = SolverConfig("spp", ConstantStepsize(mu), iterations=100, stride=1,
+    cfg = SolverConfig("spp", PolynomialDecay(mu, 0), iterations=100, stride=1,
                        x0=x0, record_feasibility=False)
     tr = run(prob, cfg, RandomSource(3))
     worst = 0.0
@@ -174,7 +174,7 @@ def test_criterion_06_bound_dominance(desk_ls, kappa_hat):
             assert mean[j] <= bound + 3.0 * se[j], (gamma, k)
             checked += 1
     c = ProblemConstants.measure(desk_ls, x0, 1.0, kappa=kappa_hat)
-    traces = mc_runs(desk_ls, "ls_const", "spp", ConstantStepsize(1.0),
+    traces = mc_runs(desk_ls, "ls_const", "spp", PolynomialDecay(1.0, 0),
                      2000, 40)
     mean, se = mean_se(traces)
     for j, k in enumerate(traces[0].ks):
@@ -208,7 +208,7 @@ def test_criterion_07_noise_floor():
     plateaus = {}
     for mu in (0.4, 0.2):
         c = ProblemConstants.measure(prob, x_star, mu, kappa=1.0)
-        cfg = SolverConfig("spp", ConstantStepsize(mu), iterations=6000,
+        cfg = SolverConfig("spp", PolynomialDecay(mu, 0), iterations=6000,
                            stride=60, record_feasibility=False, x0=x_star)
         traces = [run(prob, cfg, RandomSource(300 + i)) for i in range(RUNS)]
         sq = np.mean([t.sqdist for t in traces], axis=0)

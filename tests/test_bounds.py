@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spprox import (ConstantStepsize, MissingConstantError, PolynomialDecay,
+from spprox import (MissingConstantError, PolynomialDecay,
                     ProblemConstants, RandomSource, constant_step_envelope,
                     constant_step_plan, convex_bounds, gen_finite_sum,
                     iteration_complexity, phi, rspp_plan,
@@ -21,7 +21,8 @@ def make_constants(r0=1.0, kappa=1.0, eta_sq=1.0, grad_norm=0.5, lips_sq=4.0,
 # -- independently written re-evaluations (different operation order) -----------
 
 def convex_bounds_alt(c, k, schedule):
-    mus = np.array([schedule.at(i) for i in range(k)])
+    mus = np.array([schedule.mu0 / float(max(i, 1)) ** schedule.gamma
+                    for i in range(k)])
     s1 = math.fsum(mus)
     s2 = math.fsum(mus * mus)
     mu0 = mus[0]
@@ -138,7 +139,7 @@ def test_dual_evaluations_agree():
 
 def test_convex_bounds_hand_example():
     c = make_constants(r0=1.0, kappa=1.0, subgrad_sq=2.0, mu0=1.0)
-    upper, lower, feas = convex_bounds(c, 1, ConstantStepsize(1.0))
+    upper, lower, feas = convex_bounds(c, 1, PolynomialDecay(1.0, 0))
     assert upper == pytest.approx(1.5)  # (r0^2 + 2*1) / (2*1)
     # lower: -1*2*(1 + 2) - sqrt(2*3/1) = -6 - sqrt(6)
     assert lower == pytest.approx(-6.0 - math.sqrt(6.0))
@@ -154,15 +155,15 @@ def test_convex_bounds_limit_consistency():
     s1, s2 = sched.partial_sums(k)
     # each bound stays within 10x of its non-vanishing leading term
     assert 0 < upper <= 10 * (c.r0 ** 2 / (2 * s1) + c.exp_subgrad_sq * s2 / (2 * s1))
-    assert abs(lower) <= 10 * (2 * c.kappa * c.exp_subgrad_sq * sched.at(0)
+    assert abs(lower) <= 10 * (2 * c.kappa * c.exp_subgrad_sq * sched.mu0
                                + math.sqrt(c.exp_subgrad_sq))
     assert 0 < feas <= 10 * (2 * c.kappa ** 2 * c.exp_subgrad_sq
-                             * (2 * sched.at(0)) ** 2 + 1)
+                             * (2 * sched.mu0) ** 2 + 1)
 
 
 def test_convex_bounds_vanishing_gradient_case():
     c = make_constants(subgrad_sq=0.0, kappa=2.0, r0=1.5, mu0=0.5)
-    sched = ConstantStepsize(0.5)
+    sched = PolynomialDecay(0.5, 0)
     k = 10
     upper, lower, feas = convex_bounds(c, k, sched)
     s1, _ = sched.partial_sums(k)
@@ -175,7 +176,7 @@ def test_convex_bounds_missing_constants():
     c = make_constants()
     c.exp_subgrad_sq = None
     with pytest.raises(MissingConstantError):
-        convex_bounds(c, 5, ConstantStepsize(1.0))
+        convex_bounds(c, 5, PolynomialDecay(1.0, 0))
 
 
 def test_constant_step_plan_example():

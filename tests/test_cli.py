@@ -139,6 +139,60 @@ def test_knob_the_family_does_not_take_is_rejected(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+_RETURNS_CONFIG = """\
+[experiment]
+runs = 2
+iterations = 30
+workers = 1
+
+[problem]
+family = markowitz
+returns_csv = {path}
+
+[solvers]
+algorithms = spp
+"""
+
+
+@pytest.mark.parametrize("key", ["n", "periods", "seed"])
+def test_synthetic_table_knob_beside_returns_csv_is_rejected(
+        tmp_path, monkeypatch, capsys, key):
+    returns = tmp_path / "r.csv"
+    returns.write_text("a,b,c\n1,2,0\n3,1,2\n0,2,1\n2,0,3\n1,1,1\n2,2,0\n")
+    text = _RETURNS_CONFIG.format(path=returns)
+    good = tmp_path / "good.ini"
+    good.write_text(text)
+    assert spprox.generate(parse_config(good).spec).dim == 3
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(_with_key("problem", key, "3", text))
+    with pytest.raises(ConfigError, match=f"{key} must be left out beside "
+                                          "returns_csv"):
+        parse_config(cfg)
+    out = tmp_path / "out"
+    monkeypatch.setenv("SPPROX_OUTDIR", str(out))
+    assert main(["run", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", str(good)]) == 0
+    assert len(list(out.glob("*.csv"))) == 1
+
+
+@pytest.mark.parametrize("family", sorted(harness.CONFIG_TEMPLATES))
+def test_every_template_runs(tmp_path, monkeypatch, capsys, family):
+    assert main(["gen-config", family]) == 0
+    text = capsys.readouterr().out
+    for key, value in (("runs", "1"), ("iterations", "20"),
+                       ("record_feasibility", "false")):
+        text = _with_key("experiment", key, value, text)
+    cfg = tmp_path / f"{family}.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    monkeypatch.setenv("SPPROX_OUTDIR", str(out))
+    assert main(["run", str(cfg), "--workers", "1"]) == 0
+    assert (sorted(p.stem for p in out.glob("*.csv"))
+            == sorted(cell.name for cell in parse_config(cfg).cells))
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_unreachable_return_target_fails_before_output(tmp_path, monkeypatch,
                                                        capsys, workers):

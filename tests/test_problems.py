@@ -9,7 +9,7 @@ from spprox import (GeneratorSpec, Halfspace, Hyperplane, QuadraticNorm,
 from spprox.components import BatchLeastSquares
 from spprox.constraints import dist_intersection, project_intersection
 from spprox.problems import _refine_optimum
-from spprox.schedules import ConstantStepsize
+from spprox.schedules import PolynomialDecay
 
 
 def test_constrained_ls_counts(small_ls):
@@ -101,7 +101,7 @@ def test_feasibility_family_least_norm():
     prob = gen_feasibility(n=4, sets=10, seed=1, lam=1.0)
     # all sets contain the origin, so the least-norm point is 0
     assert np.allclose(prob.x_star, np.zeros(4))
-    cfg = SolverConfig("spp", ConstantStepsize(1.0), iterations=400, stride=40,
+    cfg = SolverConfig("spp", PolynomialDecay(1.0, 0), iterations=400, stride=40,
                        x0=np.array([2.0, -1.0, 1.0, 0.5]))
     tr = run(prob, cfg, RandomSource(2))
     assert tr.sqdist[-1] < 1e-3 * tr.sqdist[0]
@@ -111,7 +111,7 @@ def test_feasibility_hyperplane_through_origin():
     losses = [QuadraticNorm(3, 1.0)]
     sets = [Hyperplane(np.array([1.0, 1.0, 1.0]), 0.0)]
     prob = StochasticProblem(losses, sets, 3, x_star=np.zeros(3))
-    cfg = SolverConfig("spp", ConstantStepsize(1.0), iterations=200, stride=20,
+    cfg = SolverConfig("spp", PolynomialDecay(1.0, 0), iterations=200, stride=20,
                        x0=np.array([2.0, -1.0, 1.5]))
     tr = run(prob, cfg, RandomSource(3))
     assert tr.sqdist[-1] < 1e-10
@@ -124,7 +124,7 @@ def test_feasibility_wedge_small_lambda_limit():
     target = project_intersection(sets, np.zeros(2), tol=1e-13)
     losses = [QuadraticNorm(2, 1e-3)]
     prob = StochasticProblem(losses, sets, 2)
-    cfg = SolverConfig("spp", ConstantStepsize(1.0), iterations=3000,
+    cfg = SolverConfig("spp", PolynomialDecay(1.0, 0), iterations=3000,
                        stride=300, x0=np.array([3.0, 3.0]))
     tr = run(prob, cfg, RandomSource(4))
     assert np.linalg.norm(tr.final - target) <= 0.05

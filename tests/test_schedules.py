@@ -3,39 +3,79 @@ import math
 import numpy as np
 import pytest
 
-from spprox import (ConstantStepsize, PolynomialDecay, QuadraticNorm,
-                    RandomSource, StochasticProblem, WholeSpace, phi, theta,
-                    theta0)
+from spprox import (PolynomialDecay, QuadraticNorm, RandomSource,
+                    StochasticProblem, WholeSpace, phi, theta, theta0)
+
+
+def _at(sched, k):
+    """mu_k by Python's ``**``: an oracle written apart from ``block``."""
+    return sched.mu0 / float(max(k, 1)) ** sched.gamma
 
 
 def test_stepsize_examples():
-    assert PolynomialDecay(1.0, 1.0).at(4) == 0.25
-    assert PolynomialDecay(1.0, 0.5).at(4) == 0.5
-    assert PolynomialDecay(0.7, 1.3).at(0) == 0.7
-    assert ConstantStepsize(0.3).at(10) == 0.3
+    assert PolynomialDecay(1.0, 1.0).block(4, 1)[0] == 0.25
+    assert PolynomialDecay(1.0, 0.5).block(4, 1)[0] == 0.5
+    assert PolynomialDecay(0.7, 1.3).block(0, 1)[0] == 0.7
+    assert PolynomialDecay(0.3, 0).block(10, 1)[0] == 0.3
 
 
 def test_stepsize_nonincreasing():
-    for sched in (ConstantStepsize(0.5), PolynomialDecay(1.0, 0.5),
+    for sched in (PolynomialDecay(0.5, 0), PolynomialDecay(1.0, 0.5),
                   PolynomialDecay(2.0, 1.5)):
-        vals = [sched.at(k) for k in range(200)]
+        vals = sched.block(0, 200)
         assert all(a >= b > 0 for a, b in zip(vals, vals[1:]))
 
 
 def test_partial_sums_match_loop():
-    for sched in (ConstantStepsize(0.4), PolynomialDecay(1.5, 0.7)):
+    for sched in (PolynomialDecay(0.4, 0), PolynomialDecay(1.5, 0.7)):
         for k in (1, 5, 33):
             s1, s2 = sched.partial_sums(k)
-            l1 = sum(sched.at(i) for i in range(k))
-            l2 = sum(sched.at(i) ** 2 for i in range(k))
+            l1 = sum(_at(sched, i) for i in range(k))
+            l2 = sum(_at(sched, i) ** 2 for i in range(k))
             assert abs(s1 - l1) <= 1e-12 * (1 + l1)
             assert abs(s2 - l2) <= 1e-12 * (1 + l2)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.75, 1.0])
+def test_partial_sums_match_fsum(gamma):
+    for mu0 in (0.3, 1.0, 2.7):
+        sched = PolynomialDecay(mu0, gamma)
+        assert sched.partial_sums(0) == (0.0, 0.0)
+        for k in (1, 2, 17, 1000, 20_001):
+            mus = [_at(sched, i) for i in range(k)]
+            l1, l2 = math.fsum(mus), math.fsum(m * m for m in mus)
+            s1, s2 = sched.partial_sums(k)
+            assert abs(s1 - l1) <= 1e-12 * l1
+            assert abs(s2 - l2) <= 1e-12 * l2
 
 
 def test_block_matches_at():
     sched = PolynomialDecay(1.0, 0.5)
     block = sched.block(0, 10)
-    assert np.allclose(block, [sched.at(k) for k in range(10)])
+    assert np.allclose(block, [_at(sched, k) for k in range(10)])
+
+
+def test_zero_gamma_is_the_constant_stepsize_bit_for_bit():
+    for mu0 in (1e-3, 0.1, 0.3, 0.7, 1.0, 1 / 3, math.pi, 7.5e4):
+        sched = PolynomialDecay(mu0, 0)
+        for K in (0, 1, 2, 39, 2000):
+            assert np.array_equal(sched.block(0, K + 1), np.full(K + 1, mu0))
+        assert np.array_equal(sched.block(25, 4), np.full(4, mu0))
+
+
+@pytest.mark.parametrize("mu0, gamma, message", [
+    (math.nan, 1.0, "mu0 must be positive and finite"),
+    (math.inf, 1.0, "mu0 must be positive and finite"),
+    (-math.inf, 1.0, "mu0 must be positive and finite"),
+    (0.0, 0.5, "mu0 must be positive and finite"),
+    (1.0, math.nan, "gamma must be finite and >= 0"),
+    (1.0, math.inf, "gamma must be finite and >= 0"),
+    (1.0, -math.inf, "gamma must be finite and >= 0"),
+    (1.0, -0.5, "gamma must be finite and >= 0"),
+])
+def test_schedule_rejects_bad_parameters(mu0, gamma, message):
+    with pytest.raises(ValueError, match=message):
+        PolynomialDecay(mu0, gamma)
 
 
 def test_phi_examples():

@@ -6,8 +6,8 @@ import pytest
 from scipy import stats
 
 from conftest import random_component
-from spprox import (BatchLeastSquares, ConstantStepsize, Halfspace,
-                    PolynomialDecay, QuadraticNorm, RandomSource,
+from spprox import (BatchLeastSquares, Halfspace, PolynomialDecay,
+                    QuadraticNorm, RandomSource,
                     SolverConfig, SolverError, StochasticProblem, WholeSpace,
                     epochs_for_budget, rspp_schedule, run, theta0)
 from spprox.components import LossComponent
@@ -28,7 +28,7 @@ def test_spp_deterministic_recursion():
     prob = _single(_half_sq_dist(3, c), WholeSpace(3), x_star=c, kappa=1.0)
     mu = 0.7
     x0 = np.array([4.0, 1.0, -3.0])
-    cfg = SolverConfig("spp", ConstantStepsize(mu), iterations=100, stride=1,
+    cfg = SolverConfig("spp", PolynomialDecay(mu, 0), iterations=100, stride=1,
                        x0=x0, record_feasibility=False)
     tr = run(prob, cfg, RandomSource(0))
     for j, k in enumerate(tr.ks):
@@ -40,7 +40,7 @@ def test_spp_converges_inside_halfspace():
     c = np.array([-1.0, 0.5])
     h = Halfspace(np.array([1.0, 0.0]), 0.0)  # contains the minimizer
     prob = _single(_half_sq_dist(2, c), h, x_star=c, kappa=1.0)
-    cfg = SolverConfig("spp", ConstantStepsize(0.5), iterations=200, stride=20,
+    cfg = SolverConfig("spp", PolynomialDecay(0.5, 0), iterations=200, stride=20,
                        x0=np.array([3.0, 3.0]))
     tr = run(prob, cfg, RandomSource(1))
     assert tr.sqdist[-1] < 1e-8
@@ -60,7 +60,7 @@ def test_spp_decay_on_desk_instance(desk_ls):
 def test_aspp_constant_stepsize_average_is_plain_mean():
     prob = _single(_half_sq_dist(2, np.zeros(2)), WholeSpace(2),
                    x_star=np.zeros(2), kappa=1.0)
-    cfg = SolverConfig("aspp", ConstantStepsize(0.6), iterations=12, stride=1,
+    cfg = SolverConfig("aspp", PolynomialDecay(0.6, 0), iterations=12, stride=1,
                        x0=np.array([2.0, -1.0]))
     tr = run(prob, cfg, RandomSource(2))
     # replay the iterate recursion by hand
@@ -77,7 +77,7 @@ def test_aspp_first_average_is_start():
     prob = _single(_half_sq_dist(2, np.ones(2)), WholeSpace(2),
                    x_star=np.ones(2), kappa=1.0)
     x0 = np.array([3.0, 0.0])
-    cfg = SolverConfig("aspp", ConstantStepsize(1.0), iterations=1, stride=1,
+    cfg = SolverConfig("aspp", PolynomialDecay(1.0, 0), iterations=1, stride=1,
                        x0=x0)
     tr = run(prob, cfg, RandomSource(3))
     assert np.allclose(tr.final_average, x0)
@@ -86,7 +86,7 @@ def test_aspp_first_average_is_start():
 def test_aspp_average_lags_deterministic_iterate():
     c = np.array([1.0, 1.0])
     prob = _single(_half_sq_dist(2, c), WholeSpace(2), x_star=c, kappa=1.0)
-    cfg = SolverConfig("aspp", ConstantStepsize(1.0), iterations=60, stride=1,
+    cfg = SolverConfig("aspp", PolynomialDecay(1.0, 0), iterations=60, stride=1,
                        x0=np.array([5.0, -3.0]))
     tr = run(prob, cfg, RandomSource(4))
     assert tr.sqdist[-1] >= tr.iterate_sqdist[-1]
@@ -97,7 +97,7 @@ def test_sgd_linear_recursion():
     prob = _single(_half_sq_dist(2, c), WholeSpace(2), x_star=c, kappa=1.0)
     mu = 0.8
     x0 = np.array([4.0, 4.0])
-    cfg = SolverConfig("sgd", ConstantStepsize(mu), iterations=50, stride=1,
+    cfg = SolverConfig("sgd", PolynomialDecay(mu, 0), iterations=50, stride=1,
                        x0=x0)
     tr = run(prob, cfg, RandomSource(5))
     for j, k in enumerate(tr.ks):
@@ -108,7 +108,7 @@ def test_sgd_linear_recursion():
 def test_sgd_divergence_flagged():
     c = np.zeros(2)
     prob = _single(_half_sq_dist(2, c), WholeSpace(2), x_star=c, kappa=1.0)
-    cfg = SolverConfig("sgd", ConstantStepsize(3.0), iterations=100, stride=10,
+    cfg = SolverConfig("sgd", PolynomialDecay(3.0, 0), iterations=100, stride=10,
                        x0=np.array([1.0, 1.0]))
     tr = run(prob, cfg, RandomSource(6))
     assert tr.diverged
@@ -131,7 +131,7 @@ def test_rspp_single_epoch_equals_aspp():
     x0 = np.array([2.0, 0.0, -2.0])
     cfg_r = SolverConfig("rspp", PolynomialDecay(0.8, 1.0), epochs=1, stride=1,
                          x0=x0)
-    cfg_a = SolverConfig("aspp", ConstantStepsize(0.8), iterations=1, stride=1,
+    cfg_a = SolverConfig("aspp", PolynomialDecay(0.8, 0), iterations=1, stride=1,
                          x0=x0)
     tr_r = run(prob, cfg_r, RandomSource(7))
     tr_a = run(prob, cfg_a, RandomSource(7))
@@ -275,8 +275,8 @@ class _PoisonComponent(LossComponent):
 
 
 @pytest.mark.parametrize("algorithm,schedule,budget", [
-    ("spp", ConstantStepsize(1.0), {"iterations": 5}),
-    ("aspp", ConstantStepsize(1.0), {"iterations": 5}),
+    ("spp", PolynomialDecay(1.0, 0), {"iterations": 5}),
+    ("aspp", PolynomialDecay(1.0, 0), {"iterations": 5}),
     ("rspp", PolynomialDecay(1.0, 1.0), {"epochs": 1}),
 ], ids=["spp", "aspp", "rspp"])
 def test_non_finite_iterate_raises_with_index(algorithm, schedule, budget):
@@ -289,18 +289,18 @@ def test_non_finite_iterate_raises_with_index(algorithm, schedule, budget):
 
 def test_non_finite_sgd_iterate_is_flagged_divergence():
     prob = StochasticProblem([_PoisonComponent(2)], [WholeSpace(2)], 2)
-    cfg = SolverConfig("sgd", ConstantStepsize(1.0), iterations=5, stride=1)
+    cfg = SolverConfig("sgd", PolynomialDecay(1.0, 0), iterations=5, stride=1)
     tr = run(prob, cfg, RandomSource(12))
     assert tr.diverged and tr.diverged_at == 1
     assert list(tr.ks) == [0]
 
 
 def test_config_validation():
-    sched = ConstantStepsize(1.0)
+    sched = PolynomialDecay(1.0, 0)
     with pytest.raises(ValueError):
         SolverConfig("spp", sched, iterations=0).validate(2)
-    with pytest.raises(ValueError):
-        SolverConfig("rspp", sched, epochs=3).validate(2)  # needs decay
+    with pytest.raises(ValueError, match="gamma"):
+        SolverConfig("rspp", sched, epochs=3).validate(2)  # needs gamma > 0
     with pytest.raises(ValueError):
         SolverConfig("nope", sched, iterations=5).validate(2)
 
@@ -313,7 +313,7 @@ def test_non_finite_x0_rejected(algorithm, record, capfd):
                    Halfspace(np.array([1.0, 0.0]), 0.5),
                    x_star=np.array([0.5, 2.0]))
     for bad in (np.nan, np.inf):
-        cfg = SolverConfig(algorithm, ConstantStepsize(1.0), iterations=5,
+        cfg = SolverConfig(algorithm, PolynomialDecay(1.0, 0), iterations=5,
                            x0=np.array([bad, 0.0]), record_feasibility=record)
         with pytest.raises(ValueError, match="x0"):
             run(prob, cfg, RandomSource(0))
