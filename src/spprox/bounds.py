@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import dist_intersection, estimate_kappa
+from .constraints import CERTIFICATE_TOL, dist_intersection, estimate_kappa
 from .core import Array, RandomSource, StochasticProblem, norm
 from .schedules import PolynomialDecay, mean_theta_sq, phi
 
@@ -104,7 +104,7 @@ class ProblemConstants:
     def measure(cls, problem: StochasticProblem, x0: Array, mu0: float,
                 kappa: float | None = None, kappa_probes: int = 0,
                 rng: RandomSource | None = None,
-                tol: float = 1e-10) -> "ProblemConstants":
+                tol: float = CERTIFICATE_TOL) -> "ProblemConstants":
         """Fill the constants from a problem with a known optimum.
 
         kappa resolution order: explicit argument, then ``problem.kappa``,

@@ -20,7 +20,7 @@ from .core import Array, as_vector
 
 
 class ProxSolveError(RuntimeError):
-    """The iterative 1-D prox solver failed to reach its tolerance."""
+    """The 1-D prox solve found no bracketed root or did not converge."""
 
 
 class LossComponent:
@@ -190,7 +190,8 @@ class BatchLeastSquares(LossComponent):
 # -- scalar convex functions for the composed form ---------------------------
 
 class ScalarConvex:
-    """1-D convex function with derivative and a curvature upper bound."""
+    """1-D convex function with its first and second derivatives and a
+    curvature upper bound; the prox solver needs all three methods."""
 
     curvature = np.inf
 
@@ -201,7 +202,7 @@ class ScalarConvex:
         raise NotImplementedError
 
     def second(self, t: float) -> float:
-        """Second derivative; used by the Newton prox solver when finite."""
+        """Second derivative, the slope of the Newton prox solver."""
         raise NotImplementedError
 
 
@@ -268,8 +269,9 @@ def _solve_prox_1d(fn: ScalarConvex, c: float, mus: float,
                    tol: float = 1e-12, max_iter: int = 200) -> float:
     """Root of g(t) = l'(t) + (t - c)/(mu s): safeguarded Newton on a bracket.
 
-    g is increasing; the root lies between c and c - mu*s*l'(c), so that
-    interval (widened by a hair) brackets a sign change.
+    For a convex l, g is increasing and the root lies between c and
+    c - mu*s*l'(c), so that interval (widened by a hair) brackets a sign
+    change; a bracket without one means l is not convex and raises.
     """
     def g(t):
         return fn.deriv(t) + (t - c) / mus
@@ -281,17 +283,9 @@ def _solve_prox_1d(fn: ScalarConvex, c: float, mus: float,
     pad = 1e-9 * (1.0 + abs(c) + abs(hi - lo))
     lo -= pad
     hi += pad
-    glo, ghi = g(lo), g(hi)
-    # expand defensively; needed only if fn.deriv is locally flat
-    expand = 0
-    while glo > 0 and expand < 60:
-        lo -= (hi - lo)
-        glo = g(lo)
-        expand += 1
-    while ghi < 0 and expand < 120:
-        hi += (hi - lo)
-        ghi = g(hi)
-        expand += 1
+    if not g(lo) <= 0.0 <= g(hi):  # also catches NaN
+        raise ProxSolveError(f"1-D prox bracket [{lo:.6g}, {hi:.6g}] holds no "
+                             f"root: the scalar function is not convex")
     t = 0.5 * (lo + hi)
     for _ in range(max_iter):
         gt = g(t)
@@ -301,10 +295,7 @@ def _solve_prox_1d(fn: ScalarConvex, c: float, mus: float,
             hi = t
         else:
             lo = t
-        try:
-            slope = fn.second(t) + 1.0 / mus
-        except NotImplementedError:
-            slope = 0.0
+        slope = fn.second(t) + 1.0 / mus
         t_new = t - gt / slope if slope > 0 else t
         if not lo < t_new < hi:
             t_new = 0.5 * (lo + hi)

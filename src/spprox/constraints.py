@@ -17,6 +17,9 @@ import numpy as np
 
 from .core import Array, RandomSource, as_vector, norm
 
+# default relative tolerance of a projection's KKT certificate
+CERTIFICATE_TOL = 1e-10
+
 
 class ConstraintSet:
     kind = "abstract"
@@ -232,7 +235,7 @@ class Polyhedron:
         v = self.violations(x)
         return np.bincount(self.owner, weights=v * v, minlength=self.sets)
 
-    def project(self, x: Array, tol: float = 1e-10) -> Array:
+    def project(self, x: Array, tol: float = CERTIFICATE_TOL) -> Array:
         """Certified projection of x, or of each row of a stack of points;
         see ``project_intersection``."""
         x = np.asarray(x, dtype=np.float64)
@@ -311,7 +314,7 @@ class Polyhedron:
         return z, state
 
 
-def project_intersection(sets, x, tol: float = 1e-10) -> Array:
+def project_intersection(sets, x, tol: float = CERTIFICATE_TOL) -> Array:
     """Projection of x, or of a stack of points (rows) solved in order,
     onto the intersection of ``sets`` (``ConstraintSet`` objects or their
     ``Polyhedron``).  Each point starts from the previous one's active rows,
@@ -330,7 +333,7 @@ def project_intersection(sets, x, tol: float = 1e-10) -> Array:
     return sets.project(x, tol)
 
 
-def dist_intersection(sets, x, tol: float = 1e-10):
+def dist_intersection(sets, x, tol: float = CERTIFICATE_TOL):
     """Distance from x to the intersection of ``sets``, or the array of
     distances of a stack of points (see ``project_intersection``)."""
     x = np.asarray(x, dtype=np.float64)
@@ -340,7 +343,7 @@ def dist_intersection(sets, x, tol: float = 1e-10):
 
 
 def estimate_kappa(problem, probes: int, rng: RandomSource,
-                   tol: float = 1e-10) -> float:
+                   tol: float = CERTIFICATE_TOL) -> float:
     """Empirical lower bound on the linear-regularity constant.
 
     Probe points are drawn uniformly on the sphere of radius

@@ -26,12 +26,11 @@ from xml.etree import ElementTree as ET
 import numpy as np
 
 from . import bounds as bounds_mod
-from .constraints import estimate_kappa
+from .constraints import CERTIFICATE_TOL, estimate_kappa
 from .core import RandomSource, StochasticProblem
 from .problems import FAMILIES, GeneratorSpec, generate, knob_defaults
 from .schedules import PolynomialDecay, theta0
-from .solvers import (ALGORITHMS, RunTrace, SolverConfig, epochs_for_budget,
-                      run)
+from .solvers import RunTrace, SolverConfig, check_scheme, run
 
 CSV_HEADER = "k,mean_sqdist,se_sqdist,mean_feas,se_feas,mean_obj,se_obj,stepsize"
 
@@ -72,7 +71,7 @@ class ExperimentConfig:
     stride: int = 0           # 0: ~50 records per run
     workers: int = 0          # 0: available parallelism
     record_feasibility: bool = True
-    feas_tol: float = 1e-10
+    feas_tol: float = CERTIFICATE_TOL
     debug_runs: bool = False
 
     def probe_source(self) -> RandomSource:
@@ -96,14 +95,10 @@ class ExperimentConfig:
             raise ConfigError("no solver cells configured")
         names = set()
         for cell in self.cells:
-            if cell.algorithm not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {cell.algorithm!r}")
             try:
-                cell.schedule()
+                check_scheme(cell.algorithm, cell.schedule().gamma)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-            if cell.algorithm == "rspp" and cell.gamma == 0:
-                raise ConfigError("rspp needs gamma > 0")
             if cell.name in names:  # its files would overwrite another's
                 raise ConfigError(f"two solver cells (algorithms x mu0 x "
                                   f"gamma) share the output name {cell.name!r}")
@@ -186,9 +181,8 @@ def _install_problem(problem: StochasticProblem) -> None:
 def _execute_run(solver_config: SolverConfig, seed: int,
                  problem: StochasticProblem | None = None) -> RunTrace:
     """One Monte-Carlo run; a pool task omits ``problem`` (installed once)."""
-    cfg = replace(solver_config, seed=seed)
     problem = _worker_problem if problem is None else problem
-    return run(problem, cfg, RandomSource(seed))
+    return run(problem, replace(solver_config, seed=seed))
 
 
 def _run_share(share: list) -> list:
@@ -450,10 +444,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     solver_cfgs = [SolverConfig(
         algorithm=cell.algorithm, schedule=cell.schedule(),
-        iterations=K, stride=stride,
-        epochs=(epochs_for_budget(cell.gamma, K)
-                if cell.algorithm == "rspp" else 0),
-        feas_tol=config.feas_tol,
+        iterations=K, stride=stride, feas_tol=config.feas_tol,
         record_feasibility=config.record_feasibility)
         for cell in config.cells]
     workers = min(workers, len(solver_cfgs) * config.runs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import dist_intersection
+from .constraints import CERTIFICATE_TOL, dist_intersection
 from .core import Array, RandomSource, StochasticProblem
 from .schedules import PolynomialDecay
 
@@ -36,39 +36,40 @@ class SolverError(RuntimeError):
         return type(self), (self.args[0], self.iteration)
 
 
+def check_scheme(algorithm: str, gamma: float) -> None:
+    """The problem-independent scheme rules: the algorithm is known, and
+    rspp restarts on a decaying stepsize (gamma > 0)."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm == "rspp" and gamma <= 0:
+        raise ValueError("rspp needs gamma > 0")
+
+
 @dataclass
 class SolverConfig:
     """Algorithm choice plus run parameters.
 
-    ``iterations`` is the budget K for spp/aspp/sgd; ``epochs`` is the
-    restart budget T for rspp (the schedule's gamma must then be positive;
-    its mu0/gamma define the per-epoch stepsize mu_t = mu0 / t^gamma and
-    length K_t = ceil(t^gamma)).  Metrics are recorded at every iteration
-    index divisible by ``stride`` (so a full run yields
-    floor(K / stride) + 1 records).
+    ``iterations`` is the budget K of every scheme.  rspp spends it on the
+    most epochs T that fit (``epochs_for_budget``): epoch t runs K_t =
+    ceil(t^gamma) steps at mu_t = mu0 / t^gamma, so a run stops at
+    sum(K_t) <= K.  Metrics are recorded at every iteration index divisible
+    by ``stride`` (so a full run yields floor(K / stride) + 1 records).
     """
 
     algorithm: str
     schedule: PolynomialDecay
     iterations: int = 0
-    epochs: int = 0
     seed: int = 0
     stride: int = 1
     x0: Array | None = None
-    feas_tol: float = 1e-10
+    feas_tol: float = CERTIFICATE_TOL
     record_feasibility: bool = True
 
     def validate(self, dim: int) -> Array:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        check_scheme(self.algorithm, self.schedule.gamma)
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if self.algorithm == "rspp":
-            if self.epochs < 1:
-                raise ValueError("rspp needs epochs >= 1")
-            if self.schedule.gamma <= 0:
-                raise ValueError("rspp needs gamma > 0")
-        elif self.iterations < 1:
+        if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.x0 is None:
             return np.zeros(dim)
@@ -148,10 +149,11 @@ def run(problem: StochasticProblem, config: SolverConfig,
       (sum_{i<k} mu_i) (with xhat^0 := x^0), and ``iterate_sqdist`` tracks
       the raw iterate;
     * rspp runs epoch t for K_t = ceil(t^gamma) iterations at the constant
-      stepsize mu_t = mu0/t^gamma and restarts from the plain average of the
-      epoch's iterates (the stepsize-weighted average under a constant
-      stepsize); the trace records the inner iterates on the global
-      iteration counter plus the epoch boundaries and outputs.
+      stepsize mu_t = mu0/t^gamma, for the most epochs that fit the budget,
+      and restarts from the plain average of the epoch's iterates (the
+      stepsize-weighted average under a constant stepsize); the trace
+      records the inner iterates on the global iteration counter plus the
+      epoch boundaries and outputs.
 
     A non-finite iterate raises ``SolverError`` in a prox scheme.  For sgd,
     divergence (norm above 1e12, or a non-finite iterate) is an observable
@@ -163,7 +165,8 @@ def run(problem: StochasticProblem, config: SolverConfig,
     sgd, averaged, restarted = alg == "sgd", alg == "aspp", alg == "rspp"
     if restarted:
         sched = config.schedule
-        mu_ts, k_ts = rspp_schedule(sched.mu0, sched.gamma, config.epochs)
+        T = epochs_for_budget(sched.gamma, config.iterations)
+        mu_ts, k_ts = rspp_schedule(sched.mu0, sched.gamma, T)
         # the last epoch's stepsize stands for the record at k = K
         mus = np.append(np.repeat(mu_ts, k_ts), mu_ts[-1])
         epoch_ends = np.cumsum(k_ts).tolist()

@@ -228,11 +228,11 @@ def test_criterion_08_rspp_schedule():
         [BatchLeastSquares(np.eye(3) / math.sqrt(2.0), np.zeros(3))],
         [WholeSpace(3)], 3, x_star=np.zeros(3), kappa=1.0)
     for gamma, T in ((0.5, 50), (1.0, 50), (2.0, 20)):
-        cfg = SolverConfig("rspp", PolynomialDecay(1.0, gamma), epochs=T,
-                           stride=10 ** 9, record_feasibility=False,
-                           x0=np.ones(3))
-        tr = run(prob, cfg, RandomSource(8))
         mu_ts, k_ts = rspp_schedule(1.0, gamma, T)
+        cfg = SolverConfig("rspp", PolynomialDecay(1.0, gamma),
+                           iterations=int(k_ts.sum()), stride=10 ** 9,
+                           record_feasibility=False, x0=np.ones(3))
+        tr = run(prob, cfg, RandomSource(8))
         assert tr.epoch_stepsizes == [1.0 / t ** gamma for t in range(1, T + 1)]
         assert tr.epoch_lengths == [math.ceil(t ** gamma) for t in range(1, T + 1)]
         assert np.array_equal(k_ts, tr.epoch_lengths)

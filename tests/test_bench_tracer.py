@@ -1,10 +1,13 @@
-"""The benchmark's tracer patches package names from outside; a renamed or
-removed name must fail here, not first in a benchmark run."""
+"""The benchmark's tracer patches package names from outside, and its
+checker compares outputs with bench/refs; a renamed or removed name, or a
+changed answer, must fail here, not first in a benchmark run."""
 
 import importlib.util
 from pathlib import Path
 
-from spprox import cli, constraints, parse_config, problems, solvers
+import pytest
+
+from spprox import cli, constraints, harness, parse_config, problems, solvers
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -66,3 +69,17 @@ def test_traced_run_passes_the_bench_self_check(tmp_path, monkeypatch):
     cells = {cell.name: None for cell in parse_config(cfg).cells}
     assert len(cells) == 4
     assert bench.tracer_self_check(t.to_json(), {"cells": cells}) == []
+
+
+@pytest.mark.parametrize("workload", ["ls_steps", "ls_feas"])
+def test_workload_matches_the_bench_refs(tmp_path, monkeypatch, workload):
+    # seed set 0 of each workload with rspp cells, run in process
+    bench = _load("run")
+    template = harness.CONFIG_TEMPLATES[bench.WORKLOADS[workload]["template"]]
+    cfg = bench.write_config(workload, template, 0, tmp_path / "exp.ini")
+    monkeypatch.setenv("SPPROX_OUTDIR", str(tmp_path / "out"))
+    code = cli.main(["run", str(cfg), "--workers", "1"])
+    checker = bench.Checker(bench.load_refs(workload))
+    checker.check_run(workload, 0, tmp_path / "out", code)
+    assert checker.attempted > 0
+    assert checker.failed == 0, checker.problems

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, prox_oracle, random_component
-from spprox import (BatchLeastSquares, ComposedScalar, LinearResidualSquared,
+from spprox import (BatchLeastSquares, ComposedScalar, HuberScalar,
+                    LinearResidualSquared, LogisticScalar, ProxSolveError,
                     QuadraticNorm, RandomSource, SquareScalar)
+from spprox.components import ScalarConvex, _solve_prox_1d
 
 
 def test_value_examples():
@@ -196,3 +198,37 @@ def test_rank_deficient_batch_prox_is_exact():
                                   x + 2 * mu * A.T @ b)
             z = bl.prox(x, mu)
             assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class _ConcaveScalar(ScalarConvex):
+    """l(t) = -t^2 / 2: not convex, so the prox objective has no minimum."""
+
+    def value(self, t):
+        return -0.5 * t * t
+
+    def deriv(self, t):
+        return -t
+
+    def second(self, t):
+        return -1.0
+
+
+def test_non_convex_scalar_prox_raises():
+    # c = 1, mu*s = 2: g(t) = -t + (t - 1)/2 < 0 on the whole bracket [1, 3]
+    with pytest.raises(ProxSolveError, match="not convex"):
+        _solve_prox_1d(_ConcaveScalar(), 1.0, 2.0)
+
+
+@pytest.mark.parametrize("fn", [LogisticScalar(), HuberScalar(0.7),
+                                SquareScalar(-1.3)],
+                         ids=["logistic", "huber", "square"])
+def test_prox_bracket_holds_for_convex_scalars(fn):
+    # |c| and mu*s from 1e-8 to 1e8: the solve raises if its bracket
+    # [c, c - mu*s*l'(c)] (padded) misses the root
+    scales = 10.0 ** np.linspace(-8.0, 8.0, 33)
+    for c in np.concatenate([scales, -scales]):
+        for mus in scales:
+            ends = (c, c - mus * fn.deriv(c))
+            pad = 1e-9 * (1.0 + abs(c) + abs(ends[1] - ends[0]))
+            t = _solve_prox_1d(fn, float(c), float(mus))
+            assert min(ends) - pad <= t <= max(ends) + pad

@@ -1,3 +1,4 @@
+import configparser
 import math
 import pickle
 from pathlib import Path
@@ -12,8 +13,9 @@ from spprox import (AggregateTrace, Cell, ConfigError, ExperimentConfig,
                     emit_svg, log_log_slope, parse_config, parse_csv,
                     run_cell, run_experiment, synth_returns)
 from spprox import DykstraError, Polyhedron, SolverError, harness
+from spprox.constraints import CERTIFICATE_TOL
 from spprox.harness import CONFIG_TEMPLATES, CSV_HEADER, emit_run_csv
-from spprox.problems import FAMILIES, generate
+from spprox.problems import FAMILIES, generate, knob_defaults
 
 
 def _toy_aggregate(records: int) -> AggregateTrace:
@@ -351,6 +353,26 @@ def test_parse_config_roundtrip(tmp_path):
         config = parse_config(path)
         config.validate()
         assert config.spec.family == family
+
+
+def test_constrained_ls_template_shows_the_defaults(tmp_path):
+    # the template's header: every value shown is the default, except seed
+    # and the [solvers] lists
+    text = CONFIG_TEMPLATES["constrained-ls"]
+    path = tmp_path / "t.ini"
+    path.write_text(text)
+    config, default = parse_config(path), ExperimentConfig()
+    shown = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    shown.read_string(text)
+    keys = [("outdir" if k == "output_dir" else k)
+            for k in shown["experiment"]]
+    assert "feas_tol" in keys and default.feas_tol == CERTIFICATE_TOL
+    for key in keys:
+        assert getattr(config, key) == getattr(default, key), key
+    knobs, defaults = dict(config.spec.knobs), knob_defaults("constrained-ls")
+    knobs.pop("seed")
+    assert defaults.pop("seed") == 0  # as the header says
+    assert knobs == defaults
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

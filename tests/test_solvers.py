@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -9,7 +10,8 @@ from conftest import random_component
 from spprox import (BatchLeastSquares, Halfspace, PolynomialDecay,
                     QuadraticNorm, RandomSource,
                     SolverConfig, SolverError, StochasticProblem, WholeSpace,
-                    epochs_for_budget, rspp_schedule, run, theta0)
+                    epochs_for_budget, parse_config, rspp_schedule, run,
+                    theta0)
 from spprox.components import LossComponent
 
 
@@ -129,8 +131,8 @@ def test_rspp_single_epoch_equals_aspp():
     prob = _single(_half_sq_dist(3, np.ones(3)), WholeSpace(3),
                    x_star=np.ones(3), kappa=1.0)
     x0 = np.array([2.0, 0.0, -2.0])
-    cfg_r = SolverConfig("rspp", PolynomialDecay(0.8, 1.0), epochs=1, stride=1,
-                         x0=x0)
+    cfg_r = SolverConfig("rspp", PolynomialDecay(0.8, 1.0), iterations=1,
+                         stride=1, x0=x0)
     cfg_a = SolverConfig("aspp", PolynomialDecay(0.8, 0), iterations=1, stride=1,
                          x0=x0)
     tr_r = run(prob, cfg_r, RandomSource(7))
@@ -139,8 +141,8 @@ def test_rspp_single_epoch_equals_aspp():
 
 
 def test_rspp_restarts_from_epoch_average(small_ls):
-    cfg = SolverConfig("rspp", PolynomialDecay(1.0, 1.0), epochs=6, stride=1,
-                       record_feasibility=False)
+    cfg = SolverConfig("rspp", PolynomialDecay(1.0, 1.0), iterations=21,
+                       stride=1, record_feasibility=False)
     tr = run(small_ls, cfg, RandomSource(8))
     assert tr.epoch_lengths == [1, 2, 3, 4, 5, 6]
     assert tr.epoch_ends == [1, 3, 6, 10, 15, 21]
@@ -153,6 +155,45 @@ def test_rspp_restarts_from_epoch_average(small_ls):
         t = min(int(np.searchsorted(tr.epoch_ends, k, side="right")),
                 len(tr.epoch_ends) - 1)
         assert mu == tr.epoch_stepsizes[t]
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_rspp_spends_the_iteration_budget_on_whole_epochs(gamma):
+    prob = _single(_half_sq_dist(2, np.ones(2)), WholeSpace(2),
+                   x_star=np.ones(2))
+    totals = np.cumsum(rspp_schedule(1.0, gamma, 7)[1])
+    for T, (total, next_total) in enumerate(zip(totals, totals[1:]), 1):
+        for budget in range(total, next_total):
+            cfg = SolverConfig("rspp", PolynomialDecay(1.0, gamma),
+                               iterations=int(budget), stride=1,
+                               record_feasibility=False)
+            tr = run(prob, cfg, RandomSource(3))
+            assert len(tr.epoch_ends) == T, budget
+            assert tr.epoch_ends[-1] == total == tr.ks[-1], budget
+
+
+def _parse_cell(tmp_path, algorithm, gamma):
+    path = tmp_path / "cell.ini"
+    path.write_text(f"[solvers]\nalgorithms = {algorithm}\nmu0 = 1\n"
+                    f"gamma = {gamma}\n")
+    parse_config(path)
+
+
+def _validate_cell(tmp_path, algorithm, gamma):
+    SolverConfig(algorithm, PolynomialDecay(1.0, gamma),
+                 iterations=5).validate(2)
+
+
+@pytest.mark.parametrize("entry", [_parse_cell, _validate_cell],
+                         ids=["parse_config", "SolverConfig.validate"])
+@pytest.mark.parametrize("algorithm,gamma,message", [
+    ("nope", 1, "unknown algorithm 'nope'"),
+    ("rspp", 0, "rspp needs gamma > 0"),
+], ids=["unknown", "rspp-constant"])
+def test_scheme_rules_read_the_same_at_both_entry_points(
+        tmp_path, entry, algorithm, gamma, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(tmp_path, algorithm, gamma)
 
 
 def test_epochs_for_budget():
@@ -277,7 +318,7 @@ class _PoisonComponent(LossComponent):
 @pytest.mark.parametrize("algorithm,schedule,budget", [
     ("spp", PolynomialDecay(1.0, 0), {"iterations": 5}),
     ("aspp", PolynomialDecay(1.0, 0), {"iterations": 5}),
-    ("rspp", PolynomialDecay(1.0, 1.0), {"epochs": 1}),
+    ("rspp", PolynomialDecay(1.0, 1.0), {"iterations": 1}),
 ], ids=["spp", "aspp", "rspp"])
 def test_non_finite_iterate_raises_with_index(algorithm, schedule, budget):
     prob = StochasticProblem([_PoisonComponent(2)], [WholeSpace(2)], 2)
@@ -300,7 +341,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig("spp", sched, iterations=0).validate(2)
     with pytest.raises(ValueError, match="gamma"):
-        SolverConfig("rspp", sched, epochs=3).validate(2)  # needs gamma > 0
+        SolverConfig("rspp", sched, iterations=3).validate(2)  # gamma > 0
     with pytest.raises(ValueError):
         SolverConfig("nope", sched, iterations=5).validate(2)
 
