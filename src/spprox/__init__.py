@@ -6,7 +6,7 @@ convergence guarantees, experiment generators, and a reproducible
 Monte-Carlo harness with CSV/SVG output.
 """
 
-from .bounds import (MissingConstantError, ProblemConstants,
+from .bounds import (MissingConstantError, ProblemConstants, bound_overlay,
                      constant_step_envelope, constant_step_plan,
                      convex_bounds, iteration_complexity, rspp_plan,
                      strongly_convex_bound)

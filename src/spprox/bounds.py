@@ -242,6 +242,25 @@ def strongly_convex_bound(c: ProblemConstants, k: int, gamma: float) -> float:
     return head + tail
 
 
+def bound_overlay(c: ProblemConstants, algorithm: str, gamma: float,
+                  ks: Array) -> tuple[Array, Array] | None:
+    """(ks, values) of the bound a cell's figure draws, with ``c`` measured
+    at the cell's mu0: the constant-step envelope at every k if gamma = 0,
+    the strongly convex bound at k >= 1 if 0 < gamma <= 1 outside rspp.
+    None, no overlay, for any other cell or an evaluator's ValueError."""
+    try:
+        if gamma == 0:
+            return ks, np.array([constant_step_envelope(c, c.mu0, int(k))[0]
+                                 for k in ks])
+        if algorithm != "rspp" and 0 < gamma <= 1:
+            ks = ks[ks >= 1]
+            return ks, np.array([strongly_convex_bound(c, int(k), gamma)
+                                 for k in ks])
+    except ValueError:
+        pass
+    return None
+
+
 def iteration_complexity(epsilon: float, gamma: float,
                          c: ProblemConstants, cap: int = 2 ** 62) -> int:
     """Smallest k with strongly_convex_bound(c, k, gamma) <= epsilon.

@@ -152,15 +152,7 @@ class NonnegativeOrthant(ConstraintSet):
 
 
 class DykstraError(RuntimeError):
-    """Intersection projection failed (empty intersection or failed
-    certificate); ``best`` carries the last candidate."""
-
-    def __init__(self, message: str, best: Array):
-        super().__init__(message)
-        self.best = best
-
-    def __reduce__(self):  # a pool worker's error must unpickle in the parent
-        return type(self), (self.args[0], self.best)
+    """The intersection is empty, or a projection's certificate failed."""
 
 
 def _factor(C, rows):
@@ -284,7 +276,7 @@ class Polyhedron:
             if hh <= dependent and (viol <= tol or not block.size):
                 if viol > tol and float(d[rows] @ r) - d[p] > tol:
                     raise DykstraError("empty intersection: a dual ray is "
-                                       "a Farkas certificate", best=z)
+                                       "a Farkas certificate")
                 aside[p], p = True, None
                 continue
             ratios = lam[block] / r[block]
@@ -303,14 +295,14 @@ class Polyhedron:
                 J, Tinv = _factor(C, rows)
                 lam, aside[:] = np.delete(lam, k), False
         else:
-            raise DykstraError("dual active-set solve did not stop", best=z)
+            raise DykstraError("dual active-set solve did not stop")
         z, _, state = _equality(C, d, x, rows, J, Tinv)
         slack = C @ z - d
         worst = max(float(slack.max(initial=0.0)),
                     float(np.abs(slack[state[0]]).max(initial=0.0)))
         if not worst <= tol:  # also catches NaN
             raise DykstraError(f"least-distance certificate failed: "
-                               f"residual {worst:.3g} > {tol:.3g}", best=z)
+                               f"residual {worst:.3g} > {tol:.3g}")
         return z, state
 
 

@@ -8,7 +8,9 @@ the parent runs share 0, and one pool of ``workers - 1`` processes, whose
 initializer installs the problem once each, runs one share per process.  A
 task carries only its ``(SolverConfig, seed)``.  Aggregation is a
 deterministic reduction keyed by run index, so serial and parallel execution
-emit byte-identical CSVs.
+emit byte-identical CSVs.  ``bounds.bound_overlay`` picks the bound a cell's
+figure overlays.  Each ``gen-config`` template shows the ``ExperimentConfig``
+defaults and the family generator's knob defaults, and a per-family grid.
 """
 
 from __future__ import annotations
@@ -399,8 +401,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Returns {cell name: AggregateTrace}.  Output files per cell:
     ``<name>.csv`` (fixed schema) and optionally per-run debug CSVs; one SVG
     per gamma group with the cells' primary curves (squared distance to the
-    optimum when known, the held-out objective for portfolio problems) and
-    dashed bound overlays when enabled and computable.
+    optimum when known, the held-out objective for portfolio problems) and,
+    when enabled, the dashed bounds ``bounds.bound_overlay`` gives each cell.
     """
     config.validate()
     problem = generate(config.spec)
@@ -479,21 +481,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
             curves.append((cell.name, agg.ks, getattr(agg, curve)))
             if config.overlay_bounds and curve == "mean_sqdist":
                 c = constants_for(cell.mu0)
-                if c is None:
-                    continue
-                try:
-                    if cell.gamma == 0:
-                        vals = [bounds_mod.constant_step_envelope(
-                            c, cell.mu0, int(k))[0] for k in agg.ks]
-                    elif cell.algorithm != "rspp" and 0 < cell.gamma <= 1:
-                        vals = [bounds_mod.strongly_convex_bound(
-                            c, int(k), cell.gamma) for k in agg.ks if k >= 1]
-                    else:
-                        continue
-                except ValueError:
-                    continue
-                ks = agg.ks[agg.ks >= 1] if cell.gamma != 0 else agg.ks
-                overlays.append((cell.name + " bound", ks, np.array(vals)))
+                bound = None if c is None else bounds_mod.bound_overlay(
+                    c, cell.algorithm, cell.gamma, agg.ks)
+                if bound is not None:
+                    overlays.append((cell.name + " bound", *bound))
         emit_svg(curves, overlays, outdir / f"fig_gamma_{gname}.svg",
                  title=f"{config.spec.family}, gamma = {gname}",
                  ylabel=ylabel)
@@ -501,6 +492,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 # -- configuration files ---------------------------------------------------------
+
+# an [experiment] key is a defaulted ExperimentConfig field
+_EXPERIMENT_KEYS = {"output_dir" if f.name == "outdir" else f.name: f
+                    for f in fields(ExperimentConfig)
+                    if f.default is not MISSING}
+
 
 def _coerce(raw: str, typ, key: str):
     try:
@@ -514,8 +511,10 @@ def _coerce(raw: str, typ, key: str):
 def parse_config(path) -> ExperimentConfig:
     """Parse the INI-style experiment file (strict: unknown keys are errors).
 
-    Sections and defaults are documented by ``gen-config``; every key has a
-    default, and the solver grid is the product algorithms x mu0 x gamma.
+    An [experiment] key is a defaulted ``ExperimentConfig`` field and a
+    [problem] key a knob of the family's generator, each parsed as its
+    default's type; a key left out takes that default, which ``gen-config``
+    shows.  The solver grid is the product algorithms x mu0 x gamma.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
@@ -526,21 +525,17 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}]")
 
     config = ExperimentConfig()
-    # an [experiment] key is a defaulted field, parsed as its default's type
-    settable = {"output_dir" if f.name == "outdir" else f.name: f
-                for f in fields(config) if f.default is not MISSING}
     if parser.has_section("experiment"):
         for key, raw in parser.items("experiment"):
-            if key not in settable:
+            if key not in _EXPERIMENT_KEYS:
                 raise ConfigError(f"unknown key {key!r} in [experiment]")
-            f = settable[key]
+            f = _EXPERIMENT_KEYS[key]
             setattr(config, f.name, _coerce(raw, type(f.default), key))
     knobs = dict(parser.items("problem") if parser.has_section("problem")
                  else ())
-    family = knobs.pop("family", "constrained-ls")
+    family = knobs.pop("family", config.spec.family)
     defaults = knob_defaults(family) if family in FAMILIES else {}
-    # a knob parses as its default's type; one the family does not take
-    # stays text, for validate to reject
+    # a knob the family does not take stays text, for validate to reject
     config.spec = GeneratorSpec(family, **{
         key: _coerce(raw, type(defaults.get(key, "")), key)
         for key, raw in knobs.items()})
@@ -563,112 +558,59 @@ def parse_config(path) -> ExperimentConfig:
     return config
 
 
-CONFIG_TEMPLATES = {
-    "constrained-ls": """\
-# spprox experiment configuration (INI syntax, '#' comments)
-# Unknown keys are errors; an omitted key takes its default, the value shown
-# except for seed (0) and the [solvers] lists (spp, 1 and 1).
-
-[experiment]
-runs = 30                # Monte-Carlo repetitions per cell
-base_seed = 12345        # run i uses seed base_seed + i
-output_dir = out         # overridable with the SPPROX_OUTDIR env var
-overlay_bounds = false   # dashed theoretical-bound overlays in the SVGs
-kappa_probes = 0         # >0: estimate the regularity constant (lower bound)
-iterations = 0           # 0 = one pass through the data
-stride = 0               # 0 = about 50 records per run
-workers = 0              # 0 = available parallelism
-record_feasibility = true
-feas_tol = 1e-10         # certificate tolerance of the intersection projection
-debug_runs = false       # also write one CSV per run
-
-[problem]
-family = constrained-ls
-m = 2000                 # observations (desk-scale default)
-n = 20                   # features
-seed = 7
-noise = 1.0              # response noise level
-active = 3               # constraints tight at the planted truth
-
-[solvers]
-algorithms = spp, aspp, rspp, sgd
-mu0 = 0.5, 1
-gamma = 0.5, 1           # 0 means a constant stepsize
-""",
-    "random-ls-polyhedron": """\
-[experiment]
-runs = 30
-base_seed = 12345
-output_dir = out
-
-[problem]
-family = random-ls-polyhedron
-m = 1000
-n = 20
-seed = 7
-
-[solvers]
-algorithms = spp, rspp
-mu0 = 1
-gamma = 0.25, 0.5, 0.75, 1
-""",
-    "markowitz": """\
-[experiment]
-runs = 30
-base_seed = 12345
-output_dir = out
-
-[problem]
-family = markowitz
-# returns_csv = path/to/returns.csv   # omit to use the synthetic table;
-#   periods, n and seed shape only that table: leave them out beside it
-periods = 1276           # synthetic table size
-n = 25
-seed = 7
-split_seed = 0
-b_policy = mean          # or a float target return
-train_frac = 0.9
-
-[solvers]
-algorithms = spp, aspp, sgd
-mu0 = 0.5, 1
-gamma = 0.5, 1
-""",
-    "feasibility": """\
-[experiment]
-runs = 30
-base_seed = 12345
-output_dir = out
-
-[problem]
-family = feasibility
-n = 10
-sets = 20
-seed = 7
-lam = 1.0
-margin = 0.1
-
-[solvers]
-algorithms = spp
-mu0 = 1
-gamma = 1
-""",
-    "finite-sum": """\
-[experiment]
-runs = 30
-base_seed = 12345
-output_dir = out
-
-[problem]
-family = finite-sum
-m = 8
-n = 5
-seed = 7
-spread = 1.0
-
-[solvers]
-algorithms = spp
-mu0 = 0.5, 1
-gamma = 0
-""",
+# Each family's [solvers] grid in its template: algorithms, mu0, gamma.
+_TEMPLATE_GRIDS = {
+    "constrained-ls": ("spp, aspp, rspp, sgd", "0.5, 1", "0.5, 1"),
+    "random-ls-polyhedron": ("spp, rspp", "1", "0.25, 0.5, 0.75, 1"),
+    "markowitz": ("spp, aspp, sgd", "0.5, 1", "0.5, 1"),
+    "feasibility": ("spp", "1", "1"),
+    "finite-sum": ("spp", "0.5, 1", "0"),
 }
+
+# The note a template prints beside a key, in any section.
+_TEMPLATE_NOTES = {
+    "runs": "Monte-Carlo repetitions per cell",
+    "base_seed": "run i uses seed base_seed + i",
+    "output_dir": "overridable with the SPPROX_OUTDIR env var",
+    "overlay_bounds": "dashed theoretical-bound overlays in the SVGs",
+    "kappa_probes": ">0: estimate the regularity constant (lower bound)",
+    "iterations": "0 = one pass through the data",
+    "stride": "0 = about 50 records per run",
+    "workers": "0 = available parallelism",
+    "feas_tol": "certificate tolerance of the intersection projection",
+    "debug_runs": "also write one CSV per run",
+    "n": "dimension (markowitz: assets)",
+    "m": "observations (finite-sum: components)",
+    "noise": "response noise level",
+    "active": "constraints tight at the planted truth",
+    "periods": "rows of the synthetic returns table",
+    "b_policy": "mean, or a float target return",
+    "returns_csv": "a returns table; beside it, leave out periods, n, seed",
+    "gamma": "0 means a constant stepsize",
+}
+
+
+def _template(family: str) -> str:
+    """The ``gen-config`` template of ``family``: every defaulted
+    ExperimentConfig field and every knob at its default, then the family's
+    grid.  A knob with no value to show is a comment line."""
+    (cell,) = ExperimentConfig().cells
+    text = ("# spprox experiment configuration (INI syntax, '#' comments)\n"
+            "# Unknown keys are errors; an omitted key takes its default, the "
+            "value shown,\n# except the [solvers] lists "
+            f"({cell.algorithm}, {cell.mu0:g} and {cell.gamma:g}).\n")
+    grid = dict(zip(("algorithms", "mu0", "gamma"), _TEMPLATE_GRIDS[family]))
+    for section, values in (
+            ("experiment", {k: f.default for k, f in _EXPERIMENT_KEYS.items()}),
+            ("problem", {"family": family, **knob_defaults(family)}),
+            ("solvers", grid)):
+        text += f"\n[{section}]\n"
+        for key, value in values.items():
+            value = str(value).lower() if isinstance(value, bool) else value
+            line = f"{key} = {value}" if value != "" else f"# {key} ="
+            note = _TEMPLATE_NOTES.get(key)
+            text += (f"{line:<24} # {note}" if note else line) + "\n"
+    return text
+
+
+CONFIG_TEMPLATES = {family: _template(family) for family in _TEMPLATE_GRIDS}

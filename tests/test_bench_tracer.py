@@ -71,9 +71,9 @@ def test_traced_run_passes_the_bench_self_check(tmp_path, monkeypatch):
     assert bench.tracer_self_check(t.to_json(), {"cells": cells}) == []
 
 
-@pytest.mark.parametrize("workload", ["ls_steps", "ls_feas"])
+@pytest.mark.parametrize("workload", ["ls_steps", "ls_feas", "portfolio"])
 def test_workload_matches_the_bench_refs(tmp_path, monkeypatch, workload):
-    # seed set 0 of each workload with rspp cells, run in process
+    # seed set 0 of each workload, run in process from the package's template
     bench = _load("run")
     template = harness.CONFIG_TEMPLATES[bench.WORKLOADS[workload]["template"]]
     cfg = bench.write_config(workload, template, 0, tmp_path / "exp.ini")

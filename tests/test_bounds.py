@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spprox import (MissingConstantError, PolynomialDecay,
-                    ProblemConstants, RandomSource, constant_step_envelope,
-                    constant_step_plan, convex_bounds, gen_finite_sum,
-                    iteration_complexity, phi, rspp_plan,
+                    ProblemConstants, RandomSource, bound_overlay,
+                    constant_step_envelope, constant_step_plan, convex_bounds,
+                    gen_finite_sum, iteration_complexity, phi, rspp_plan,
                     strongly_convex_bound)
 
 
@@ -255,6 +255,33 @@ def test_strongly_convex_bound_gamma_half_rate():
     for k in (10 ** 5, 10 ** 6):
         ratio = strongly_convex_bound(c, 4 * k, 0.5) / strongly_convex_bound(c, k, 0.5)
         assert abs(ratio - 0.5) <= 0.1
+
+
+@pytest.mark.parametrize("algorithm", ["spp", "rspp"])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1.5])
+def test_bound_overlay_rule(algorithm, gamma):
+    c = make_constants(kappa=2.0)  # theta0 = 1/4
+    ks = np.array([0, 10, 20])
+    got = bound_overlay(c, algorithm, gamma, ks)
+    if gamma == 0:  # the envelope at every recorded k, rspp's included
+        assert np.array_equal(got[0], ks)
+        assert np.array_equal(got[1], [constant_step_envelope(c, 1.0, k)[0]
+                                       for k in ks])
+    elif gamma <= 1 and algorithm != "rspp":  # the bound from k = 1 on
+        assert np.array_equal(got[0], [10, 20])
+        assert np.array_equal(got[1], [strongly_convex_bound(c, k, gamma)
+                                       for k in (10, 20)])
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_bound_overlay_is_none_when_an_evaluator_raises(gamma):
+    c = make_constants(kappa=2.0, sigmas=(0.0,))  # theta0 = 1
+    with pytest.raises(ValueError):
+        (constant_step_envelope(c, 1.0, 1) if gamma == 0
+         else strongly_convex_bound(c, 1, gamma))
+    assert bound_overlay(c, "spp", gamma, np.array([0, 10])) is None
 
 
 def test_iteration_complexity_scaling():
