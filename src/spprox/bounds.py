@@ -2,8 +2,8 @@
 
 Each evaluator is a direct transcription of one stated bound so that harness
 plots can overlay predicted curves on empirical ones.  ``ProblemConstants``
-holds every symbol the formulas need; the ``measure`` builder fills it from a
-problem with a known optimum.
+holds the problem's constants alone (``measure`` fills it from a problem with
+a known optimum); each evaluator takes the ``PolynomialDecay`` it bounds.
 
 Two expected-squared-Lipschitz constants coexist deliberately:
 
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import CERTIFICATE_TOL, dist_intersection, estimate_kappa
-from .core import Array, RandomSource, StochasticProblem, norm
+from .constraints import CERTIFICATE_TOL, dist_intersection
+from .core import Array, StochasticProblem, norm
 from .schedules import PolynomialDecay, mean_theta_sq, phi
 
 
@@ -45,7 +45,6 @@ class ProblemConstants:
     exp_lips_sq: float
     sigmas: Array
     dist0: float
-    mu0: float
     exp_subgrad_sq: float | None = None
 
     def __post_init__(self):
@@ -54,36 +53,32 @@ class ProblemConstants:
 
     # -- derived aggregates ---------------------------------------------------
 
-    def theta0_at(self, mu: float) -> float:
-        """E[1/(1 + mu sigma)^2] over the component distribution."""
-        return mean_theta_sq(self.sigmas, mu)
-
     @property
     def eta(self) -> float:
         return math.sqrt(self.exp_grad_sq_opt)
 
-    def cal_a(self) -> float:
+    def cal_a(self, mu0: float) -> float:
         """max{r0, mu0 eta / (1 - sqrt(theta0))}: the iterate-radius cap."""
-        th0 = self.theta0_at(self.mu0)
+        th0 = mean_theta_sq(self.sigmas, mu0)
         if th0 >= 1.0:
             raise ValueError("theta0 >= 1: no strong convexity in expectation")
-        return max(self.r0, self.mu0 * self.eta / (1.0 - math.sqrt(th0)))
+        return max(self.r0, mu0 * self.eta / (1.0 - math.sqrt(th0)))
 
-    def cal_b(self) -> float:
+    def cal_b(self, mu0: float) -> float:
         """sqrt(2 eta^2) + A sqrt(2 E[L^2])."""
         return (math.sqrt(2.0 * self.exp_grad_sq_opt)
-                + self.cal_a() * math.sqrt(2.0 * self.exp_lips_sq))
+                + self.cal_a(mu0) * math.sqrt(2.0 * self.exp_lips_sq))
 
-    def cal_d(self, gamma: float, kappa_power: int = 1) -> float:
-        """The rate constant of the variable-stepsize analysis.
+    def cal_d(self, schedule: PolynomialDecay, kappa_power: int = 1) -> float:
+        """The rate constant of the variable-stepsize analysis of ``schedule``.
 
         ``kappa_power=2`` gives the restarted variant of the constant.  The
         leading term divides by log(kappa/(kappa-1)), which is singular at
         kappa = 1; there the term is taken as 0 when dist0 = 0 (the bound
         implicitly presumes kappa > 1) and an error otherwise.
         """
-        A = self.cal_a()
-        B = self.cal_b()
+        mu0, gamma = schedule.mu0, schedule.gamma
+        A, B = self.cal_a(mu0), self.cal_b(mu0)
         kap = self.kappa
         kp = kap ** kappa_power
         if kap == 1.0:
@@ -93,40 +88,30 @@ class ProblemConstants:
                 raise ValueError("kappa = 1 with dist_X(x0) > 0: "
                                  "log(kappa/(kappa-1)) term is singular")
         else:
-            lead = ((self.dist0 + 2.0 * self.mu0 * kp * B)
-                    / (self.mu0 * math.log(kap / (kap - 1.0))))
+            lead = ((self.dist0 + 2.0 * mu0 * kp * B)
+                    / (mu0 * math.log(kap / (kap - 1.0))))
         return (4.0 * self.grad_norm_opt * (lead + 3.0 ** gamma * B * kp)
                 + 2.0 * self.eta * math.sqrt(
                     2.0 * self.exp_grad_sq_opt + 2.0 * self.exp_lips_sq * A ** 2)
                 + 2.0 * self.eta * A * math.sqrt(self.exp_lips_sq))
 
     @classmethod
-    def measure(cls, problem: StochasticProblem, x0: Array, mu0: float,
-                kappa: float | None = None, kappa_probes: int = 0,
-                rng: RandomSource | None = None,
+    def measure(cls, problem: StochasticProblem, x0: Array,
+                kappa: float | None = None,
                 tol: float = CERTIFICATE_TOL) -> "ProblemConstants":
         """Fill the constants from a problem with a known optimum.
 
-        kappa resolution order: explicit argument, then ``problem.kappa``,
-        then an empirical estimate with ``kappa_probes`` probes (requires
-        ``rng``), floored at 1; otherwise an error.  The estimate is a lower
-        bound.  ``exp_subgrad_sq``, user-supplied, stays unset.  ``tol``
-        certifies every intersection projection, dist0's and the probes', as
-        in ``project_intersection``.
+        kappa is the argument, else ``problem.kappa`` (``estimate_kappa``
+        gives a lower bound), else an error.  ``exp_subgrad_sq``, user-supplied,
+        stays unset.  ``tol`` certifies dist0 as in ``project_intersection``.
         """
         if problem.x_star is None:
             raise MissingConstantError(
                 "problem has no known optimum x*; refusing to guess constants")
         x0 = np.asarray(x0, dtype=np.float64)
+        kappa = problem.kappa if kappa is None else kappa
         if kappa is None:
-            if problem.kappa is not None:
-                kappa = problem.kappa
-            elif kappa_probes > 0 and rng is not None:
-                kappa = max(1.0, estimate_kappa(problem, kappa_probes, rng,
-                                                tol=tol))
-            else:
-                raise MissingConstantError(
-                    "no kappa available: pass kappa= or kappa_probes with rng")
+            raise MissingConstantError("no kappa available: pass kappa=")
         xs = problem.x_star
         return cls(
             r0=norm(x0 - xs),
@@ -135,8 +120,7 @@ class ProblemConstants:
             grad_norm_opt=norm(problem.mean_gradient(xs)),
             exp_lips_sq=problem.exp_lips_grad_sq(),
             sigmas=problem.sigma_values(),
-            dist0=dist_intersection(problem.rows, x0, tol=tol),
-            mu0=float(mu0))
+            dist0=dist_intersection(problem.rows, x0, tol=tol))
 
 
 def _require(c: ProblemConstants, names) -> None:
@@ -198,7 +182,7 @@ def constant_step_envelope(c: ProblemConstants, mu: float,
     Returns (2 theta^k r0^2 + 2 mu^2 eta^2/(1-sqrt(theta))^2, noise radius
     mu eta/(1-sqrt(theta))) with theta = E[theta_S(mu)^2].
     """
-    tb = c.theta0_at(mu)
+    tb = mean_theta_sq(c.sigmas, mu)
     if tb >= 1.0:
         raise ValueError("E[theta_S^2(mu)] >= 1: envelope undefined")
     root = math.sqrt(tb)
@@ -207,7 +191,8 @@ def constant_step_envelope(c: ProblemConstants, mu: float,
     return value, radius
 
 
-def strongly_convex_bound(c: ProblemConstants, k: int, gamma: float) -> float:
+def strongly_convex_bound(c: ProblemConstants, k: int,
+                          schedule: PolynomialDecay) -> float:
     """Nonasymptotic bound on E[||x^k - x*||^2] for mu_k = mu0/k^gamma.
 
     gamma in (0,1) uses the phi-exponent form; gamma = 1 splits on theta0
@@ -216,15 +201,16 @@ def strongly_convex_bound(c: ProblemConstants, k: int, gamma: float) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    mu0, gamma = schedule.mu0, schedule.gamma
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    th0 = c.theta0_at(c.mu0)
+    th0 = mean_theta_sq(c.sigmas, mu0)
     if not 0.0 < th0 < 1.0:
         raise ValueError(f"theta0 = {th0} outside (0, 1)")
     r0sq = c.r0 ** 2
-    mu0sq = c.mu0 ** 2
+    mu0sq = mu0 ** 2
     if gamma < 1.0:
-        D = c.cal_d(gamma, kappa_power=1)
+        D = c.cal_d(schedule, kappa_power=1)
         head = th0 ** phi(1.0 - gamma, k) * r0sq
         expo = phi(1.0 - gamma, k) - phi(1.0 - gamma, (k + 1) / 2.0)
         mid = D * th0 ** expo * mu0sq * (phi(1.0 - 2.0 * gamma, (k + 1) / 2.0) + 2.0)
@@ -242,28 +228,29 @@ def strongly_convex_bound(c: ProblemConstants, k: int, gamma: float) -> float:
     return head + tail
 
 
-def bound_overlay(c: ProblemConstants, algorithm: str, gamma: float,
+def bound_overlay(c: ProblemConstants, algorithm: str,
+                  schedule: PolynomialDecay,
                   ks: Array) -> tuple[Array, Array] | None:
-    """(ks, values) of the bound a cell's figure draws, with ``c`` measured
-    at the cell's mu0: the constant-step envelope at every k if gamma = 0,
-    the strongly convex bound at k >= 1 if 0 < gamma <= 1 outside rspp.
-    None, no overlay, for any other cell or an evaluator's ValueError."""
+    """(ks, values) of a cell's bound overlay: the constant-step envelope at
+    every k if gamma = 0, the strongly convex bound at k >= 1 if 0 < gamma <= 1
+    outside rspp; None for any other cell or on an evaluator's ValueError."""
+    mu0, gamma = schedule.mu0, schedule.gamma
     try:
         if gamma == 0:
-            return ks, np.array([constant_step_envelope(c, c.mu0, int(k))[0]
+            return ks, np.array([constant_step_envelope(c, mu0, int(k))[0]
                                  for k in ks])
         if algorithm != "rspp" and 0 < gamma <= 1:
             ks = ks[ks >= 1]
-            return ks, np.array([strongly_convex_bound(c, int(k), gamma)
+            return ks, np.array([strongly_convex_bound(c, int(k), schedule)
                                  for k in ks])
     except ValueError:
         pass
     return None
 
 
-def iteration_complexity(epsilon: float, gamma: float,
+def iteration_complexity(epsilon: float, schedule: PolynomialDecay,
                          c: ProblemConstants, cap: int = 2 ** 62) -> int:
-    """Smallest k with strongly_convex_bound(c, k, gamma) <= epsilon.
+    """Smallest k with strongly_convex_bound(c, k, schedule) <= epsilon.
 
     Found by doubling into the monotone tail of the bound and bisecting the
     crossing.  Raises if the bound has not reached epsilon by ``cap``.
@@ -272,7 +259,7 @@ def iteration_complexity(epsilon: float, gamma: float,
         raise ValueError("epsilon must be positive")
 
     def ok(k):
-        return strongly_convex_bound(c, k, gamma) <= epsilon
+        return strongly_convex_bound(c, k, schedule) <= epsilon
 
     if ok(1):
         return 1
@@ -291,7 +278,7 @@ def iteration_complexity(epsilon: float, gamma: float,
     return hi
 
 
-def rspp_plan(epsilon: float, gamma: float,
+def rspp_plan(epsilon: float, schedule: PolynomialDecay,
               c: ProblemConstants) -> tuple[int, float]:
     """Epoch count and total-iteration lower bound for the restarted scheme.
 
@@ -302,13 +289,13 @@ def rspp_plan(epsilon: float, gamma: float,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    mu1, gamma = schedule.mu0, schedule.gamma  # mu_t = mu0/t^gamma at t = 1
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    th0 = c.theta0_at(c.mu0)
+    th0 = mean_theta_sq(c.sigmas, mu1)
     if not 0.0 < th0 < 1.0:
         raise ValueError(f"theta0 = {th0} outside (0, 1)")
-    Dr = c.cal_d(gamma, kappa_power=2)
-    mu1 = c.mu0  # mu_t = mu0/t^gamma at t = 1
+    Dr = c.cal_d(schedule, kappa_power=2)
     C = mu1 ** 2 / (1.0 - th0) ** 2
     if gamma < 1.0:
         C += 1.0 / (2.0 * (1.0 - gamma) * math.log(1.0 / math.sqrt(th0)))

@@ -20,7 +20,7 @@ from .constraints import estimate_kappa
 from .harness import (CONFIG_TEMPLATES, ConfigError, parse_config,
                       run_experiment)
 from .problems import generate
-from .schedules import theta0
+from .schedules import PolynomialDecay, theta0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,16 +89,22 @@ def _cmd_estimate_kappa(args) -> int:
 
 def _cmd_plan(args) -> int:
     config = parse_config(args.config)
+    try:
+        schedule = PolynomialDecay(args.mu0, args.gamma)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     problem = generate(config.spec)
-    c = bounds.ProblemConstants.measure(
-        problem, np.zeros(problem.dim), args.mu0,
-        kappa=args.kappa, kappa_probes=args.probes,
-        rng=config.probe_source(), tol=config.feas_tol)
+    kappa = args.kappa
+    if kappa is None and problem.kappa is None and problem.x_star is not None:
+        kappa = estimate_kappa(problem, args.probes, config.probe_source(),
+                               tol=config.feas_tol)
+    c = bounds.ProblemConstants.measure(problem, np.zeros(problem.dim),
+                                        kappa=kappa, tol=config.feas_tol)
     c.exp_subgrad_sq = args.subgrad_sq
     print(f"constants: r0={c.r0:.6g} kappa={c.kappa:.6g} eta^2={c.exp_grad_sq_opt:.6g} "
           f"E[L^2]={c.exp_lips_sq:.6g} dist0={c.dist0:.6g}")
     try:
-        th0 = theta0(problem, args.mu0)
+        th0 = theta0(problem, schedule.mu0)
         print(f"theta0 = E[theta_S^2(mu0)] = {th0:.6g}")
     except ValueError as exc:
         th0 = None
@@ -109,9 +115,9 @@ def _cmd_plan(args) -> int:
     else:
         print("convex-case plan skipped: supply --subgrad-sq for E[L^2]")
     if th0 is not None:
-        k = bounds.iteration_complexity(args.eps, args.gamma, c)
-        print(f"variable-stepsize plan (gamma={args.gamma:g}): k={k}")
-        T, total = bounds.rspp_plan(args.eps, args.gamma, c)
+        k = bounds.iteration_complexity(args.eps, schedule, c)
+        print(f"variable-stepsize plan (gamma={schedule.gamma:g}): k={k}")
+        T, total = bounds.rspp_plan(args.eps, schedule, c)
         print(f"restart plan: T={T} epochs, >= {total:.6g} inner iterations")
     return 0
 

@@ -343,7 +343,7 @@ def estimate_kappa(problem, probes: int, rng: RandomSource,
     origin: a feasible anchor of the iterate region.  Each probe contributes
     dist_X(x)^2 / E[dist_{X_S}(x)^2], with dist_X certified at ``tol`` as in
     ``project_intersection``; probes with denominator below 1e-14 are
-    skipped, and the maximum ratio is returned.
+    skipped.  Returns the largest ratio floored at 1 (X lies in each X_S).
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -366,4 +366,4 @@ def estimate_kappa(problem, probes: int, rng: RandomSource,
             best = ratio
     if best is None:
         raise ValueError("all probes were degenerate (feasible or near-feasible)")
-    return best
+    return max(best, 1.0)

@@ -6,19 +6,20 @@ with seeds ``base_seed + run_index``.  With ``workers`` > 1 processes, the
 flattened (cell, run) tasks are dealt into ``workers`` interleaved shares:
 the parent runs share 0, and one pool of ``workers - 1`` processes, whose
 initializer installs the problem once each, runs one share per process.  A
-task carries only its ``(SolverConfig, seed)``.  Aggregation is a
-deterministic reduction keyed by run index, so serial and parallel execution
-emit byte-identical CSVs.  ``bounds.bound_overlay`` picks the bound a cell's
-figure overlays.  Each ``gen-config`` template shows the ``ExperimentConfig``
+task carries only its ``(SolverConfig, seed)``; a failed run stops every share
+at its next run, and no file is written.  Aggregation is keyed by run index,
+so serial and parallel execution emit byte-identical CSVs.  The problem's
+constants are measured once; ``bounds.bound_overlay`` picks each cell's bound
+for its schedule.  Each ``gen-config`` template shows the ``ExperimentConfig``
 defaults and the family generator's knob defaults, and a per-family grid.
 """
 
 from __future__ import annotations
 
 import configparser
-import functools
 import json
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -172,12 +173,12 @@ def aggregate(name: str, traces: list, metadata: dict | None = None) -> Aggregat
         traces=list(traces))
 
 
-_worker_problem = None  # set in each pool worker by _install_problem
+_worker_problem = _worker_stop = None  # set by _install_problem in a worker
 
 
-def _install_problem(problem: StochasticProblem) -> None:
-    global _worker_problem
-    _worker_problem = problem
+def _install_problem(problem: StochasticProblem, stop) -> None:
+    global _worker_problem, _worker_stop
+    _worker_problem, _worker_stop = problem, stop
 
 
 def _execute_run(solver_config: SolverConfig, seed: int,
@@ -188,7 +189,13 @@ def _execute_run(solver_config: SolverConfig, seed: int,
 
 
 def _run_share(share: list) -> list:
-    return [_execute_run(cfg, seed) for cfg, seed in share]
+    """A pool process's share; once any share has failed, it runs no more."""
+    try:
+        return [_execute_run(cfg, seed) for cfg, seed in share
+                if not _worker_stop.is_set()]
+    except BaseException:
+        _worker_stop.set()
+        raise
 
 
 def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
@@ -197,25 +204,28 @@ def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
 
     Task i of the flattened (config, seed) list goes to share ``i % workers``
     (2 <= workers <= tasks).  The parent runs share 0 and a pool of
-    ``workers - 1`` processes runs one share each.  If a share raises, the
-    unstarted shares are cancelled and the original exception propagates.
+    ``workers - 1`` processes runs one share each.  If a run raises, every
+    share stops at its next run and the original exception propagates.
     """
     tasks = [(cfg, seed) for cfg in solver_cfgs for seed in seeds]
-    traces = [None] * len(tasks)
+    stop = multiprocessing.Event()
     with ProcessPoolExecutor(max_workers=workers - 1,
                              initializer=_install_problem,
-                             initargs=(problem,)) as pool:
+                             initargs=(problem, stop)) as pool:
         futures = [pool.submit(_run_share, tasks[i::workers])
                    for i in range(1, workers)]
-        try:
-            traces[::workers] = [_execute_run(cfg, seed, problem)
-                                 for cfg, seed in tasks[::workers]]
-            for i, future in enumerate(futures, 1):
-                traces[i::workers] = future.result()
+        try:  # a share cut short by a failure is never read
+            shares = [[_execute_run(cfg, seed, problem)
+                       for cfg, seed in tasks[::workers] if not stop.is_set()]]
+            shares += [future.result() for future in futures]
         except BaseException:
+            stop.set()
             for future in futures:
                 future.cancel()
             raise
+    traces = [None] * len(tasks)
+    for i, share in enumerate(shares):
+        traces[i::workers] = share
     runs = len(seeds)
     return [traces[i:i + runs] for i in range(0, len(traces), runs)]
 
@@ -434,16 +444,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         except ValueError:
             meta_common["kappa_hat_lower_bound"] = None
 
-    @functools.cache
-    def constants_for(mu0):
-        try:
-            return bounds_mod.ProblemConstants.measure(
-                problem, np.zeros(problem.dim), mu0,
-                kappa=max(kappa_hat, 1.0) if kappa_hat is not None else None,
-                tol=config.feas_tol)
-        except ValueError:  # no optimum or no kappa: no overlay
-            return None
-
     solver_cfgs = [SolverConfig(
         algorithm=cell.algorithm, schedule=cell.schedule(),
         iterations=K, stride=stride, feas_tol=config.feas_tol,
@@ -456,9 +456,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
         aggs = [aggregate(cell.name, traces, dict(meta_common))
                 for cell, traces in zip(config.cells, pooled)]
     else:
-        aggs = (run_cell(problem, solver_cfg, config.runs, config.base_seed,
+        aggs = [run_cell(problem, solver_cfg, config.runs, config.base_seed,
                          name=cell.name, metadata=dict(meta_common))
-                for cell, solver_cfg in zip(config.cells, solver_cfgs))
+                for cell, solver_cfg in zip(config.cells, solver_cfgs)]
     results = {}
     groups = {}
     for cell, agg in zip(config.cells, aggs):
@@ -474,17 +474,23 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     _, curve, ylabel = next(row for row in _PRIMARY_CURVES if row[0] is None
                             or getattr(problem, row[0]) is not None)
+    constants = None
+    if config.overlay_bounds and curve == "mean_sqdist":
+        try:
+            constants = bounds_mod.ProblemConstants.measure(
+                problem, np.zeros(problem.dim), kappa=kappa_hat,
+                tol=config.feas_tol)
+        except ValueError:  # no kappa: no overlay
+            pass
     for gname, members in groups.items():
         curves = []
         overlays = []
         for cell, agg in members:
             curves.append((cell.name, agg.ks, getattr(agg, curve)))
-            if config.overlay_bounds and curve == "mean_sqdist":
-                c = constants_for(cell.mu0)
-                bound = None if c is None else bounds_mod.bound_overlay(
-                    c, cell.algorithm, cell.gamma, agg.ks)
-                if bound is not None:
-                    overlays.append((cell.name + " bound", *bound))
+            bound = None if constants is None else bounds_mod.bound_overlay(
+                constants, cell.algorithm, cell.schedule(), agg.ks)
+            if bound is not None:
+                overlays.append((cell.name + " bound", *bound))
         emit_svg(curves, overlays, outdir / f"fig_gamma_{gname}.svg",
                  title=f"{config.spec.family}, gamma = {gname}",
                  ylabel=ylabel)

@@ -48,7 +48,7 @@ def mean_se(traces, attr="sqdist"):
 
 @pytest.fixture(scope="module")
 def kappa_hat(desk_ls):
-    return max(1.0, estimate_kappa(desk_ls, 40, RandomSource(123)))
+    return estimate_kappa(desk_ls, 40, RandomSource(123))
 
 
 def test_criterion_01_operator_properties():
@@ -160,20 +160,19 @@ def test_criterion_05_exponent_ordering(desk_poly):
 
 def test_criterion_06_bound_dominance(desk_ls, kappa_hat):
     """Monte-Carlo mean never exceeds the evaluated bounds plus 3 se."""
-    x0 = np.zeros(desk_ls.dim)
+    c = ProblemConstants.measure(desk_ls, np.zeros(desk_ls.dim),
+                                 kappa=kappa_hat)
     checked = 0
     for gamma, key in ((1.0, "ls_g1"), (0.5, "ls_gh")):
-        c = ProblemConstants.measure(desk_ls, x0, 1.0, kappa=kappa_hat)
-        traces = mc_runs(desk_ls, key, "spp", PolynomialDecay(1.0, gamma),
-                         2000, 40)
+        sched = PolynomialDecay(1.0, gamma)
+        traces = mc_runs(desk_ls, key, "spp", sched, 2000, 40)
         mean, se = mean_se(traces)
         for j, k in enumerate(traces[0].ks):
             if k < 1:
                 continue
-            bound = strongly_convex_bound(c, int(k), gamma)
+            bound = strongly_convex_bound(c, int(k), sched)
             assert mean[j] <= bound + 3.0 * se[j], (gamma, k)
             checked += 1
-    c = ProblemConstants.measure(desk_ls, x0, 1.0, kappa=kappa_hat)
     traces = mc_runs(desk_ls, "ls_const", "spp", PolynomialDecay(1.0, 0),
                      2000, 40)
     mean, se = mean_se(traces)
@@ -205,9 +204,9 @@ def test_criterion_07_noise_floor():
     x_star = (w[:, None] * centers).sum(axis=0) / w.sum()
     prob = StochasticProblem(losses, [WholeSpace(n)], n, x_star=x_star,
                              kappa=1.0)
+    c = ProblemConstants.measure(prob, x_star, kappa=1.0)
     plateaus = {}
     for mu in (0.4, 0.2):
-        c = ProblemConstants.measure(prob, x_star, mu, kappa=1.0)
         cfg = SolverConfig("spp", PolynomialDecay(mu, 0), iterations=6000,
                            stride=60, record_feasibility=False, x0=x_star)
         traces = [run(prob, cfg, RandomSource(300 + i)) for i in range(RUNS)]
@@ -239,9 +238,9 @@ def test_criterion_08_rspp_schedule():
         assert sum(tr.epoch_lengths) >= T ** (1 + gamma) / (1 + gamma)
     c = ProblemConstants(
         r0=2.0, kappa=3.0, exp_grad_sq_opt=1.0, grad_norm_opt=0.5,
-        exp_lips_sq=4.0, sigmas=np.array([1.0, 2.0]), dist0=0.4, mu0=1.0)
+        exp_lips_sq=4.0, sigmas=np.array([1.0, 2.0]), dist0=0.4)
     for gamma in (0.5, 1.0, 2.0):
-        Ts = [rspp_plan(eps, gamma, c)[0]
+        Ts = [rspp_plan(eps, PolynomialDecay(1.0, gamma), c)[0]
               for eps in (1.0, 0.3, 0.1, 0.03, 0.01)]
         assert all(a <= b for a, b in zip(Ts, Ts[1:]))
     print("criterion 8 PASS: epoch schedules exact for gamma in {1/2, 1, 2}, "

@@ -8,14 +8,15 @@ from spprox import (MissingConstantError, PolynomialDecay,
                     constant_step_envelope, constant_step_plan, convex_bounds,
                     gen_finite_sum, iteration_complexity, phi, rspp_plan,
                     strongly_convex_bound)
+from spprox.schedules import mean_theta_sq
 
 
 def make_constants(r0=1.0, kappa=1.0, eta_sq=1.0, grad_norm=0.5, lips_sq=4.0,
-                   sigmas=(1.0,), dist0=0.3, mu0=1.0, subgrad_sq=2.0):
+                   sigmas=(1.0,), dist0=0.3, subgrad_sq=2.0):
     return ProblemConstants(
         r0=r0, kappa=kappa, exp_grad_sq_opt=eta_sq, grad_norm_opt=grad_norm,
         exp_lips_sq=lips_sq, sigmas=np.array(sigmas, dtype=float),
-        dist0=dist0, mu0=mu0, exp_subgrad_sq=subgrad_sq)
+        dist0=dist0, exp_subgrad_sq=subgrad_sq)
 
 
 # -- independently written re-evaluations (different operation order) -----------
@@ -47,16 +48,17 @@ def envelope_alt(c, mu, k):
     return tb ** k * (2.0 * c.r0 ** 2) + 2.0 * radius ** 2, radius
 
 
-def strongly_convex_alt(c, k, gamma):
-    th0 = mean_theta_sq_alt(c.sigmas, c.mu0)
-    A = max(c.r0, math.sqrt(c.exp_grad_sq_opt) * c.mu0 / (1.0 - math.sqrt(th0)))
+def strongly_convex_alt(c, k, schedule):
+    mu0, gamma = schedule.mu0, schedule.gamma
+    th0 = mean_theta_sq_alt(c.sigmas, mu0)
+    A = max(c.r0, math.sqrt(c.exp_grad_sq_opt) * mu0 / (1.0 - math.sqrt(th0)))
     B = (math.sqrt(2.0) * math.sqrt(c.exp_grad_sq_opt)
          + math.sqrt(2.0) * A * math.sqrt(c.exp_lips_sq))
     eta = math.sqrt(c.exp_grad_sq_opt)
     if c.kappa == 1.0:
         lead = 0.0
     else:
-        lead = ((c.dist0 + 2.0 * c.mu0 * c.kappa * B) / c.mu0
+        lead = ((c.dist0 + 2.0 * mu0 * c.kappa * B) / mu0
                 / math.log(c.kappa / (c.kappa - 1.0)))
     D = (4.0 * c.grad_norm_opt * (lead + B * c.kappa * 3.0 ** gamma)
          + 2.0 * eta * math.sqrt(2.0 * (eta ** 2 + c.exp_lips_sq * A ** 2))
@@ -69,32 +71,33 @@ def strongly_convex_alt(c, k, gamma):
         else:
             mids = (((k + 1) / 2.0) ** (1.0 - 2.0 * gamma) - 1.0) / (1.0 - 2.0 * gamma)
         return (math.exp(e1 * math.log(th0)) * c.r0 ** 2
-                + D * math.exp((e1 - e2) * math.log(th0)) * c.mu0 ** 2 * (mids + 2.0)
-                + D * c.mu0 ** 2 * 4.0 ** gamma / (k ** gamma * (1.0 - th0)))
+                + D * math.exp((e1 - e2) * math.log(th0)) * mu0 ** 2 * (mids + 2.0)
+                + D * mu0 ** 2 * 4.0 ** gamma / (k ** gamma * (1.0 - th0)))
     lam = -math.log(th0)
     head = math.exp(math.log(k) * math.log(th0)) * c.r0 ** 2
     if th0 < 1.0 / math.e:
-        return head + c.mu0 ** 2 * 2.0 / (lam - 1.0) / k
+        return head + mu0 ** 2 * 2.0 / (lam - 1.0) / k
     if th0 == 1.0 / math.e:
-        return head + 2.0 * c.mu0 ** 2 * math.log(k) / k
-    return head + math.exp(lam * math.log(2.0 / k)) * c.mu0 ** 2 / (1.0 - lam)
+        return head + 2.0 * mu0 ** 2 * math.log(k) / k
+    return head + math.exp(lam * math.log(2.0 / k)) * mu0 ** 2 / (1.0 - lam)
 
 
-def rspp_plan_alt(epsilon, gamma, c):
-    th0 = mean_theta_sq_alt(c.sigmas, c.mu0)
-    A = max(c.r0, math.sqrt(c.exp_grad_sq_opt) * c.mu0 / (1.0 - math.sqrt(th0)))
+def rspp_plan_alt(epsilon, schedule, c):
+    mu0, gamma = schedule.mu0, schedule.gamma
+    th0 = mean_theta_sq_alt(c.sigmas, mu0)
+    A = max(c.r0, math.sqrt(c.exp_grad_sq_opt) * mu0 / (1.0 - math.sqrt(th0)))
     B = math.sqrt(2.0 * c.exp_grad_sq_opt) + A * math.sqrt(2.0 * c.exp_lips_sq)
     eta = math.sqrt(c.exp_grad_sq_opt)
     k2 = c.kappa * c.kappa
     if c.kappa == 1.0:
         lead = 0.0
     else:
-        lead = ((c.dist0 + 2.0 * c.mu0 * k2 * B)
-                / (c.mu0 * math.log(c.kappa / (c.kappa - 1.0))))
+        lead = ((c.dist0 + 2.0 * mu0 * k2 * B)
+                / (mu0 * math.log(c.kappa / (c.kappa - 1.0))))
     Dr = (4.0 * c.grad_norm_opt * (lead + 3.0 ** gamma * B * k2)
           + 2.0 * eta * math.sqrt(2.0 * eta ** 2 + 2.0 * c.exp_lips_sq * A ** 2)
           + 2.0 * eta * A * math.sqrt(c.exp_lips_sq))
-    C = (c.mu0 / (1.0 - th0)) ** 2
+    C = (mu0 / (1.0 - th0)) ** 2
     if gamma < 1.0:
         C += 0.5 / ((1.0 - gamma) * math.log(1.0 / math.sqrt(th0)))
     a1 = math.log(2.0 * c.r0 ** 2 / epsilon) / math.log(1.0 / th0)
@@ -104,41 +107,42 @@ def rspp_plan_alt(epsilon, gamma, c):
 
 
 def random_constants(rng):
+    """Random constants and a random mu0, drawn in one fixed order."""
     sigmas = np.abs(rng.normal(1 + rng.integers(4))) + 0.05
-    return make_constants(
+    drawn = dict(
         r0=0.5 + 2 * float(rng.uniform()),
         kappa=1.0 + 3 * float(rng.uniform()),
         eta_sq=0.1 + 2 * float(rng.uniform()),
         grad_norm=float(rng.uniform()),
         lips_sq=1.0 + 4 * float(rng.uniform()),
         sigmas=sigmas,
-        dist0=float(rng.uniform()),
-        mu0=0.2 + float(rng.uniform()),
-        subgrad_sq=2.0 + 2 * float(rng.uniform()))
+        dist0=float(rng.uniform()))
+    mu0 = 0.2 + float(rng.uniform())
+    return make_constants(**drawn, subgrad_sq=2.0 + 2 * float(rng.uniform())), mu0
 
 
 def test_dual_evaluations_agree():
     rng = RandomSource(101)
     for _ in range(1000):
-        c = random_constants(rng)
+        c, mu0 = random_constants(rng)
         k = 1 + rng.integers(500)
         gamma = (0.25, 0.5, 0.75, 1.0)[rng.integers(4)]
-        sched = PolynomialDecay(c.mu0, gamma)
+        sched = PolynomialDecay(mu0, gamma)
         for a, b in zip(convex_bounds(c, k, sched), convex_bounds_alt(c, k, sched)):
             assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
-        v1 = strongly_convex_bound(c, k, gamma)
-        v2 = strongly_convex_alt(c, k, gamma)
+        v1 = strongly_convex_bound(c, k, sched)
+        v2 = strongly_convex_alt(c, k, sched)
         assert abs(v1 - v2) <= 1e-10 * (1.0 + abs(v1))
-        e1 = constant_step_envelope(c, c.mu0, k)
-        e2 = envelope_alt(c, c.mu0, k)
+        e1 = constant_step_envelope(c, mu0, k)
+        e2 = envelope_alt(c, mu0, k)
         assert abs(e1[0] - e2[0]) <= 1e-10 * (1.0 + e1[0])
         assert abs(e1[1] - e2[1]) <= 1e-10 * (1.0 + e1[1])
         eps = 0.05 + float(rng.uniform())
-        assert rspp_plan(eps, gamma, c) == pytest.approx(rspp_plan_alt(eps, gamma, c))
+        assert rspp_plan(eps, sched, c) == pytest.approx(rspp_plan_alt(eps, sched, c))
 
 
 def test_convex_bounds_hand_example():
-    c = make_constants(r0=1.0, kappa=1.0, subgrad_sq=2.0, mu0=1.0)
+    c = make_constants(r0=1.0, kappa=1.0, subgrad_sq=2.0)
     upper, lower, feas = convex_bounds(c, 1, PolynomialDecay(1.0, 0))
     assert upper == pytest.approx(1.5)  # (r0^2 + 2*1) / (2*1)
     # lower: -1*2*(1 + 2) - sqrt(2*3/1) = -6 - sqrt(6)
@@ -148,7 +152,7 @@ def test_convex_bounds_hand_example():
 
 
 def test_convex_bounds_limit_consistency():
-    c = make_constants(r0=1.0, kappa=1.0, subgrad_sq=2.0, mu0=1.0)
+    c = make_constants(r0=1.0, kappa=1.0, subgrad_sq=2.0)
     sched = PolynomialDecay(1.0, 1.0)
     k = 10 ** 6
     upper, lower, feas = convex_bounds(c, k, sched)
@@ -162,7 +166,7 @@ def test_convex_bounds_limit_consistency():
 
 
 def test_convex_bounds_vanishing_gradient_case():
-    c = make_constants(subgrad_sq=0.0, kappa=2.0, r0=1.5, mu0=0.5)
+    c = make_constants(subgrad_sq=0.0, kappa=2.0, r0=1.5)
     sched = PolynomialDecay(0.5, 0)
     k = 10
     upper, lower, feas = convex_bounds(c, k, sched)
@@ -221,39 +225,43 @@ def test_envelope_requires_contraction():
 
 def test_strongly_convex_bound_branch_formula():
     # theta0 < 1/e branch transcribed symbol for symbol
-    c = make_constants(sigmas=(4.0,), mu0=1.0, r0=1.5)
+    c = make_constants(sigmas=(4.0,), r0=1.5)
     th0 = 1.0 / 25.0
     k = 50
     expected = th0 ** math.log(k) * 1.5 ** 2 \
         + 2.0 * 1.0 / (k * (math.log(1.0 / th0) - 1.0))
-    assert strongly_convex_bound(c, k, 1.0) == pytest.approx(expected)
+    got = strongly_convex_bound(c, k, PolynomialDecay(1.0, 1.0))
+    assert got == pytest.approx(expected)
 
 
 def test_strongly_convex_bound_branch_selection():
     # theta0 above 1/e picks the power-law tail
-    c = make_constants(sigmas=(0.2,), mu0=1.0, r0=1.0)
-    th0 = c.theta0_at(1.0)
+    c = make_constants(sigmas=(0.2,), r0=1.0)
+    th0 = mean_theta_sq(c.sigmas, 1.0)
     assert th0 > 1.0 / math.e
     lam = math.log(1.0 / th0)
     k = 40
     expected = th0 ** math.log(k) + (2.0 / k) ** lam / (1.0 - lam)
-    assert strongly_convex_bound(c, k, 1.0) == pytest.approx(expected)
+    got = strongly_convex_bound(c, k, PolynomialDecay(1.0, 1.0))
+    assert got == pytest.approx(expected)
 
 
 def test_strongly_convex_bound_monotone_tail():
     rng = RandomSource(55)
     for _ in range(20):
-        c = random_constants(rng)
-        gamma = (0.5, 1.0)[rng.integers(2)]
-        vals = [strongly_convex_bound(c, k, gamma)
+        c, mu0 = random_constants(rng)
+        sched = PolynomialDecay(mu0, (0.5, 1.0)[rng.integers(2)])
+        vals = [strongly_convex_bound(c, k, sched)
                 for k in np.unique(np.logspace(2, 5, 40).astype(int))]
         assert all(a >= b * (1 - 1e-12) for a, b in zip(vals, vals[1:]))
 
 
 def test_strongly_convex_bound_gamma_half_rate():
-    c = make_constants(sigmas=(2.0,), mu0=1.0, kappa=2.0)
+    c = make_constants(sigmas=(2.0,), kappa=2.0)
+    sched = PolynomialDecay(1.0, 0.5)
     for k in (10 ** 5, 10 ** 6):
-        ratio = strongly_convex_bound(c, 4 * k, 0.5) / strongly_convex_bound(c, k, 0.5)
+        ratio = (strongly_convex_bound(c, 4 * k, sched)
+                 / strongly_convex_bound(c, k, sched))
         assert abs(ratio - 0.5) <= 0.1
 
 
@@ -262,14 +270,15 @@ def test_strongly_convex_bound_gamma_half_rate():
 def test_bound_overlay_rule(algorithm, gamma):
     c = make_constants(kappa=2.0)  # theta0 = 1/4
     ks = np.array([0, 10, 20])
-    got = bound_overlay(c, algorithm, gamma, ks)
+    sched = PolynomialDecay(1.0, gamma)
+    got = bound_overlay(c, algorithm, sched, ks)
     if gamma == 0:  # the envelope at every recorded k, rspp's included
         assert np.array_equal(got[0], ks)
         assert np.array_equal(got[1], [constant_step_envelope(c, 1.0, k)[0]
                                        for k in ks])
     elif gamma <= 1 and algorithm != "rspp":  # the bound from k = 1 on
         assert np.array_equal(got[0], [10, 20])
-        assert np.array_equal(got[1], [strongly_convex_bound(c, k, gamma)
+        assert np.array_equal(got[1], [strongly_convex_bound(c, k, sched)
                                        for k in (10, 20)])
     else:
         assert got is None
@@ -278,61 +287,65 @@ def test_bound_overlay_rule(algorithm, gamma):
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
 def test_bound_overlay_is_none_when_an_evaluator_raises(gamma):
     c = make_constants(kappa=2.0, sigmas=(0.0,))  # theta0 = 1
+    sched = PolynomialDecay(1.0, gamma)
     with pytest.raises(ValueError):
         (constant_step_envelope(c, 1.0, 1) if gamma == 0
-         else strongly_convex_bound(c, 1, gamma))
-    assert bound_overlay(c, "spp", gamma, np.array([0, 10])) is None
+         else strongly_convex_bound(c, 1, sched))
+    assert bound_overlay(c, "spp", sched, np.array([0, 10])) is None
 
 
 def test_iteration_complexity_scaling():
-    c = make_constants(sigmas=(4.0,), mu0=1.0, kappa=2.0)  # theta0 = 1/25 < 1/e
-    k1 = iteration_complexity(1e-3, 1.0, c)
-    k2 = iteration_complexity(5e-4, 1.0, c)
+    c = make_constants(sigmas=(4.0,), kappa=2.0)  # theta0 = 1/25 < 1/e
+    one, half = PolynomialDecay(1.0, 1.0), PolynomialDecay(1.0, 0.5)
+    k1 = iteration_complexity(1e-3, one, c)
+    k2 = iteration_complexity(5e-4, one, c)
     assert 1.8 <= k2 / k1 <= 2.3
-    k1h = iteration_complexity(1e-3, 0.5, c)
-    k2h = iteration_complexity(5e-4, 0.5, c)
+    k1h = iteration_complexity(1e-3, half, c)
+    k2h = iteration_complexity(5e-4, half, c)
     assert 3.4 <= k2h / k1h <= 4.8
-    assert iteration_complexity(1e-2, 1.0, c) <= k1
+    assert iteration_complexity(1e-2, one, c) <= k1
 
 
 def test_rspp_plan_examples():
-    c = make_constants(sigmas=(4.0,), mu0=1.0, r0=1.0, kappa=2.0)
-    T, total = rspp_plan(1e9, 1.0, c)
+    c = make_constants(sigmas=(4.0,), r0=1.0, kappa=2.0)
+    sched = PolynomialDecay(1.0, 1.0)
+    T, total = rspp_plan(1e9, sched, c)
     assert T == 1
     assert total == pytest.approx(0.5)
     # epsilon^-2 scaling of the total-iteration bound at gamma = 1
-    _, t1 = rspp_plan(1e-4, 1.0, c)
-    _, t2 = rspp_plan(5e-5, 1.0, c)
+    _, t1 = rspp_plan(1e-4, sched, c)
+    _, t2 = rspp_plan(5e-5, sched, c)
     assert t1 > 1e4  # D_r-dominated regime
     assert t2 / t1 == pytest.approx(4.0, rel=0.05)
     # theta0 -> 1 blows the epoch count up
-    c_weak = make_constants(sigmas=(1e-4,), mu0=1.0, kappa=2.0)
-    T_weak, _ = rspp_plan(0.1, 1.0, c_weak)
-    c_strong = make_constants(sigmas=(4.0,), mu0=1.0, kappa=2.0)
-    T_strong, _ = rspp_plan(0.1, 1.0, c_strong)
+    c_weak = make_constants(sigmas=(1e-4,), kappa=2.0)
+    T_weak, _ = rspp_plan(0.1, sched, c_weak)
+    c_strong = make_constants(sigmas=(4.0,), kappa=2.0)
+    T_strong, _ = rspp_plan(0.1, sched, c_strong)
     assert T_weak > 100 * T_strong
 
 
 def test_rspp_plan_monotone_in_epsilon():
-    c = make_constants(sigmas=(1.0, 3.0), mu0=0.8, kappa=2.0)
+    c = make_constants(sigmas=(1.0, 3.0), kappa=2.0)
     for gamma in (0.5, 1.0):
-        Ts = [rspp_plan(eps, gamma, c)[0]
+        Ts = [rspp_plan(eps, PolynomialDecay(0.8, gamma), c)[0]
               for eps in (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3)]
         assert all(a <= b for a, b in zip(Ts, Ts[1:]))
 
 
 def test_cal_d_kappa_one_singular():
     c = make_constants(kappa=1.0, dist0=0.0)
-    c.cal_d(1.0)  # fine: the singular term vanishes with dist0 = 0
+    sched = PolynomialDecay(1.0, 1.0)
+    c.cal_d(sched)  # fine: the singular term vanishes with dist0 = 0
     c_bad = make_constants(kappa=1.0, dist0=0.5)
     with pytest.raises(ValueError):
-        c_bad.cal_d(1.0)
+        c_bad.cal_d(sched)
 
 
 def test_measure_from_problem():
     prob = gen_finite_sum(n=4, m=6, seed=2)
     x0 = np.zeros(4)
-    c = ProblemConstants.measure(prob, x0, mu0=0.5, kappa=1.0)
+    c = ProblemConstants.measure(prob, x0, kappa=1.0)
     assert c.r0 == pytest.approx(float(np.linalg.norm(prob.x_star)))
     assert c.dist0 == 0.0  # whole space
     assert c.exp_grad_sq_opt == pytest.approx(
@@ -346,7 +359,7 @@ def test_measure_requires_optimum_and_kappa():
     prob_free = gen_finite_sum(n=4, m=6, seed=2)
     prob_free.x_star = None
     with pytest.raises(MissingConstantError):
-        ProblemConstants.measure(prob_free, np.zeros(4), 1.0, kappa=1.0)
+        ProblemConstants.measure(prob_free, np.zeros(4), kappa=1.0)
     prob.kappa = None
     with pytest.raises(MissingConstantError):
-        ProblemConstants.measure(prob, np.zeros(4), 1.0)
+        ProblemConstants.measure(prob, np.zeros(4))

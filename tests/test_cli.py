@@ -2,6 +2,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -249,6 +251,18 @@ def test_cli_plan(tmp_path, capsys):
     assert "convex-case plan: mu=" in out
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--mu0", "-1"), ("--mu0", "nan"), ("--mu0", "inf"),
+    ("--gamma", "-1"), ("--gamma", "inf")])
+def test_cli_plan_rejects_a_bad_stepsize_law(tmp_path, capsys, flag, value):
+    cfg = tmp_path / "p.ini"
+    cfg.write_text("[problem]\nfamily = finite-sum\nm = 5\nn = 3\nseed = 2\n")
+    assert main(["plan", str(cfg), "--eps", "0.01", flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected before anything is measured
+    assert "config error" in err
+
+
 def test_cli_path_does_not_import_scipy():
     # the runtime is numpy-only: importing scipy.linalg alone costs about
     # 0.35 s and 26 MB in every process
@@ -298,16 +312,21 @@ sys.exit(cli.main(["run", sys.argv[1]]))
 
 # With base_seed 4 and 3 runs of spp, rspp and sgd over 2 workers, task i
 # goes to share i % 2: seed 5 of rspp is task 4, in the parent's share; seed 5
-# of sgd is task 7, in the pool process's share.
+# of sgd is task 7, in the pool process's share.  At 1 worker, the failure in
+# the last cell comes after two cells have run.
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="pool workers inherit the patched run only by fork")
-@pytest.mark.parametrize("algorithm, where", [("rspp", "parent"),
-                                              ("sgd", "pool")])
-def test_worker_failure_propagates(tmp_path, monkeypatch, algorithm, where):
+@pytest.mark.parametrize("algorithm, workers, where", [
+    pytest.param("sgd", 1, "parent", id="sgd-serial"),
+    pytest.param("rspp", 2, "parent", id="rspp-parent"),
+    pytest.param("sgd", 2, "pool", id="sgd-pool")])
+def test_worker_failure_propagates(tmp_path, monkeypatch, algorithm, workers,
+                                   where):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(_with_key("solvers", "algorithms", "spp, rspp, sgd",
                              _with_key("experiment", "runs", "3",
-                                       _with_key("experiment", "workers", "2"))))
+                                       _with_key("experiment", "workers",
+                                                 str(workers)))))
     real_run = harness.run
     parent = os.getpid()
 
@@ -323,10 +342,53 @@ def test_worker_failure_propagates(tmp_path, monkeypatch, algorithm, where):
     with pytest.raises(SolverError, match=f"seed 5 in the {where}") as err:
         run_experiment(config)
     assert err.value.iteration == 7
-    assert not list(Path(config.outdir).glob("*.csv"))
 
     monkeypatch.setenv("SPPROX_OUTDIR", str(tmp_path / "cli"))
     # times out if it hangs
     out = _run_python(FAIL_AT_SEED_5, str(cfg), algorithm)
     assert out.returncode == 2, out.stderr
     assert "injected failure at seed 5" in out.stderr
+    for outdir in (tmp_path / "lib", tmp_path / "cli"):
+        assert not list(outdir.glob("*.csv"))
+        assert not list(outdir.glob("*.meta.json"))
+
+
+# 3 cells x 3w runs over w workers: each share holds 9 runs.  The first run
+# of spp (task 0) is the parent's, its second (task 1) the first pool share's.
+# At 4 workers the pool has more processes than a 2-core machine has cores.
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers inherit the patched run only by fork")
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("failing_seed, where", [(4, "parent"), (5, "pool")])
+def test_a_failure_stops_every_share_at_its_next_run(tmp_path, monkeypatch,
+                                                     workers, failing_seed,
+                                                     where):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(_with_key("solvers", "algorithms", "spp, rspp, sgd",
+                             _with_key("experiment", "runs", str(3 * workers),
+                                       _with_key("experiment", "workers",
+                                                 str(workers)))))
+    log = tmp_path / "runs.log"
+    real_run = harness.run
+    parent = os.getpid()
+
+    def logged_run(problem, config, rng=None):
+        failing = config.seed == failing_seed and config.algorithm == "spp"
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}:{int(failing)}\n")
+        if failing:
+            place = "parent" if os.getpid() == parent else "pool"
+            raise SolverError(f"injected failure in the {place}", 1)
+        time.sleep(0.1)  # long enough for the failure to be seen
+        return real_run(problem, config, rng)
+
+    monkeypatch.setattr(harness, "run", logged_run)
+    config = parse_config(cfg)
+    config.outdir = str(tmp_path / "out")
+    with pytest.raises(SolverError, match=f"in the {where}"):
+        run_experiment(config)
+    started = [line.split(":") for line in log.read_text().split()]
+    (failed_in,) = [pid for pid, failing in started if failing == "1"]
+    runs = Counter(pid for pid, _ in started)
+    assert runs.pop(failed_in) == 1
+    assert max(runs.values(), default=0) <= 3  # of the 9 in each share

@@ -320,7 +320,7 @@ def _feas_is_bit_stable(problem, cfg, seed):
     for other in (seed + 1, seed + 2):
         run(problem, cfg, RandomSource(other))
     estimate_kappa(problem, 2, RandomSource(seed + 3))
-    ProblemConstants.measure(problem, np.zeros(problem.dim), 1.0, kappa=2.0)
+    ProblemConstants.measure(problem, np.zeros(problem.dim), kappa=2.0)
     again = run(problem, cfg, RandomSource(seed))
     assert np.array_equal(again.feas, first.feas)
     return first

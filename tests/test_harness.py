@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from spprox import (AggregateTrace, Cell, ConfigError, ExperimentConfig,
-                    GeneratorSpec, PolynomialDecay, RandomSource,
-                    SolverConfig, aggregate, build_markowitz, emit_csv,
-                    emit_svg, log_log_slope, parse_config, parse_csv,
-                    run_cell, run_experiment, synth_returns)
+                    GeneratorSpec, PolynomialDecay, ProblemConstants,
+                    RandomSource, SolverConfig, aggregate, build_markowitz,
+                    emit_csv, emit_svg, log_log_slope, parse_config,
+                    parse_csv, run_cell, run_experiment, synth_returns)
 from spprox import DykstraError, Polyhedron, SolverError, harness
 from spprox.constraints import CERTIFICATE_TOL
 from spprox.harness import CONFIG_TEMPLATES, CSV_HEADER, emit_run_csv
@@ -345,6 +345,28 @@ def test_run_certifies_every_intersection_solve_at_feas_tol(tmp_path,
     assert any("stroke-dasharray" in e.attrib for e in svg.iter()
                if e.tag.endswith("polyline"))
     assert len(tols) >= 3 and set(tols) == {1e-8}
+
+
+def test_a_run_measures_its_problem_once(tmp_path, monkeypatch):
+    calls = []
+    measure = ProblemConstants.measure
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(ProblemConstants, "measure", spy)
+    config = ExperimentConfig(
+        spec=GeneratorSpec("constrained-ls", n=4, m=40, seed=2),
+        cells=[Cell("spp", mu0, 1.0) for mu0 in (0.5, 1.0)], runs=2,
+        base_seed=5, outdir=str(tmp_path / "once"), iterations=40, stride=10,
+        workers=1, overlay_bounds=True, kappa_probes=1)
+    run_experiment(config)
+    svg = ET.parse(next(Path(config.outdir).glob("*.svg"))).getroot()
+    # each mu0 gets its bound from the one measurement
+    assert sum("stroke-dasharray" in e.attrib for e in svg.iter()
+               if e.tag.endswith("polyline")) == 2
+    assert len(calls) == 1
 
 
 def test_parse_config_roundtrip(tmp_path):
