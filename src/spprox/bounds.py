@@ -2,16 +2,20 @@
 
 Each evaluator is a direct transcription of one stated bound so that harness
 plots can overlay predicted curves on empirical ones.  ``ProblemConstants``
-holds the problem's constants alone (``measure`` fills it from a problem with
-a known optimum); each evaluator takes the ``PolynomialDecay`` it bounds.
+holds the problem's measured constants alone (``measure`` fills it from a
+problem with a known optimum); each evaluator takes the ``PolynomialDecay``
+it bounds and checks its own hypotheses, raising ``ValueError`` when one
+fails (theta0 = E[theta_S(mu0)^2] outside (0, 1), epsilon not positive and
+finite, ...).
 
 Two expected-squared-Lipschitz constants coexist deliberately:
 
-* ``exp_lips_sq``  — gradient-Lipschitz constants (smooth strongly convex
-  analysis); measurable from the components.
-* ``exp_subgrad_sq`` — subgradient bound over the iterate region (convex
-  Lipschitz analysis); least-squares losses are only locally Lipschitz, so
-  this one is user-supplied.
+* ``exp_lips_sq`` — gradient-Lipschitz constants (smooth strongly convex
+  analysis); measured from the components.
+* ``subgrad_sq`` — subgradient bound over the iterate region (convex
+  Lipschitz analysis), an argument of ``convex_bounds`` and
+  ``constant_step_plan``; least-squares losses are only locally Lipschitz,
+  so no problem carries it.
 """
 
 from __future__ import annotations
@@ -45,11 +49,10 @@ class ProblemConstants:
     exp_lips_sq: float
     sigmas: Array
     dist0: float
-    exp_subgrad_sq: float | None = None
 
     def __post_init__(self):
-        if self.kappa is not None and self.kappa < 1.0:
-            raise ValueError("kappa must be >= 1")
+        if not (self.kappa is not None and 1.0 <= self.kappa < math.inf):
+            raise ValueError(f"kappa = {self.kappa} must be finite and >= 1")
 
     # -- derived aggregates ---------------------------------------------------
 
@@ -102,8 +105,8 @@ class ProblemConstants:
         """Fill the constants from a problem with a known optimum.
 
         kappa is the argument, else ``problem.kappa`` (``estimate_kappa``
-        gives a lower bound), else an error.  ``exp_subgrad_sq``, user-supplied,
-        stays unset.  ``tol`` certifies dist0 as in ``project_intersection``.
+        gives a lower bound), else an error.  ``tol`` certifies dist0 as in
+        ``project_intersection``.
         """
         if problem.x_star is None:
             raise MissingConstantError(
@@ -123,25 +126,28 @@ class ProblemConstants:
             dist0=dist_intersection(problem.rows, x0, tol=tol))
 
 
-def _require(c: ProblemConstants, names) -> None:
-    missing = [n for n in names if getattr(c, n) is None]
-    if missing:
-        raise MissingConstantError(f"missing constants: {', '.join(missing)}")
+def _subgrad_bound(subgrad_sq: float | None) -> float:
+    """The user-supplied E[L^2], checked: given, finite and >= 0."""
+    if subgrad_sq is None:
+        raise MissingConstantError(
+            "supply subgrad_sq, the subgradient bound E[L^2]")
+    if not 0.0 <= subgrad_sq < math.inf:
+        raise ValueError(f"subgrad_sq = {subgrad_sq} must be finite and >= 0")
+    return subgrad_sq
 
 
-def convex_bounds(c: ProblemConstants, k: int,
-                  schedule: PolynomialDecay) -> tuple[float, float, float]:
+def convex_bounds(c: ProblemConstants, k: int, schedule: PolynomialDecay,
+                  subgrad_sq: float) -> tuple[float, float, float]:
     """Convex-case certificates after k iterations of the averaged scheme.
 
     Returns (suboptimality upper bound, suboptimality lower bound,
     feasibility-squared upper bound) with mu1 = sum of the first k stepsizes,
-    mu2 = sum of their squares, and R = mu0 kappa (r0^2 + E[L^2] mu2).
-    Uses the user-supplied subgradient constant ``exp_subgrad_sq``.
+    mu2 = sum of their squares, and R = mu0 kappa (r0^2 + E[L^2] mu2), where
+    E[L^2] = ``subgrad_sq`` bounds the subgradients over the iterates.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _require(c, ("exp_subgrad_sq", "kappa", "r0"))
-    L2 = c.exp_subgrad_sq
+    L2 = _subgrad_bound(subgrad_sq)
     s1, s2 = schedule.partial_sums(k)
     mu0 = schedule.mu0
     R = mu0 * c.kappa * (c.r0 ** 2 + L2 * s2)
@@ -154,18 +160,18 @@ def convex_bounds(c: ProblemConstants, k: int,
     return upper, lower, feas_sq
 
 
-def constant_step_plan(epsilon: float,
-                       c: ProblemConstants) -> tuple[float, int]:
+def constant_step_plan(epsilon: float, c: ProblemConstants,
+                       subgrad_sq: float) -> tuple[float, int]:
     """Constant stepsize and iteration count guaranteeing epsilon accuracy.
 
     mu = eps / (E[L^2](3k + sqrt(2k))) and the smallest integer K with
-    K >= E[L^2] r0^2 / eps^2 * max{1, (3k + sqrt(2k))^2}.  The plan's
-    standing hypotheses r0 >= 1 and E[L^2] >= 2 are checked and warned about.
+    K >= E[L^2] r0^2 / eps^2 * max{1, (3k + sqrt(2k))^2}, where E[L^2] =
+    ``subgrad_sq``.  The plan's standing hypotheses r0 >= 1 and E[L^2] >= 2
+    are checked and warned about.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    _require(c, ("exp_subgrad_sq", "kappa", "r0"))
-    L2 = c.exp_subgrad_sq
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon = {epsilon} must be positive and finite")
+    L2 = _subgrad_bound(subgrad_sq)
     if c.r0 < 1.0 or L2 < 2.0:
         warnings.warn("constant-step plan assumes r0 >= 1 and E[L^2] >= 2; "
                       "the returned pair may be conservative", stacklevel=2)
@@ -255,8 +261,8 @@ def iteration_complexity(epsilon: float, schedule: PolynomialDecay,
     Found by doubling into the monotone tail of the bound and bisecting the
     crossing.  Raises if the bound has not reached epsilon by ``cap``.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon = {epsilon} must be positive and finite")
 
     def ok(k):
         return strongly_convex_bound(c, k, schedule) <= epsilon
@@ -284,11 +290,12 @@ def rspp_plan(epsilon: float, schedule: PolynomialDecay,
 
     T = ceil(max{ln(2 r0^2/eps)/ln(1/theta0), (2^(gamma+1) D_r C / eps)^(1/gamma)})
     (at least 1), with total inner iterations at least T^(1+gamma)/(1+gamma).
+    At r0 = 0 the first term, which bounds the r0^2 head, is taken as 0.
     The constant C's 1/(2(1-gamma) ln(1/sqrt(theta0))) term is derived for
     gamma < 1 only and is degenerate at gamma >= 1; it is dropped there.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon = {epsilon} must be positive and finite")
     mu1, gamma = schedule.mu0, schedule.gamma  # mu_t = mu0/t^gamma at t = 1
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -299,7 +306,8 @@ def rspp_plan(epsilon: float, schedule: PolynomialDecay,
     C = mu1 ** 2 / (1.0 - th0) ** 2
     if gamma < 1.0:
         C += 1.0 / (2.0 * (1.0 - gamma) * math.log(1.0 / math.sqrt(th0)))
-    arg1 = math.log(2.0 * c.r0 ** 2 / epsilon) / math.log(1.0 / th0)
+    arg1 = (math.log(2.0 * c.r0 ** 2 / epsilon) / math.log(1.0 / th0)
+            if c.r0 > 0 else 0.0)
     arg2 = (2.0 ** (gamma + 1.0) * Dr * C / epsilon) ** (1.0 / gamma)
     T = max(1, math.ceil(max(arg1, arg2)))
     total = T ** (1.0 + gamma) / (1.0 + gamma)

@@ -20,7 +20,7 @@ from .constraints import estimate_kappa
 from .harness import (CONFIG_TEMPLATES, ConfigError, parse_config,
                       run_experiment)
 from .problems import generate
-from .schedules import PolynomialDecay, theta0
+from .schedules import PolynomialDecay, mean_theta_sq
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,25 +100,23 @@ def _cmd_plan(args) -> int:
                                tol=config.feas_tol)
     c = bounds.ProblemConstants.measure(problem, np.zeros(problem.dim),
                                         kappa=kappa, tol=config.feas_tol)
-    c.exp_subgrad_sq = args.subgrad_sq
     print(f"constants: r0={c.r0:.6g} kappa={c.kappa:.6g} eta^2={c.exp_grad_sq_opt:.6g} "
           f"E[L^2]={c.exp_lips_sq:.6g} dist0={c.dist0:.6g}")
-    try:
-        th0 = theta0(problem, schedule.mu0)
-        print(f"theta0 = E[theta_S^2(mu0)] = {th0:.6g}")
-    except ValueError as exc:
-        th0 = None
-        print(f"theta0 unavailable: {exc}")
-    if c.exp_subgrad_sq is not None:
-        mu, K = bounds.constant_step_plan(args.eps, c)
-        print(f"convex-case plan: mu={mu:.6g}, K={K}")
-    else:
-        print("convex-case plan skipped: supply --subgrad-sq for E[L^2]")
-    if th0 is not None:
-        k = bounds.iteration_complexity(args.eps, schedule, c)
-        print(f"variable-stepsize plan (gamma={schedule.gamma:g}): k={k}")
-        T, total = bounds.rspp_plan(args.eps, schedule, c)
-        print(f"restart plan: T={T} epochs, >= {total:.6g} inner iterations")
+    th0 = mean_theta_sq(c.sigmas, schedule.mu0)
+    print(f"theta0 = E[theta_S^2(mu0)] = {th0:.6g}")
+    # every plan is evaluated on its own; its evaluator checks the hypotheses
+    plans = (
+        ("convex-case plan", "mu={:.6g}, K={}",
+         lambda: bounds.constant_step_plan(args.eps, c, args.subgrad_sq)),
+        (f"variable-stepsize plan (gamma={schedule.gamma:g})", "k={}",
+         lambda: (bounds.iteration_complexity(args.eps, schedule, c),)),
+        ("restart plan", "T={} epochs, >= {:.6g} inner iterations",
+         lambda: bounds.rspp_plan(args.eps, schedule, c)))
+    for label, answer, plan in plans:
+        try:
+            print(f"{label}: {answer.format(*plan())}")
+        except (ValueError, ArithmeticError) as exc:
+            print(f"{label} unavailable: {exc}")
     return 0
 
 

@@ -236,6 +236,8 @@ class Polyhedron:
                              f"got {x.shape}")
         if not np.isfinite(x).all():  # LAPACK would fail on it less clearly
             raise ValueError("cannot project a non-finite point")
+        if not 0 < tol < np.inf:
+            raise ValueError(f"tol = {tol} must be positive and finite")
         points = np.atleast_2d(x)
         key = (points[0].tobytes(), tol)
         if self._memo is None or self._memo[0] != key:
@@ -315,8 +317,6 @@ def project_intersection(sets, x, tol: float = CERTIFICATE_TOL) -> Array:
     max_i |d_i|), nonnegative multipliers) holds; an empty intersection or
     a failed certificate raises DykstraError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not isinstance(sets, Polyhedron):
         sets = list(sets)
         if not sets:

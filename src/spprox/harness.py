@@ -32,7 +32,7 @@ from . import bounds as bounds_mod
 from .constraints import CERTIFICATE_TOL, estimate_kappa
 from .core import RandomSource, StochasticProblem
 from .problems import FAMILIES, GeneratorSpec, generate, knob_defaults
-from .schedules import PolynomialDecay, theta0
+from .schedules import PolynomialDecay, mean_theta_sq
 from .solvers import RunTrace, SolverConfig, check_scheme, run
 
 CSV_HEADER = "k,mean_sqdist,se_sqdist,mean_feas,se_feas,mean_obj,se_obj,stepsize"
@@ -429,10 +429,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                    "family": config.spec.family}
     if "subgradient_caveat" in problem.meta:
         meta_common["subgradient_caveat"] = problem.meta["subgradient_caveat"]
-    try:
-        meta_common["theta0_at_1"] = theta0(problem, 1.0)
-    except ValueError:
-        meta_common["theta0_at_1"] = None
+    meta_common["theta0_at_1"] = mean_theta_sq(problem.sigma_values(), 1.0)
 
     kappa_hat = None
     if config.kappa_probes > 0:

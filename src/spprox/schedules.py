@@ -38,19 +38,6 @@ def mean_theta_sq(sigmas, mu: float) -> float:
     return float(np.mean(1.0 / (1.0 + mu * np.asarray(sigmas, float)) ** 2))
 
 
-def theta0(problem, mu0: float) -> float:
-    """theta0 = E[theta_S(mu0)^2] over the problem's components, exactly.
-
-    Requires some component to carry strong convexity (E[sigma] > 0),
-    otherwise the expectation is 1 and the strongly convex analysis is void.
-    """
-    sigmas = problem.sigma_values()
-    if float(np.mean(sigmas)) <= 0.0:
-        raise ValueError("all components have sigma = 0; "
-                         "strong-convexity assumption violated")
-    return mean_theta_sq(sigmas, mu0)
-
-
 class PolynomialDecay:
     """The stepsize law mu_k = mu0 / k^gamma for k >= 1, with mu_0 = mu0.
 

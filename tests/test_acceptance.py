@@ -18,8 +18,9 @@ from spprox import (BatchLeastSquares, Cell, ExperimentConfig,
                     StochasticProblem, WholeSpace, build_markowitz,
                     constant_step_envelope, estimate_kappa, gen_feasibility,
                     run, run_experiment, rspp_plan, rspp_schedule,
-                    strongly_convex_bound, synth_returns, theta0)
+                    strongly_convex_bound, synth_returns)
 from spprox.constraints import project_intersection
+from spprox.schedules import mean_theta_sq
 from spprox.harness import log_log_slope
 
 BASE_SEED = 500
@@ -254,7 +255,7 @@ def test_criterion_09_robustness_contrast(desk_ls):
     peak_spp = float(np.mean([t.sqdist.max() for t in spp]))
     peak_sgd = float(np.mean([t.sqdist.max() for t in sgd]))
     assert peak_sgd >= 10.0 * peak_spp
-    th0 = theta0(desk_ls, 1.0)
+    th0 = mean_theta_sq(desk_ls.sigma_values(), 1.0)
     eta = math.sqrt(desk_ls.exp_grad_norm_sq(desk_ls.x_star))
     r0 = float(np.linalg.norm(desk_ls.x_star))
     cap = max(r0, 1.0 * eta / (1.0 - math.sqrt(th0)))

@@ -12,22 +12,21 @@ from spprox.schedules import mean_theta_sq
 
 
 def make_constants(r0=1.0, kappa=1.0, eta_sq=1.0, grad_norm=0.5, lips_sq=4.0,
-                   sigmas=(1.0,), dist0=0.3, subgrad_sq=2.0):
+                   sigmas=(1.0,), dist0=0.3):
     return ProblemConstants(
         r0=r0, kappa=kappa, exp_grad_sq_opt=eta_sq, grad_norm_opt=grad_norm,
         exp_lips_sq=lips_sq, sigmas=np.array(sigmas, dtype=float),
-        dist0=dist0, exp_subgrad_sq=subgrad_sq)
+        dist0=dist0)
 
 
 # -- independently written re-evaluations (different operation order) -----------
 
-def convex_bounds_alt(c, k, schedule):
+def convex_bounds_alt(c, k, schedule, L2):
     mus = np.array([schedule.mu0 / float(max(i, 1)) ** schedule.gamma
                     for i in range(k)])
     s1 = math.fsum(mus)
     s2 = math.fsum(mus * mus)
     mu0 = mus[0]
-    L2 = c.exp_subgrad_sq
     R = (c.r0 ** 2 + L2 * s2) * (mu0 * c.kappa)
     upper = (c.r0 ** 2 + L2 * s2) / (2.0 * s1)
     base = s2 / s1 + mu0 * 2.0
@@ -100,14 +99,18 @@ def rspp_plan_alt(epsilon, schedule, c):
     C = (mu0 / (1.0 - th0)) ** 2
     if gamma < 1.0:
         C += 0.5 / ((1.0 - gamma) * math.log(1.0 / math.sqrt(th0)))
-    a1 = math.log(2.0 * c.r0 ** 2 / epsilon) / math.log(1.0 / th0)
+    if c.r0 == 0.0:  # no distance to close: only the noise term counts
+        a1 = 0.0
+    else:
+        a1 = math.log(2.0 * c.r0 ** 2 / epsilon) / math.log(1.0 / th0)
     a2 = math.exp(math.log(2.0 ** (gamma + 1.0) * Dr * C / epsilon) / gamma)
     T = max(1, math.ceil(max(a1, a2)))
     return T, T ** (1.0 + gamma) / (1.0 + gamma)
 
 
 def random_constants(rng):
-    """Random constants and a random mu0, drawn in one fixed order."""
+    """Random constants, a random mu0 and a random subgradient bound E[L^2],
+    drawn in one fixed order."""
     sigmas = np.abs(rng.normal(1 + rng.integers(4))) + 0.05
     drawn = dict(
         r0=0.5 + 2 * float(rng.uniform()),
@@ -118,17 +121,18 @@ def random_constants(rng):
         sigmas=sigmas,
         dist0=float(rng.uniform()))
     mu0 = 0.2 + float(rng.uniform())
-    return make_constants(**drawn, subgrad_sq=2.0 + 2 * float(rng.uniform())), mu0
+    return make_constants(**drawn), mu0, 2.0 + 2 * float(rng.uniform())
 
 
 def test_dual_evaluations_agree():
     rng = RandomSource(101)
     for _ in range(1000):
-        c, mu0 = random_constants(rng)
+        c, mu0, L2 = random_constants(rng)
         k = 1 + rng.integers(500)
         gamma = (0.25, 0.5, 0.75, 1.0)[rng.integers(4)]
         sched = PolynomialDecay(mu0, gamma)
-        for a, b in zip(convex_bounds(c, k, sched), convex_bounds_alt(c, k, sched)):
+        for a, b in zip(convex_bounds(c, k, sched, L2),
+                        convex_bounds_alt(c, k, sched, L2)):
             assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
         v1 = strongly_convex_bound(c, k, sched)
         v2 = strongly_convex_alt(c, k, sched)
@@ -142,8 +146,8 @@ def test_dual_evaluations_agree():
 
 
 def test_convex_bounds_hand_example():
-    c = make_constants(r0=1.0, kappa=1.0, subgrad_sq=2.0)
-    upper, lower, feas = convex_bounds(c, 1, PolynomialDecay(1.0, 0))
+    c = make_constants(r0=1.0, kappa=1.0)
+    upper, lower, feas = convex_bounds(c, 1, PolynomialDecay(1.0, 0), 2.0)
     assert upper == pytest.approx(1.5)  # (r0^2 + 2*1) / (2*1)
     # lower: -1*2*(1 + 2) - sqrt(2*3/1) = -6 - sqrt(6)
     assert lower == pytest.approx(-6.0 - math.sqrt(6.0))
@@ -152,24 +156,23 @@ def test_convex_bounds_hand_example():
 
 
 def test_convex_bounds_limit_consistency():
-    c = make_constants(r0=1.0, kappa=1.0, subgrad_sq=2.0)
+    c = make_constants(r0=1.0, kappa=1.0)
+    L2 = 2.0
     sched = PolynomialDecay(1.0, 1.0)
     k = 10 ** 6
-    upper, lower, feas = convex_bounds(c, k, sched)
+    upper, lower, feas = convex_bounds(c, k, sched, L2)
     s1, s2 = sched.partial_sums(k)
     # each bound stays within 10x of its non-vanishing leading term
-    assert 0 < upper <= 10 * (c.r0 ** 2 / (2 * s1) + c.exp_subgrad_sq * s2 / (2 * s1))
-    assert abs(lower) <= 10 * (2 * c.kappa * c.exp_subgrad_sq * sched.mu0
-                               + math.sqrt(c.exp_subgrad_sq))
-    assert 0 < feas <= 10 * (2 * c.kappa ** 2 * c.exp_subgrad_sq
-                             * (2 * sched.mu0) ** 2 + 1)
+    assert 0 < upper <= 10 * (c.r0 ** 2 / (2 * s1) + L2 * s2 / (2 * s1))
+    assert abs(lower) <= 10 * (2 * c.kappa * L2 * sched.mu0 + math.sqrt(L2))
+    assert 0 < feas <= 10 * (2 * c.kappa ** 2 * L2 * (2 * sched.mu0) ** 2 + 1)
 
 
 def test_convex_bounds_vanishing_gradient_case():
-    c = make_constants(subgrad_sq=0.0, kappa=2.0, r0=1.5)
+    c = make_constants(kappa=2.0, r0=1.5)
     sched = PolynomialDecay(0.5, 0)
     k = 10
-    upper, lower, feas = convex_bounds(c, k, sched)
+    upper, lower, feas = convex_bounds(c, k, sched, 0.0)
     s1, _ = sched.partial_sums(k)
     R = 0.5 * 2.0 * 1.5 ** 2
     assert feas == pytest.approx(2.0 * R / s1)
@@ -178,14 +181,41 @@ def test_convex_bounds_vanishing_gradient_case():
 
 def test_convex_bounds_missing_constants():
     c = make_constants()
-    c.exp_subgrad_sq = None
     with pytest.raises(MissingConstantError):
-        convex_bounds(c, 5, PolynomialDecay(1.0, 0))
+        convex_bounds(c, 5, PolynomialDecay(1.0, 0), None)
+    with pytest.raises(MissingConstantError):
+        constant_step_plan(0.1, c, None)
+
+
+@pytest.mark.parametrize("subgrad_sq", [math.nan, math.inf, -2.0])
+def test_a_bad_subgradient_bound_is_rejected(subgrad_sq):
+    c = make_constants(r0=2.0)
+    with pytest.raises(ValueError, match="subgrad_sq"):
+        convex_bounds(c, 5, PolynomialDecay(1.0, 0), subgrad_sq)
+    with pytest.raises(ValueError, match="subgrad_sq"):
+        constant_step_plan(0.1, c, subgrad_sq)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -0.1])
+def test_a_bad_epsilon_is_rejected(epsilon):
+    c = make_constants(r0=2.0, sigmas=(4.0,), kappa=2.0)
+    sched = PolynomialDecay(1.0, 1.0)
+    for plan in (lambda: constant_step_plan(epsilon, c, 2.0),
+                 lambda: iteration_complexity(epsilon, sched, c),
+                 lambda: rspp_plan(epsilon, sched, c)):
+        with pytest.raises(ValueError, match="epsilon"):
+            plan()
+
+
+@pytest.mark.parametrize("kappa", [None, math.nan, math.inf, 0.5])
+def test_a_bad_kappa_is_rejected(kappa):
+    with pytest.raises(ValueError, match="kappa"):
+        make_constants(kappa=kappa)
 
 
 def test_constant_step_plan_example():
-    c = make_constants(r0=1.0, kappa=1.0, subgrad_sq=2.0)
-    mu, K = constant_step_plan(0.1, c)
+    c = make_constants(r0=1.0, kappa=1.0)
+    mu, K = constant_step_plan(0.1, c, 2.0)
     factor = 3.0 + math.sqrt(2.0)
     assert mu == pytest.approx(0.1 / (2.0 * factor))
     assert mu == pytest.approx(0.011327, rel=1e-4)
@@ -194,16 +224,16 @@ def test_constant_step_plan_example():
 
 
 def test_constant_step_plan_epsilon_scaling():
-    c = make_constants(r0=2.0, kappa=1.5, subgrad_sq=3.0)
-    _, K1 = constant_step_plan(0.1, c)
-    _, K2 = constant_step_plan(0.05, c)
+    c = make_constants(r0=2.0, kappa=1.5)
+    _, K1 = constant_step_plan(0.1, c, 3.0)
+    _, K2 = constant_step_plan(0.05, c, 3.0)
     assert K2 / K1 == pytest.approx(4.0, rel=1e-3)
 
 
 def test_constant_step_plan_warns_outside_hypotheses():
-    c = make_constants(r0=0.5, subgrad_sq=2.0)
+    c = make_constants(r0=0.5)
     with pytest.warns(UserWarning):
-        constant_step_plan(0.1, c)
+        constant_step_plan(0.1, c, 2.0)
 
 
 def test_envelope_examples():
@@ -249,7 +279,7 @@ def test_strongly_convex_bound_branch_selection():
 def test_strongly_convex_bound_monotone_tail():
     rng = RandomSource(55)
     for _ in range(20):
-        c, mu0 = random_constants(rng)
+        c, mu0, _ = random_constants(rng)
         sched = PolynomialDecay(mu0, (0.5, 1.0)[rng.integers(2)])
         vals = [strongly_convex_bound(c, k, sched)
                 for k in np.unique(np.logspace(2, 5, 40).astype(int))]
@@ -325,6 +355,15 @@ def test_rspp_plan_examples():
     assert T_weak > 100 * T_strong
 
 
+def test_rspp_plan_at_the_optimum():
+    # x0 = x*: no log(2 r0^2 / eps) term, the noise term alone sets T
+    c = make_constants(r0=0.0, sigmas=(4.0,), kappa=2.0, dist0=0.0)
+    for gamma in (0.5, 1.0):
+        sched = PolynomialDecay(1.0, gamma)
+        assert rspp_plan(0.1, sched, c) == pytest.approx(
+            rspp_plan_alt(0.1, sched, c))
+
+
 def test_rspp_plan_monotone_in_epsilon():
     c = make_constants(sigmas=(1.0, 3.0), kappa=2.0)
     for gamma in (0.5, 1.0):
@@ -351,7 +390,6 @@ def test_measure_from_problem():
     assert c.exp_grad_sq_opt == pytest.approx(
         prob.exp_grad_norm_sq(prob.x_star))
     assert c.exp_lips_sq == pytest.approx(prob.exp_lips_grad_sq())
-    assert c.exp_subgrad_sq is None
 
 
 def test_measure_requires_optimum_and_kappa():

@@ -1,3 +1,4 @@
+import contextlib
 import multiprocessing
 import os
 import subprocess
@@ -240,15 +241,92 @@ def test_cli_estimate_kappa(tmp_path, monkeypatch, capsys):
     assert "lower bound" in out
 
 
+_PLAN_CONFIG = "[problem]\nfamily = finite-sum\nm = 5\nn = 3\nseed = 2\n"
+_R0_BELOW_1 = "constant-step plan assumes r0 >= 1"
+
+
 def test_cli_plan(tmp_path, capsys):
     cfg = tmp_path / "p.ini"
-    cfg.write_text("[problem]\nfamily = finite-sum\nm = 5\nn = 3\nseed = 2\n")
-    assert main(["plan", str(cfg), "--eps", "0.01", "--gamma", "1",
-                 "--kappa", "1", "--subgrad-sq", "4.0"]) == 0
+    cfg.write_text(_PLAN_CONFIG)
+    with pytest.warns(UserWarning, match=_R0_BELOW_1):  # r0 = 0.35 here
+        assert main(["plan", str(cfg), "--eps", "0.01", "--gamma", "1",
+                     "--kappa", "1", "--subgrad-sq", "4.0"]) == 0
     out = capsys.readouterr().out
-    assert "variable-stepsize plan" in out
-    assert "restart plan" in out
+    assert "variable-stepsize plan (gamma=1): k=" in out
+    assert "restart plan: T=" in out
     assert "convex-case plan: mu=" in out
+
+
+_PLAN_LABELS = ("convex-case plan", "variable-stepsize plan (gamma=1)",
+                "restart plan")
+
+
+def _plan_lines(out: str) -> dict:
+    """{label: the text after it} for each plan line, each label once."""
+    lines = {}
+    for line in out.splitlines():
+        for label in _PLAN_LABELS:
+            if line.startswith((f"{label}: ", f"{label} unavailable: ")):
+                assert label not in lines, out
+                lines[label] = line[len(label):]
+    return lines
+
+
+# {template: (exit code, whether r0 < 1 draws the constant-step warning)}.
+# constrained-ls's variable-stepsize bound never reaches 0.1 and feasibility
+# starts at its optimum (r0 = 0); neither hides the restart plan.  markowitz
+# has no known optimum, so nothing is measured.
+_PLAN_BY_TEMPLATE = {"constrained-ls": (0, False), "feasibility": (0, True),
+                     "finite-sum": (0, True), "markowitz": (2, False),
+                     "random-ls-polyhedron": (0, False)}
+
+
+@pytest.mark.parametrize("family", sorted(harness.CONFIG_TEMPLATES))
+def test_plan_reports_every_plan_on_every_template(tmp_path, capsys, family):
+    code, warns = _PLAN_BY_TEMPLATE[family]
+    assert main(["gen-config", family]) == 0
+    cfg = tmp_path / f"{family}.ini"
+    cfg.write_text(capsys.readouterr().out)
+    with (pytest.warns(UserWarning, match=_R0_BELOW_1) if warns
+          else contextlib.nullcontext()):
+        assert main(["plan", str(cfg), "--eps", "0.1", "--probes", "20",
+                     "--subgrad-sq", "2"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert sorted(_plan_lines(out)) == sorted(_PLAN_LABELS)
+    else:
+        assert "no known optimum" in err and out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0.5"])
+def test_cli_plan_rejects_a_bad_kappa(tmp_path, capsys, value):
+    cfg = tmp_path / "p.ini"
+    cfg.write_text(_PLAN_CONFIG)
+    assert main(["plan", str(cfg), "--eps", "0.01", "--kappa", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "kappa" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "nan"), ("--eps", "inf"), ("--eps", "0"), ("--eps", "-0.1"),
+    ("--subgrad-sq", "nan"), ("--subgrad-sq", "inf"), ("--subgrad-sq", "-2")])
+def test_cli_plan_reports_a_bad_input_as_unavailable(tmp_path, capsys, flag,
+                                                     value):
+    cfg = tmp_path / "p.ini"
+    cfg.write_text(_PLAN_CONFIG)
+    argv = {"--eps": "0.01", "--kappa": "1", "--subgrad-sq": "4.0", flag: value}
+    # the bad value is rejected before the r0 >= 1 hypothesis is checked
+    assert main(["plan", str(cfg), *(s for kv in argv.items() for s in kv)]) == 0
+    lines = _plan_lines(capsys.readouterr().out)
+    assert sorted(lines) == sorted(_PLAN_LABELS)
+    # epsilon feeds every plan, subgrad_sq only the convex-case one
+    name, unavailable = {"--eps": ("epsilon", _PLAN_LABELS),
+                         "--subgrad-sq": ("subgrad_sq", _PLAN_LABELS[:1])}[flag]
+    for label, text in lines.items():
+        if label in unavailable:
+            assert text.startswith(f" unavailable: {name} = "), text
+        else:
+            assert text.startswith(": "), text
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -256,7 +334,7 @@ def test_cli_plan(tmp_path, capsys):
     ("--gamma", "-1"), ("--gamma", "inf")])
 def test_cli_plan_rejects_a_bad_stepsize_law(tmp_path, capsys, flag, value):
     cfg = tmp_path / "p.ini"
-    cfg.write_text("[problem]\nfamily = finite-sum\nm = 5\nn = 3\nseed = 2\n")
+    cfg.write_text(_PLAN_CONFIG)
     assert main(["plan", str(cfg), "--eps", "0.01", flag, value]) == 1
     out, err = capsys.readouterr()
     assert out == ""  # rejected before anything is measured

@@ -302,6 +302,17 @@ def test_polyhedron_rejects_non_finite_point(bad, capfd):
     assert "DLASCL" not in capfd.readouterr().err  # no LAPACK call was made
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+def test_projection_rejects_a_bad_tolerance(tol):
+    sets = [Halfspace(np.array([1.0, 0.0]), 0.5),
+            Halfspace(np.array([0.0, 1.0]), 1.0)]
+    x = np.array([3.0, 2.0])
+    with pytest.raises(ValueError, match="tol = "):
+        Polyhedron.of(sets, 2).project(x, tol=tol)
+    with pytest.raises(ValueError, match="tol = "):
+        project_intersection(sets, x, tol=tol)
+
+
 def test_row_mean_sq_distance_matches_set_loop():
     rng = RandomSource(43)
     for _ in range(20):

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from spprox import (PolynomialDecay, QuadraticNorm, RandomSource,
-                    StochasticProblem, WholeSpace, phi, theta, theta0)
+from spprox import (PolynomialDecay, ProblemConstants, QuadraticNorm,
+                    RandomSource, StochasticProblem, WholeSpace,
+                    constant_step_envelope, iteration_complexity, phi,
+                    rspp_plan, strongly_convex_bound, theta)
+from spprox.schedules import mean_theta_sq
 
 
 def _at(sched, k):
@@ -114,24 +117,40 @@ def _problem_with_sigmas(sigmas):
     return StochasticProblem(losses, [WholeSpace(2)], 2)
 
 
+def _theta0(problem, mu0):
+    return mean_theta_sq(problem.sigma_values(), mu0)
+
+
 def test_theta0_examples():
-    assert theta0(_problem_with_sigmas([1.0]), 1.0) == 0.25
-    assert abs(theta0(_problem_with_sigmas([0.0, 1.0]), 1.0) - 0.625) < 1e-15
+    assert _theta0(_problem_with_sigmas([1.0]), 1.0) == 0.25
+    assert abs(_theta0(_problem_with_sigmas([0.0, 1.0]), 1.0) - 0.625) < 1e-15
 
 
 def test_theta0_requires_some_strong_convexity():
-    with pytest.raises(ValueError):
-        theta0(_problem_with_sigmas([0.0, 0.0]), 1.0)
+    # all sigma = 0 gives theta0 = 1: every strongly convex evaluator refuses
+    sigmas = _problem_with_sigmas([0.0, 0.0]).sigma_values()
+    assert mean_theta_sq(sigmas, 1.0) == 1.0
+    c = ProblemConstants(r0=1.0, kappa=2.0, exp_grad_sq_opt=1.0,
+                         grad_norm_opt=0.5, exp_lips_sq=4.0, sigmas=sigmas,
+                         dist0=0.3)
+    sched = PolynomialDecay(1.0, 1.0)
+    for evaluate in (lambda: c.cal_a(1.0),
+                     lambda: strongly_convex_bound(c, 5, sched),
+                     lambda: iteration_complexity(0.1, sched, c),
+                     lambda: rspp_plan(0.1, sched, c),
+                     lambda: constant_step_envelope(c, 1.0, 5)):
+        with pytest.raises(ValueError, match="theta"):
+            evaluate()
 
 
 def test_theta0_below_one_with_positive_sigma():
     p = _problem_with_sigmas([0.0, 0.0, 0.5])
-    assert 0.0 < theta0(p, 0.3) < 1.0
+    assert 0.0 < _theta0(p, 0.3) < 1.0
 
 
 def test_theta0_matches_sampling_oracle(small_ls):
     mu0 = 1.0
-    exact = theta0(small_ls, mu0)
+    exact = _theta0(small_ls, mu0)
     assert 0.0 < exact < 1.0
     rng = RandomSource(77)
     li, _ = small_ls.sample_indices(rng, 200_000)

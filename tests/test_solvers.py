@@ -10,9 +10,9 @@ from conftest import random_component
 from spprox import (BatchLeastSquares, Halfspace, PolynomialDecay,
                     QuadraticNorm, RandomSource,
                     SolverConfig, SolverError, StochasticProblem, WholeSpace,
-                    epochs_for_budget, parse_config, rspp_schedule, run,
-                    theta0)
+                    epochs_for_budget, parse_config, rspp_schedule, run)
 from spprox.components import LossComponent
+from spprox.schedules import mean_theta_sq
 
 
 def _half_sq_dist(dim, center):
@@ -253,7 +253,7 @@ def test_spp_step_equals_moreau_gradient_step():
 
 def test_boundedness_cap_strongly_convex(small_ls):
     mu0 = 1.0
-    th0 = theta0(small_ls, mu0)
+    th0 = mean_theta_sq(small_ls.sigma_values(), mu0)
     eta = math.sqrt(small_ls.exp_grad_norm_sq(small_ls.x_star))
     r0 = float(np.linalg.norm(small_ls.x_star))
     cap = max(r0, mu0 * eta / (1.0 - math.sqrt(th0)))
