@@ -17,7 +17,7 @@ from .constraints import (Box, ConstraintSet, DykstraError, Halfspace,
                           Hyperplane, NonnegativeOrthant, Polyhedron,
                           WholeSpace, dist_intersection, estimate_kappa,
                           project_intersection)
-from .core import RandomSource, StochasticProblem, as_vector, dot, norm
+from .core import StochasticProblem, as_vector, norm
 from .harness import (AggregateTrace, Cell, ConfigError, ExperimentConfig,
                       aggregate, emit_csv, emit_svg, log_log_slope,
                       parse_config, parse_csv, run_cell, run_experiment)
@@ -25,7 +25,7 @@ from .problems import (GeneratorSpec, ReturnsTable, build_markowitz, generate,
                        gen_constrained_ls, gen_feasibility, gen_finite_sum,
                        gen_markowitz, gen_random_ls_polyhedron,
                        load_returns_csv, synth_returns)
-from .schedules import PolynomialDecay, phi, theta
+from .schedules import PolynomialDecay, phi
 from .solvers import (RunTrace, SolverConfig, SolverError, epochs_for_budget,
                       rspp_schedule, run)
 

@@ -30,6 +30,9 @@ from .constraints import CERTIFICATE_TOL, dist_intersection
 from .core import Array, StochasticProblem, norm
 from .schedules import PolynomialDecay, mean_theta_sq, phi
 
+# No plan asks for more iterations than this; beyond it a plan is unreachable.
+ITERATION_CAP = 2 ** 62
+
 
 class MissingConstantError(ValueError):
     """A bound evaluator is missing required constants."""
@@ -255,11 +258,11 @@ def bound_overlay(c: ProblemConstants, algorithm: str,
 
 
 def iteration_complexity(epsilon: float, schedule: PolynomialDecay,
-                         c: ProblemConstants, cap: int = 2 ** 62) -> int:
+                         c: ProblemConstants) -> int:
     """Smallest k with strongly_convex_bound(c, k, schedule) <= epsilon.
 
     Found by doubling into the monotone tail of the bound and bisecting the
-    crossing.  Raises if the bound has not reached epsilon by ``cap``.
+    crossing.  Raises if the bound is still above epsilon at ``ITERATION_CAP``.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon = {epsilon} must be positive and finite")
@@ -272,8 +275,9 @@ def iteration_complexity(epsilon: float, schedule: PolynomialDecay,
     hi = 2
     while not ok(hi):
         hi *= 2
-        if hi > cap:
-            raise ValueError(f"bound never reaches epsilon within {cap}")
+        if hi > ITERATION_CAP:
+            raise ValueError(
+                f"bound never reaches epsilon within {ITERATION_CAP}")
     lo = hi // 2  # ok(lo) is False
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -289,10 +293,11 @@ def rspp_plan(epsilon: float, schedule: PolynomialDecay,
     """Epoch count and total-iteration lower bound for the restarted scheme.
 
     T = ceil(max{ln(2 r0^2/eps)/ln(1/theta0), (2^(gamma+1) D_r C / eps)^(1/gamma)})
-    (at least 1), with total inner iterations at least T^(1+gamma)/(1+gamma).
-    At r0 = 0 the first term, which bounds the r0^2 head, is taken as 0.
-    The constant C's 1/(2(1-gamma) ln(1/sqrt(theta0))) term is derived for
-    gamma < 1 only and is degenerate at gamma >= 1; it is dropped there.
+    (at least 1), with total inner iterations at least T^(1+gamma)/(1+gamma);
+    raises when that total exceeds ``ITERATION_CAP``.  At r0 = 0 the first
+    term, which bounds the r0^2 head, is taken as 0.  The constant C's
+    1/(2(1-gamma) ln(1/sqrt(theta0))) term is derived for gamma < 1 only and
+    is degenerate at gamma >= 1; it is dropped there.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon = {epsilon} must be positive and finite")
@@ -308,7 +313,14 @@ def rspp_plan(epsilon: float, schedule: PolynomialDecay,
         C += 1.0 / (2.0 * (1.0 - gamma) * math.log(1.0 / math.sqrt(th0)))
     arg1 = (math.log(2.0 * c.r0 ** 2 / epsilon) / math.log(1.0 / th0)
             if c.r0 > 0 else 0.0)
-    arg2 = (2.0 ** (gamma + 1.0) * Dr * C / epsilon) ** (1.0 / gamma)
-    T = max(1, math.ceil(max(arg1, arg2)))
-    total = T ** (1.0 + gamma) / (1.0 + gamma)
-    return T, total
+    try:
+        arg2 = (2.0 ** (gamma + 1.0) * Dr * C / epsilon) ** (1.0 / gamma)
+    except OverflowError:  # far beyond the cap
+        arg2 = math.inf
+    t = max(arg1, arg2)
+    # total <= cap reads T <= ((1+gamma) cap)^(1/(1+gamma)): no power overflows
+    if not t <= math.floor(((1.0 + gamma) * ITERATION_CAP)
+                           ** (1.0 / (1.0 + gamma))):
+        raise ValueError(f"bound never reaches epsilon within {ITERATION_CAP}")
+    T = max(1, math.ceil(t))
+    return T, T ** (1.0 + gamma) / (1.0 + gamma)

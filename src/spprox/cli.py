@@ -125,6 +125,8 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "gen-config": _cmd_gen_config,
                 "estimate-kappa": _cmd_estimate_kappa, "plan": _cmd_plan}
     try:
+        if getattr(args, "probes", 1) < 1:  # estimate-kappa and plan
+            raise ConfigError("probes must be >= 1")
         return handlers[args.command](args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

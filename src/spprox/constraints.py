@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Array, RandomSource, as_vector, norm
+from .core import Array, as_vector, norm
 
 # default relative tolerance of a projection's KKT certificate
 CERTIFICATE_TOL = 1e-10
@@ -334,7 +334,7 @@ def dist_intersection(sets, x, tol: float = CERTIFICATE_TOL):
     return np.array(dist) if x.ndim == 2 else dist[0]
 
 
-def estimate_kappa(problem, probes: int, rng: RandomSource,
+def estimate_kappa(problem, probes: int, rng: np.random.Generator,
                    tol: float = CERTIFICATE_TOL) -> float:
     """Empirical lower bound on the linear-regularity constant.
 
@@ -352,7 +352,7 @@ def estimate_kappa(problem, probes: int, rng: RandomSource,
     radius = 2.0 * max(1.0, norm(center))
     best = None
     for _ in range(probes):
-        u = rng.normal(problem.dim)
+        u = rng.standard_normal(problem.dim)
         nu = norm(u)
         if nu == 0.0:
             continue

@@ -1,4 +1,5 @@
-"""Dense vector arithmetic, seeded randomness, and the stochastic problem container."""
+"""Vector validation and norm, and the stochastic problem container, whose
+index pairs come from a seeded ``numpy.random.Generator``."""
 
 from __future__ import annotations
 
@@ -23,55 +24,10 @@ def as_vector(x, dim: int | None = None) -> Array:
     return v
 
 
-def dot(a: Array, b: Array) -> float:
-    """Scalar product <a, b>. Raises on dimension mismatch."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
-
-
 def norm(a: Array) -> float:
     """Euclidean norm sqrt(<a, a>)."""
     a = np.asarray(a, dtype=np.float64)
     return float(np.sqrt(np.dot(a, a)))
-
-
-class RandomSource:
-    """Seeded random stream with bit-exact reproducibility.
-
-    Two sources built from the same 64-bit seed produce identical draw
-    sequences.  A source is single-owner: parallel Monte-Carlo runs should
-    each use an independently seeded source (``spawn``), never share one.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.default_rng(self.seed)
-
-    def spawn(self, offset: int) -> "RandomSource":
-        """Independent source with seed ``seed + offset`` (run-index convention)."""
-        return RandomSource(self.seed + int(offset))
-
-    def integers(self, m: int) -> int:
-        """One uniform draw from {0, ..., m-1}."""
-        return int(self._gen.integers(m))
-
-    def integers_block(self, m: int, size: int) -> Array:
-        """``size`` uniform draws from {0, ..., m-1} as an int array."""
-        return self._gen.integers(m, size=size)
-
-    def normal(self, size=None):
-        """Standard normal draw(s)."""
-        return self._gen.standard_normal(size)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def shuffle(self, n: int) -> Array:
-        """A random permutation of range(n)."""
-        return self._gen.permutation(n)
 
 
 class QuadraticForm:
@@ -152,14 +108,14 @@ class StochasticProblem:
 
     # -- sample space -------------------------------------------------------
 
-    def sample_indices(self, rng: RandomSource, count: int):
+    def sample_indices(self, rng: np.random.Generator, count: int):
         """Draw ``count`` uniform (loss index, constraint index) pairs.
 
         Loss indices are drawn first, then constraint indices; this order is
         part of the reproducibility contract.
         """
-        li = rng.integers_block(len(self.losses), count)
-        ci = rng.integers_block(len(self.constraints), count)
+        li = rng.integers(len(self.losses), size=count)
+        ci = rng.integers(len(self.constraints), size=count)
         return li, ci
 
     # -- exact expectations over the uniform loss marginal -------------------

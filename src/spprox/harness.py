@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .constraints import CERTIFICATE_TOL, estimate_kappa
-from .core import RandomSource, StochasticProblem
+from .core import StochasticProblem
 from .problems import FAMILIES, GeneratorSpec, generate, knob_defaults
 from .schedules import PolynomialDecay, mean_theta_sq
 from .solvers import RunTrace, SolverConfig, check_scheme, run
@@ -77,9 +77,9 @@ class ExperimentConfig:
     feas_tol: float = CERTIFICATE_TOL
     debug_runs: bool = False
 
-    def probe_source(self) -> RandomSource:
+    def probe_source(self) -> np.random.Generator:
         """The random stream of the kappa probes, apart from every run's."""
-        return RandomSource(self.base_seed).spawn(999_983)
+        return np.random.default_rng(self.base_seed + 999_983)
 
     def validate(self):
         if self.runs < 1:

@@ -33,7 +33,7 @@ import numpy as np
 from .components import BatchLeastSquares, LinearResidualSquared, QuadraticNorm
 from .constraints import Halfspace, NonnegativeOrthant, Polyhedron, \
     WholeSpace, project_intersection
-from .core import Array, RandomSource, StochasticProblem
+from .core import Array, StochasticProblem
 
 SUBGRADIENT_CAVEAT = (
     "least-squares losses are Lipschitz only on bounded sets; convex-case "
@@ -83,22 +83,22 @@ def gen_constrained_ls(n: int = 20, m: int = 2000, seed: int = 0,
     """
     if n < 2 or m < n:
         raise ValueError("need n >= 2 and m >= n")
-    rng = RandomSource(seed)
-    G = rng.normal((n, n))
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
     Q, R = np.linalg.qr(G)
     Q = Q * np.sign(np.diag(R))  # fix the QR sign convention
     lams = 1.0 / np.arange(1, n + 1, dtype=np.float64)
     H_sqrt = (Q * np.sqrt(lams)) @ Q.T
-    x_gt = rng.normal(n)
-    A = rng.normal((m, n)) @ H_sqrt
-    b = A @ x_gt + noise * rng.normal(m)
+    x_gt = rng.standard_normal(n)
+    A = rng.standard_normal((m, n)) @ H_sqrt
+    b = A @ x_gt + noise * rng.standard_normal(m)
 
     losses = [BatchLeastSquares(A[j * n:(j + 1) * n], b[j * n:(j + 1) * n])
               for j in range(m // n)]
     losses += [LinearResidualSquared(A[i], b[i]) for i in range(m // 2)]
     p = len(losses)
 
-    C = rng.normal((p, n))
+    C = rng.standard_normal((p, n))
     v = np.zeros(p)  # slack: the first ``active`` rows are tight at x_gt
     v[active:] = 0.1 + 0.9 * rng.uniform(size=p - active)
     d = C @ x_gt + v
@@ -124,12 +124,12 @@ def gen_random_ls_polyhedron(n: int = 20, m: int = 1000, seed: int = 0,
     """
     if n < 2 or m < n:
         raise ValueError("need n >= 2 and m >= n")
-    rng = RandomSource(seed)
-    A = rng.normal((m, n))
-    z0 = rng.normal(n)
-    b = A @ z0 + noise * rng.normal(m)
-    C = rng.normal((m, n))
-    anchor = 0.5 * rng.normal(n)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    z0 = rng.standard_normal(n)
+    b = A @ z0 + noise * rng.standard_normal(m)
+    C = rng.standard_normal((m, n))
+    anchor = 0.5 * rng.standard_normal(n)
     d = C @ anchor + rng.uniform(0.1, 1.1, m)  # anchor strictly interior
     losses = [LinearResidualSquared(A[i], b[i]) for i in range(m)]
     constraints = [Halfspace(C[i], d[i]) for i in range(m)]
@@ -151,10 +151,10 @@ def gen_feasibility(n: int = 10, sets: int = 20, seed: int = 0,
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    rng = RandomSource(seed)
+    rng = np.random.default_rng(seed)
     constraints = []
     for _ in range(sets):
-        c = rng.normal(n)
+        c = rng.standard_normal(n)
         constraints.append(Halfspace(c, rng.uniform(margin, margin + 1.0)))
     problem = StochasticProblem(
         [QuadraticNorm(n, lam)], constraints, n, one_pass=sets,
@@ -172,9 +172,9 @@ def gen_finite_sum(n: int = 5, m: int = 8, seed: int = 0,
     weighted mean of the centers.  kappa = 1: the single constraint set is
     the whole space.
     """
-    rng = RandomSource(seed)
+    rng = np.random.default_rng(seed)
     alphas = rng.uniform(0.5, 1.5, m)
-    centers = spread * rng.normal((m, n))
+    centers = spread * rng.standard_normal((m, n))
     losses = [BatchLeastSquares((a / math.sqrt(2.0)) * np.eye(n),
                                 (a / math.sqrt(2.0)) * c)
               for a, c in zip(alphas, centers)]
@@ -256,11 +256,11 @@ def load_returns_csv(path) -> ReturnsTable:
 def synth_returns(periods: int = 1276, n: int = 25,
                   seed: int = 0) -> ReturnsTable:
     """Synthetic daily-return table with factor structure (offline stand-in)."""
-    rng = RandomSource(seed)
-    means = 0.0005 + 0.0004 * rng.normal(n)
-    loadings = 0.6 * rng.normal((n, 3))
-    factors = rng.normal((periods, 3))
-    eps = rng.normal((periods, n))
+    rng = np.random.default_rng(seed)
+    means = 0.0005 + 0.0004 * rng.standard_normal(n)
+    loadings = 0.6 * rng.standard_normal((n, 3))
+    factors = rng.standard_normal((periods, 3))
+    eps = rng.standard_normal((periods, n))
     data = means + 0.01 * (factors @ loadings.T) + 0.006 * eps
     return ReturnsTable(assets=[f"A{i:02d}" for i in range(n)], returns=data)
 
@@ -292,8 +292,8 @@ def build_markowitz(table: ReturnsTable, b_policy="mean", seed: int = 0,
     """
     T = table.periods
     n = table.n_assets
-    rng = RandomSource(seed)
-    perm = rng.shuffle(T)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(T)
     n_train = int(math.floor(train_frac * T))
     if n_train < 1 or n_train >= T:
         raise ValueError("degenerate train/test split")

@@ -1,5 +1,5 @@
-"""The stepsize law mu0 / k^gamma (gamma = 0 constant), contraction factors,
-and the phi_alpha helper."""
+"""The stepsize law mu0 / k^gamma (gamma = 0 constant), the mean squared
+contraction factor, and the phi_alpha helper."""
 
 from __future__ import annotations
 
@@ -19,15 +19,6 @@ def phi(alpha: float, x: float) -> float:
     if alpha == 0.0:
         return math.log(x)
     return math.expm1(alpha * math.log(x)) / alpha
-
-
-def theta(mu: float, sigma: float) -> float:
-    """Prox contraction factor 1 / (1 + mu sigma)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    return 1.0 / (1.0 + mu * sigma)
 
 
 def mean_theta_sq(sigmas, mu: float) -> float:

@@ -6,7 +6,7 @@ iterate, the stepsize-weighted average, or an epoch restart as output.  All
 share the sampling contract of ``StochasticProblem`` and emit a ``RunTrace``
 of per-iteration metrics.  One run is strictly sequential; Monte-Carlo
 repetitions parallelize at the harness level with independently seeded
-sources.
+generators.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import CERTIFICATE_TOL, dist_intersection
-from .core import Array, RandomSource, StochasticProblem
+from .core import Array, StochasticProblem
 from .schedules import PolynomialDecay
 
 DIVERGENCE_NORM = 1e12
@@ -134,7 +134,7 @@ def epochs_for_budget(gamma: float, iterations: int) -> int:
 
 
 def run(problem: StochasticProblem, config: SolverConfig,
-        rng: RandomSource | None = None) -> RunTrace:
+        rng: np.random.Generator | None = None) -> RunTrace:
     """One run of ``config.algorithm``.
 
     Every iteration samples one (loss, set) pair i.i.d. from the problem
@@ -161,7 +161,7 @@ def run(problem: StochasticProblem, config: SolverConfig,
     """
     alg = config.algorithm
     x = config.validate(problem.dim)
-    rng = rng if rng is not None else RandomSource(config.seed)
+    rng = rng if rng is not None else np.random.default_rng(config.seed)
     sgd, averaged, restarted = alg == "sgd", alg == "aspp", alg == "rspp"
     if restarted:
         sched = config.schedule

@@ -9,43 +9,44 @@ import pytest
 from spprox import (BatchLeastSquares, Box, ComposedScalar, Halfspace,
                     HuberScalar, Hyperplane, LinearResidualSquared,
                     LogisticScalar, NonnegativeOrthant, QuadraticNorm,
-                    RandomSource, SquareScalar, gen_constrained_ls,
+                    SquareScalar, gen_constrained_ls,
                     gen_random_ls_polyhedron)
 
 
 # -- randomized object factories -------------------------------------------------
 
-def random_component(rng: RandomSource, dim: int, kinds=(0, 1, 2, 3)):
+def random_component(rng: np.random.Generator, dim: int, kinds=(0, 1, 2, 3)):
     kind = kinds[rng.integers(len(kinds))]
     if kind == 0:
         return QuadraticNorm(dim, lam=0.1 + 2.0 * float(rng.uniform()))
     if kind == 1:
-        a = rng.normal(dim)
+        a = rng.standard_normal(dim)
         while float(np.dot(a, a)) < 1e-6:
-            a = rng.normal(dim)
-        return LinearResidualSquared(a, float(rng.normal()))
+            a = rng.standard_normal(dim)
+        return LinearResidualSquared(a, float(rng.standard_normal()))
     if kind == 2:
         rows = dim + rng.integers(3)
-        return BatchLeastSquares(rng.normal((rows, dim)), rng.normal(rows))
-    a = rng.normal(dim)
+        return BatchLeastSquares(rng.standard_normal((rows, dim)),
+                                 rng.standard_normal(rows))
+    a = rng.standard_normal(dim)
     while float(np.dot(a, a)) < 1e-6:
-        a = rng.normal(dim)
+        a = rng.standard_normal(dim)
     fns = (LogisticScalar(), HuberScalar(0.5 + float(rng.uniform())),
-           SquareScalar(float(rng.normal())))
+           SquareScalar(float(rng.standard_normal())))
     return ComposedScalar(a, fns[rng.integers(3)])
 
 
-def random_set(rng: RandomSource, dim: int):
+def random_set(rng: np.random.Generator, dim: int):
     kind = rng.integers(4)
     if kind == 0:
-        c = rng.normal(dim)
-        return Halfspace(c, float(rng.normal()))
+        c = rng.standard_normal(dim)
+        return Halfspace(c, float(rng.standard_normal()))
     if kind == 1:
-        c = rng.normal(dim)
-        return Hyperplane(c, float(rng.normal()))
+        c = rng.standard_normal(dim)
+        return Hyperplane(c, float(rng.standard_normal()))
     if kind == 2:
-        lo = rng.normal(dim) - 1.0
-        return Box(lo, lo + 0.5 + np.abs(rng.normal(dim)))
+        lo = rng.standard_normal(dim) - 1.0
+        return Box(lo, lo + 0.5 + np.abs(rng.standard_normal(dim)))
     return NonnegativeOrthant(dim)
 
 

@@ -14,7 +14,7 @@ import pytest
 from conftest import prox_oracle, random_component, random_set
 from spprox import (BatchLeastSquares, Cell, ExperimentConfig,
                     GeneratorSpec, PolynomialDecay, ProblemConstants,
-                    RandomSource, SolverConfig,
+                    SolverConfig,
                     StochasticProblem, WholeSpace, build_markowitz,
                     constant_step_envelope, estimate_kappa, gen_feasibility,
                     run, run_experiment, rspp_plan, rspp_schedule,
@@ -36,7 +36,7 @@ def mc_runs(problem, key, algorithm, schedule, iterations, stride,
         cfg = SolverConfig(algorithm, schedule, iterations=iterations,
                            stride=stride, x0=x0,
                            record_feasibility=record_feasibility)
-        _cells[key] = [run(problem, cfg, RandomSource(base + i))
+        _cells[key] = [run(problem, cfg, np.random.default_rng(base + i))
                        for i in range(runs)]
     return _cells[key]
 
@@ -49,12 +49,12 @@ def mean_se(traces, attr="sqdist"):
 
 @pytest.fixture(scope="module")
 def kappa_hat(desk_ls):
-    return estimate_kappa(desk_ls, 40, RandomSource(123))
+    return estimate_kappa(desk_ls, 40, np.random.default_rng(123))
 
 
 def test_criterion_01_operator_properties():
     """Gradient-norm domination, prox contraction, firm nonexpansiveness."""
-    rng = RandomSource(1001)
+    rng = np.random.default_rng(1001)
     pool = [random_component(rng, 2 + rng.integers(4)) for _ in range(800)]
     sets = [random_set(rng, d) for d in (2, 3, 4, 5) for _ in range(100)]
     start = time.monotonic()
@@ -62,8 +62,8 @@ def test_criterion_01_operator_properties():
     for _ in range(10_000):
         comp = pool[rng.integers(len(pool))]
         dim = comp.dim
-        x = 2.0 * rng.normal(dim)
-        y = 2.0 * rng.normal(dim)
+        x = 2.0 * rng.standard_normal(dim)
+        y = 2.0 * rng.standard_normal(dim)
         mu = 0.05 + 2.0 * float(rng.uniform())
         # gradient-norm domination of the envelope gradient
         if (np.linalg.norm(comp.moreau_gradient(x, mu))
@@ -76,7 +76,7 @@ def test_criterion_01_operator_properties():
         # firm nonexpansiveness of the projection at a feasible z
         s = sets[(rng.integers(100)) + 100 * (dim - 2)]
         p = s.project(x)
-        z = s.project(3.0 * rng.normal(dim))
+        z = s.project(3.0 * rng.standard_normal(dim))
         gap = (np.linalg.norm(x - p) ** 2
                - (np.linalg.norm(x - z) ** 2 - np.linalg.norm(z - p) ** 2))
         if gap > 1e-9:
@@ -89,13 +89,13 @@ def test_criterion_01_operator_properties():
 
 def test_criterion_02_prox_vs_bruteforce():
     """Closed-form/iterative prox against grid+golden-section or normal equations."""
-    rng = RandomSource(2002)
+    rng = np.random.default_rng(2002)
     start = time.monotonic()
     worst = 0.0
     for _ in range(1000):
         dim = 1 + rng.integers(5)
         comp = random_component(rng, dim)
-        x = 2.0 * rng.normal(dim)
+        x = 2.0 * rng.standard_normal(dim)
         mu = 0.05 + 2.0 * float(rng.uniform())
         err = float(np.linalg.norm(comp.prox(x, mu) - prox_oracle(comp, x, mu)))
         worst = max(worst, err / (1.0 + float(np.linalg.norm(x))))
@@ -116,7 +116,7 @@ def test_criterion_03_deterministic_recursion():
     x0 = np.array([5.0, 2.0, -4.0, 1.0])
     cfg = SolverConfig("spp", PolynomialDecay(mu, 0), iterations=100, stride=1,
                        x0=x0, record_feasibility=False)
-    tr = run(prob, cfg, RandomSource(3))
+    tr = run(prob, cfg, np.random.default_rng(3))
     worst = 0.0
     for j, k in enumerate(tr.ks):
         expected = float(np.sum(((x0 - c) / (1.0 + mu) ** int(k)) ** 2))
@@ -193,11 +193,11 @@ def test_criterion_07_noise_floor():
     while the injected noise scales with the stepsize: the squared-stepsize
     regime of the noise-region prediction.
     """
-    rng = RandomSource(42)
+    rng = np.random.default_rng(42)
     n, m = 6, 8
     alphas = np.array([math.sqrt(40.0)] + [math.sqrt(0.05)] * (m - 1))
-    centers = np.vstack([rng.normal(n) * 0.5]
-                        + [rng.normal(n) * 2.0 for _ in range(m - 1)])
+    centers = np.vstack([rng.standard_normal(n) * 0.5]
+                        + [rng.standard_normal(n) * 2.0 for _ in range(m - 1)])
     s = 1.0 / math.sqrt(2.0)
     losses = [BatchLeastSquares(a * s * np.eye(n), a * s * c)
               for a, c in zip(alphas, centers)]
@@ -210,7 +210,8 @@ def test_criterion_07_noise_floor():
     for mu in (0.4, 0.2):
         cfg = SolverConfig("spp", PolynomialDecay(mu, 0), iterations=6000,
                            stride=60, record_feasibility=False, x0=x_star)
-        traces = [run(prob, cfg, RandomSource(300 + i)) for i in range(RUNS)]
+        traces = [run(prob, cfg, np.random.default_rng(300 + i))
+                  for i in range(RUNS)]
         sq = np.mean([t.sqdist for t in traces], axis=0)
         plateau = float(np.mean(sq[len(sq) // 3:]))
         _, radius = constant_step_envelope(c, mu, 6000)
@@ -232,7 +233,7 @@ def test_criterion_08_rspp_schedule():
         cfg = SolverConfig("rspp", PolynomialDecay(1.0, gamma),
                            iterations=int(k_ts.sum()), stride=10 ** 9,
                            record_feasibility=False, x0=np.ones(3))
-        tr = run(prob, cfg, RandomSource(8))
+        tr = run(prob, cfg, np.random.default_rng(8))
         assert tr.epoch_stepsizes == [1.0 / t ** gamma for t in range(1, T + 1)]
         assert tr.epoch_lengths == [math.ceil(t ** gamma) for t in range(1, T + 1)]
         assert np.array_equal(k_ts, tr.epoch_lengths)
@@ -285,7 +286,7 @@ def test_criterion_11_markowitz_pipeline(tmp_path):
     K = prob.one_pass
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=K,
                        stride=K // 8, record_feasibility=False, x0=x0)
-    traces = [run(prob, cfg, RandomSource(100 + i)) for i in range(RUNS)]
+    traces = [run(prob, cfg, np.random.default_rng(100 + i)) for i in range(RUNS)]
     worst_violation = max(t.max_sampled_violation for t in traces)
     assert worst_violation <= 1e-9
     mean, se = mean_se(traces, "test_obj")

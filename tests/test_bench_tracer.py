@@ -83,3 +83,14 @@ def test_workload_matches_the_bench_refs(tmp_path, monkeypatch, workload):
     checker.check_run(workload, 0, tmp_path / "out", code)
     assert checker.attempted > 0
     assert checker.failed == 0, checker.problems
+
+
+def test_setup_probe_reproduces_the_reference_optimum(tmp_path):
+    # the probe imports the package and generates the problem on its own
+    bench = _load("run")
+    template = harness.CONFIG_TEMPLATES[bench.WORKLOADS["ls_feas"]["template"]]
+    cfg = bench.write_config("ls_feas", template, 0, tmp_path / "exp.ini")
+    probe = bench.probe_setup(cfg)  # a subprocess, as in a benchmark run
+    assert probe["setup_s"] > 0
+    assert bench.xstar_matches(probe["x_star"],
+                               bench.load_refs("ls_feas")["x_star"])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from spprox import (MissingConstantError, PolynomialDecay,
-                    ProblemConstants, RandomSource, bound_overlay,
+                    ProblemConstants, bound_overlay,
                     constant_step_envelope, constant_step_plan, convex_bounds,
                     gen_finite_sum, iteration_complexity, phi, rspp_plan,
                     strongly_convex_bound)
+from spprox.bounds import ITERATION_CAP
 from spprox.schedules import mean_theta_sq
 
 
@@ -105,13 +106,16 @@ def rspp_plan_alt(epsilon, schedule, c):
         a1 = math.log(2.0 * c.r0 ** 2 / epsilon) / math.log(1.0 / th0)
     a2 = math.exp(math.log(2.0 ** (gamma + 1.0) * Dr * C / epsilon) / gamma)
     T = max(1, math.ceil(max(a1, a2)))
-    return T, T ** (1.0 + gamma) / (1.0 + gamma)
+    total = T ** (1.0 + gamma) / (1.0 + gamma)
+    if total > 2.0 ** 62:  # no plan asks for more iterations
+        raise ValueError("bound never reaches epsilon")
+    return T, total
 
 
 def random_constants(rng):
     """Random constants, a random mu0 and a random subgradient bound E[L^2],
     drawn in one fixed order."""
-    sigmas = np.abs(rng.normal(1 + rng.integers(4))) + 0.05
+    sigmas = np.abs(rng.standard_normal(1 + rng.integers(4))) + 0.05
     drawn = dict(
         r0=0.5 + 2 * float(rng.uniform()),
         kappa=1.0 + 3 * float(rng.uniform()),
@@ -125,7 +129,8 @@ def random_constants(rng):
 
 
 def test_dual_evaluations_agree():
-    rng = RandomSource(101)
+    rng = np.random.default_rng(101)
+    capped = 0  # restart plans past the iteration cap
     for _ in range(1000):
         c, mu0, L2 = random_constants(rng)
         k = 1 + rng.integers(500)
@@ -142,7 +147,15 @@ def test_dual_evaluations_agree():
         assert abs(e1[0] - e2[0]) <= 1e-10 * (1.0 + e1[0])
         assert abs(e1[1] - e2[1]) <= 1e-10 * (1.0 + e1[1])
         eps = 0.05 + float(rng.uniform())
-        assert rspp_plan(eps, sched, c) == pytest.approx(rspp_plan_alt(eps, sched, c))
+        try:
+            plan = rspp_plan_alt(eps, sched, c)
+        except ValueError:
+            capped += 1
+            with pytest.raises(ValueError, match="never reaches epsilon"):
+                rspp_plan(eps, sched, c)
+        else:
+            assert rspp_plan(eps, sched, c) == pytest.approx(plan)
+    assert 0 < capped < 1000  # both branches are exercised (135 capped)
 
 
 def test_convex_bounds_hand_example():
@@ -277,7 +290,7 @@ def test_strongly_convex_bound_branch_selection():
 
 
 def test_strongly_convex_bound_monotone_tail():
-    rng = RandomSource(55)
+    rng = np.random.default_rng(55)
     for _ in range(20):
         c, mu0, _ = random_constants(rng)
         sched = PolynomialDecay(mu0, (0.5, 1.0)[rng.integers(2)])
@@ -348,7 +361,7 @@ def test_rspp_plan_examples():
     assert t1 > 1e4  # D_r-dominated regime
     assert t2 / t1 == pytest.approx(4.0, rel=0.05)
     # theta0 -> 1 blows the epoch count up
-    c_weak = make_constants(sigmas=(1e-4,), kappa=2.0)
+    c_weak = make_constants(sigmas=(1e-2,), kappa=2.0)
     T_weak, _ = rspp_plan(0.1, sched, c_weak)
     c_strong = make_constants(sigmas=(4.0,), kappa=2.0)
     T_strong, _ = rspp_plan(0.1, sched, c_strong)
@@ -362,6 +375,32 @@ def test_rspp_plan_at_the_optimum():
         sched = PolynomialDecay(1.0, gamma)
         assert rspp_plan(0.1, sched, c) == pytest.approx(
             rspp_plan_alt(0.1, sched, c))
+
+
+def test_both_plans_share_the_iteration_cap():
+    unreachable = f"bound never reaches epsilon within {ITERATION_CAP}$"
+    # theta0 near 1, as on the constrained-ls template: ~1e18 epochs
+    c = make_constants(sigmas=(1e-4,), kappa=2.0)
+    with pytest.raises(ValueError, match=unreachable):
+        iteration_complexity(0.1, PolynomialDecay(1.0, 1.0), c)
+    # an epoch count past the cap, past float range, and infinite
+    for eps, gamma in ((0.1, 1.0), (1e-200, 0.5), (5e-324, 1.0)):
+        with pytest.raises(ValueError, match=unreachable):
+            rspp_plan(eps, PolynomialDecay(1.0, gamma), c)
+    # the last answer before the cap: its total fits, one epoch more does not
+    c = make_constants(sigmas=(4.0,), kappa=2.0)
+    for gamma in (0.5, 1.0):
+        sched = PolynomialDecay(1.0, gamma)
+        lo, hi = 1.0, 1e-30  # rspp_plan answers at lo and raises at hi
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            try:
+                rspp_plan(mid, sched, c)
+                lo = mid
+            except ValueError:
+                hi = mid
+        T, total = rspp_plan(lo, sched, c)
+        assert total <= ITERATION_CAP < (T + 1) ** (1 + gamma) / (1 + gamma)
 
 
 def test_rspp_plan_monotone_in_epsilon():

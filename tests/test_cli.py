@@ -298,6 +298,33 @@ def test_plan_reports_every_plan_on_every_template(tmp_path, capsys, family):
         assert "no known optimum" in err and out == ""
 
 
+@pytest.mark.parametrize("command", [["estimate-kappa"],
+                                     ["plan", "--eps", "0.1"]])
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_a_bad_probe_count_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                             command, probes):
+    cfg = tmp_path / "p.ini"
+    cfg.write_text(_PLAN_CONFIG)
+    monkeypatch.setattr("spprox.cli.generate", None)  # rejected before it
+    argv = [command[0], str(cfg), *command[1:], "--probes", probes]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "config error: probes must be >= 1\n"
+
+
+def test_plan_reports_a_plan_past_the_cap_as_unavailable(tmp_path, capsys):
+    # constrained-ls: theta0 near 1 puts both strongly convex plans past it
+    assert main(["gen-config", "constrained-ls"]) == 0
+    cfg = tmp_path / "ls.ini"
+    cfg.write_text(capsys.readouterr().out)
+    assert main(["plan", str(cfg), "--eps", "0.1", "--probes", "20",
+                 "--subgrad-sq", "2"]) == 0
+    lines = _plan_lines(capsys.readouterr().out)
+    unreachable = f" unavailable: bound never reaches epsilon within {2 ** 62}"
+    assert lines["convex-case plan"].startswith(": mu=")
+    assert lines["variable-stepsize plan (gamma=1)"] == unreachable
+    assert lines["restart plan"] == unreachable
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0.5"])
 def test_cli_plan_rejects_a_bad_kappa(tmp_path, capsys, value):
     cfg = tmp_path / "p.ini"

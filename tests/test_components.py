@@ -4,7 +4,7 @@ import pytest
 from conftest import fd_gradient, prox_oracle, random_component
 from spprox import (BatchLeastSquares, ComposedScalar, HuberScalar,
                     LinearResidualSquared, LogisticScalar, ProxSolveError,
-                    QuadraticNorm, RandomSource, SquareScalar)
+                    QuadraticNorm, SquareScalar)
 from spprox.components import ScalarConvex, _solve_prox_1d
 
 
@@ -23,11 +23,11 @@ def test_gradient_examples():
 
 
 def test_gradient_matches_finite_differences():
-    rng = RandomSource(21)
+    rng = np.random.default_rng(21)
     for _ in range(60):
         dim = 2 + rng.integers(4)
         comp = random_component(rng, dim)
-        x = rng.normal(dim)
+        x = rng.standard_normal(dim)
         g = comp.gradient(x)
         g_fd = fd_gradient(comp.value, x)
         assert np.linalg.norm(g - g_fd) <= 1e-5 * (1.0 + np.linalg.norm(g))
@@ -61,11 +61,11 @@ def test_dimension_mismatch_raises():
 
 
 def test_prox_matches_bruteforce_oracle():
-    rng = RandomSource(31)
+    rng = np.random.default_rng(31)
     for _ in range(150):
         dim = 1 + rng.integers(5)
         comp = random_component(rng, dim)
-        x = 2.0 * rng.normal(dim)
+        x = 2.0 * rng.standard_normal(dim)
         mu = 0.05 + 2.0 * float(rng.uniform())
         z = comp.prox(x, mu)
         z_ref = prox_oracle(comp, x, mu)
@@ -73,13 +73,13 @@ def test_prox_matches_bruteforce_oracle():
 
 
 def test_composed_square_equals_residual_prox():
-    rng = RandomSource(5)
+    rng = np.random.default_rng(5)
     for _ in range(40):
-        a = rng.normal(3)
-        b = float(rng.normal())
+        a = rng.standard_normal(3)
+        b = float(rng.standard_normal())
         comp_newton = ComposedScalar(a, SquareScalar(b))
         comp_closed = LinearResidualSquared(a, b)
-        x = rng.normal(3)
+        x = rng.standard_normal(3)
         mu = 0.1 + float(rng.uniform())
         assert np.allclose(comp_newton.prox(x, mu), comp_closed.prox(x, mu),
                            atol=1e-9)
@@ -93,11 +93,11 @@ def test_moreau_value_examples():
 
 
 def test_moreau_value_below_value():
-    rng = RandomSource(13)
+    rng = np.random.default_rng(13)
     for _ in range(100):
         dim = 2 + rng.integers(3)
         comp = random_component(rng, dim)
-        x = rng.normal(dim)
+        x = rng.standard_normal(dim)
         mu = 0.1 + float(rng.uniform())
         assert comp.moreau_value(x, mu) <= comp.value(x) + 1e-12
 
@@ -109,11 +109,11 @@ def test_moreau_gradient_examples():
 
 
 def test_moreau_gradient_matches_finite_differences():
-    rng = RandomSource(17)
+    rng = np.random.default_rng(17)
     for _ in range(40):
         dim = 2 + rng.integers(3)
         comp = random_component(rng, dim)
-        x = rng.normal(dim)
+        x = rng.standard_normal(dim)
         mu = 0.2 + float(rng.uniform())
         g = comp.moreau_gradient(x, mu)
         g_fd = fd_gradient(lambda z: comp.moreau_value(z, mu), x)
@@ -121,11 +121,11 @@ def test_moreau_gradient_matches_finite_differences():
 
 
 def test_gradient_norm_domination():
-    rng = RandomSource(23)
+    rng = np.random.default_rng(23)
     for _ in range(300):
         dim = 2 + rng.integers(3)
         comp = random_component(rng, dim)
-        x = rng.normal(dim)
+        x = rng.standard_normal(dim)
         mu = 0.05 + 2.0 * float(rng.uniform())
         gm = np.linalg.norm(comp.moreau_gradient(x, mu))
         gf = np.linalg.norm(comp.gradient(x))
@@ -133,11 +133,11 @@ def test_gradient_norm_domination():
 
 
 def test_prox_contraction_factor():
-    rng = RandomSource(29)
+    rng = np.random.default_rng(29)
     for _ in range(300):
         dim = 2 + rng.integers(3)
         comp = random_component(rng, dim)
-        x, y = rng.normal(dim), rng.normal(dim)
+        x, y = rng.standard_normal(dim), rng.standard_normal(dim)
         mu = 0.05 + 2.0 * float(rng.uniform())
         lhs = np.linalg.norm(comp.prox(x, mu) - comp.prox(y, mu))
         rhs = np.linalg.norm(x - y) / (1.0 + mu * comp.sigma)
@@ -145,11 +145,11 @@ def test_prox_contraction_factor():
 
 
 def test_prox_optimality_residual():
-    rng = RandomSource(37)
+    rng = np.random.default_rng(37)
     for _ in range(100):
         dim = 2 + rng.integers(3)
         comp = random_component(rng, dim)
-        x = rng.normal(dim)
+        x = rng.standard_normal(dim)
         mu = 0.1 + float(rng.uniform())
         z = comp.prox(x, mu)
         resid = (x - z) / mu - comp.gradient(z)
@@ -157,11 +157,11 @@ def test_prox_optimality_residual():
 
 
 def test_moreau_gradient_lipschitz():
-    rng = RandomSource(41)
+    rng = np.random.default_rng(41)
     for _ in range(200):
         dim = 2 + rng.integers(3)
         comp = random_component(rng, dim)
-        x, y = rng.normal(dim), rng.normal(dim)
+        x, y = rng.standard_normal(dim), rng.standard_normal(dim)
         mu = 0.1 + float(rng.uniform())
         lhs = np.linalg.norm(comp.moreau_gradient(x, mu)
                              - comp.moreau_gradient(y, mu))
@@ -169,9 +169,9 @@ def test_moreau_gradient_lipschitz():
 
 
 def test_cached_constants():
-    rng = RandomSource(43)
-    A = rng.normal((6, 4))
-    bl = BatchLeastSquares(A, rng.normal(6))
+    rng = np.random.default_rng(43)
+    A = rng.standard_normal((6, 4))
+    bl = BatchLeastSquares(A, rng.standard_normal(6))
     eigs = np.linalg.eigvalsh(A.T @ A)
     assert abs(bl.sigma - 2 * eigs[0]) < 1e-10
     assert abs(bl.lips_grad - 2 * eigs[-1]) < 1e-10
@@ -186,14 +186,14 @@ def test_cached_constants():
 def test_rank_deficient_batch_prox_is_exact():
     # rows < dim: A'A is singular, so sigma is 0 and the prox must still
     # solve (I + 2 mu A'A) z = x + 2 mu A'b at every stepsize
-    rng = RandomSource(44)
+    rng = np.random.default_rng(44)
     for rows, dim in ((1, 4), (3, 8), (5, 6), (9, 20)):
-        A, b = rng.normal((rows, dim)), rng.normal(rows)
+        A, b = rng.standard_normal((rows, dim)), rng.standard_normal(rows)
         bl = BatchLeastSquares(A, b)
         assert bl.sigma == 0.0
         for k in range(1, 61):
             mu = 5.0 / k ** 0.75
-            x = rng.normal(dim)
+            x = rng.standard_normal(dim)
             ref = np.linalg.solve(np.eye(dim) + 2 * mu * A.T @ A,
                                   x + 2 * mu * A.T @ b)
             z = bl.prox(x, mu)

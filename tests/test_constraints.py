@@ -8,8 +8,8 @@ from scipy.optimize import nnls
 from conftest import enum_polyhedron_projection, random_set
 from spprox import (Box, DykstraError, Halfspace, Hyperplane,
                     NonnegativeOrthant, PolynomialDecay, Polyhedron,
-                    ProblemConstants, QuadraticNorm, RandomSource,
-                    SolverConfig, StochasticProblem, WholeSpace,
+                    ProblemConstants, QuadraticNorm, SolverConfig,
+                    StochasticProblem, WholeSpace,
                     build_markowitz, dist_intersection, estimate_kappa,
                     gen_constrained_ls, project_intersection, run,
                     synth_returns)
@@ -28,11 +28,11 @@ def test_box_projection_example():
 
 
 def test_projection_idempotent():
-    rng = RandomSource(3)
+    rng = np.random.default_rng(3)
     for _ in range(200):
         dim = 2 + rng.integers(4)
         s = random_set(rng, dim)
-        x = 2 * rng.normal(dim)
+        x = 2 * rng.standard_normal(dim)
         p1 = s.project(x)
         assert np.linalg.norm(s.project(p1) - p1) <= 1e-12 * (1 + np.linalg.norm(p1))
 
@@ -44,23 +44,23 @@ def test_distance_examples():
 
 
 def test_distance_matches_projection_route():
-    rng = RandomSource(7)
+    rng = np.random.default_rng(7)
     for _ in range(300):
         dim = 2 + rng.integers(4)
         s = random_set(rng, dim)
-        x = 3 * rng.normal(dim)
+        x = 3 * rng.standard_normal(dim)
         direct = s.distance(x)
         via_proj = np.linalg.norm(x - s.project(x))
         assert abs(direct - via_proj) <= 1e-12 * (1 + via_proj)
 
 
 def test_firm_nonexpansiveness():
-    rng = RandomSource(9)
+    rng = np.random.default_rng(9)
     for _ in range(300):
         dim = 2 + rng.integers(3)
         s = random_set(rng, dim)
-        x = 3 * rng.normal(dim)
-        z = s.project(2 * rng.normal(dim))  # a feasible point
+        x = 3 * rng.standard_normal(dim)
+        z = s.project(2 * rng.standard_normal(dim))  # a feasible point
         px = s.project(x)
         lhs = np.linalg.norm(x - px) ** 2
         rhs = np.linalg.norm(x - z) ** 2 - np.linalg.norm(z - px) ** 2
@@ -81,24 +81,24 @@ def test_dist_intersection_single_set_reduction():
 
 
 def test_dist_intersection_matches_enumeration():
-    rng = RandomSource(15)
+    rng = np.random.default_rng(15)
     for _ in range(150):
-        anchor = 0.3 * rng.normal(2)
+        anchor = 0.3 * rng.standard_normal(2)
         sets = []
         for _ in range(2 + rng.integers(3)):
-            c = rng.normal(2)
+            c = rng.standard_normal(2)
             sets.append(Halfspace(c, float(c @ anchor) + 0.02
-                                  + abs(float(rng.normal()))))
-        x = 3 * rng.normal(2)
+                                  + abs(float(rng.standard_normal()))))
+        x = 3 * rng.standard_normal(2)
         exact = enum_polyhedron_projection(sets, x)
         got = dist_intersection(sets, x, tol=1e-10)
         assert abs(got - np.linalg.norm(exact - x)) <= 1e-8
 
 
 def test_dist_intersection_zero_iff_feasible():
-    rng = RandomSource(19)
+    rng = np.random.default_rng(19)
     anchor = np.zeros(3)
-    sets = [Halfspace(rng.normal(3), 0.3 + float(rng.uniform()))
+    sets = [Halfspace(rng.standard_normal(3), 0.3 + float(rng.uniform()))
             for _ in range(5)]
     assert dist_intersection(sets, anchor) == 0.0
     x = 5 * np.ones(3)
@@ -130,13 +130,13 @@ def test_empty_halfspace_intersection_raises():
 def test_inconsistent_parallel_pairs_are_reported_empty(kind):
     # c'z <= d (or = d) against c'z >= d + gap, the second row scaled by k;
     # the gap spans 1e-5 to 1 of the scale 1 + ||x||_inf + max|d|
-    rng = RandomSource(71)
+    rng = np.random.default_rng(71)
     for _ in range(667):
         dim = 2 + rng.integers(3)
-        c = rng.normal(dim) * 10.0 ** rng.uniform(-2, 2)
-        d = float(rng.normal())
+        c = rng.standard_normal(dim) * 10.0 ** rng.uniform(-2, 2)
+        d = float(rng.standard_normal())
         k = 10.0 ** rng.uniform(-2, 2)
-        x = 10.0 ** rng.uniform(-1, 3) * rng.normal(dim)
+        x = 10.0 ** rng.uniform(-1, 3) * rng.standard_normal(dim)
         nc = float(np.linalg.norm(c))
         scale = 1.0 + np.abs(x).max() + abs(d) / nc
         gap = 10.0 ** rng.uniform(-5, 0) * scale * nc
@@ -151,12 +151,12 @@ def test_inconsistent_parallel_pairs_are_reported_empty(kind):
 def test_tiny_gap_parallel_pairs_are_reported_empty():
     # absolute gaps 1e-4 to 10 at ||x|| up to 1e3: every pair is empty, and
     # a gap above the certificate tolerance must not read "certificate failed"
-    rng = RandomSource(73)
+    rng = np.random.default_rng(73)
     for _ in range(667):
         dim = 2 + rng.integers(3)
-        c = rng.normal(dim) * 10.0 ** rng.uniform(-2, 2)
-        d, k = float(rng.normal()), 10.0 ** rng.uniform(-2, 2)
-        u = rng.normal(dim)
+        c = rng.standard_normal(dim) * 10.0 ** rng.uniform(-2, 2)
+        d, k = float(rng.standard_normal()), 10.0 ** rng.uniform(-2, 2)
+        u = rng.standard_normal(dim)
         x = 10.0 ** rng.uniform(-1, 3) * u / np.linalg.norm(u)
         gap = 10.0 ** rng.uniform(-4, 1) * float(np.linalg.norm(c))
         sets = [Halfspace(c, d), Halfspace(-k * c, -k * (d + gap))]
@@ -174,16 +174,16 @@ def _exact_2x2(c1, d1, c2, d2):
 
 def test_nearly_parallel_hyperplanes_match_exact_solve():
     # two hyperplanes 0.5 to 5 degrees apart meet in one point
-    rng = RandomSource(73)
+    rng = np.random.default_rng(73)
     worst = 0.0
     for _ in range(300):
         a = 2.0 * math.pi * float(rng.uniform())
         b = a + math.radians(float(rng.uniform(0.5, 5.0)))
         c1 = 10.0 ** rng.uniform(-1, 1) * np.array([math.cos(a), math.sin(a)])
         c2 = 10.0 ** rng.uniform(-1, 1) * np.array([math.cos(b), math.sin(b)])
-        d1, d2 = float(rng.normal()), float(rng.normal())
+        d1, d2 = float(rng.standard_normal()), float(rng.standard_normal())
         z = project_intersection([Hyperplane(c1, d1), Hyperplane(c2, d2)],
-                                 3.0 * rng.normal(2))
+                                 3.0 * rng.standard_normal(2))
         exact = _exact_2x2(c1, d1, c2, d2)
         worst = max(worst, np.linalg.norm(z - exact) / np.linalg.norm(exact))
     assert worst <= 1e-13
@@ -202,9 +202,9 @@ def test_thin_wedge_is_not_reported_empty(eps):
 
 
 def test_far_probe_projection_is_certified(desk_ls):
-    # the first kappa probe of RandomSource(1) around the desk optimum
+    # the first kappa probe of np.random.default_rng(1) around the desk optimum
     xs = desk_ls.x_star
-    u = RandomSource(1).normal(20)
+    u = np.random.default_rng(1).standard_normal(20)
     x = xs + 2.0 * max(1.0, np.linalg.norm(xs)) * u / np.linalg.norm(u)
     z = project_intersection(desk_ls.constraints, x)
     assert max(s.distance(z) for s in desk_ls.constraints) <= 1e-9
@@ -220,7 +220,7 @@ def test_far_probe_projection_is_certified(desk_ls):
 def test_estimate_kappa_single_halfspace():
     h = Halfspace(np.array([1.0, 0.0]), 0.0)
     prob = StochasticProblem([QuadraticNorm(2, 1.0)], [h, h, h], 2)
-    k = estimate_kappa(prob, 50, RandomSource(1))
+    k = estimate_kappa(prob, 50, np.random.default_rng(1))
     assert abs(k - 1.0) < 1e-9
 
 
@@ -229,13 +229,13 @@ def test_estimate_kappa_two_hyperplanes():
             Hyperplane(np.array([0.0, 1.0]), 0.0)]
     prob = StochasticProblem([QuadraticNorm(2, 1.0)], sets, 2,
                              x_star=np.zeros(2))
-    k = estimate_kappa(prob, 50, RandomSource(2))
+    k = estimate_kappa(prob, 50, np.random.default_rng(2))
     assert abs(k - 2.0) < 1e-8
 
 
 def test_estimate_kappa_stability_on_generated_instance(small_ls):
-    k1 = estimate_kappa(small_ls, 400, RandomSource(100))
-    k2 = estimate_kappa(small_ls, 400, RandomSource(200))
+    k1 = estimate_kappa(small_ls, 400, np.random.default_rng(100))
+    k2 = estimate_kappa(small_ls, 400, np.random.default_rng(200))
     assert k1 > 0 and np.isfinite(k1)
     assert abs(k1 - k2) <= 0.1 * max(k1, k2)
 
@@ -243,17 +243,17 @@ def test_estimate_kappa_stability_on_generated_instance(small_ls):
 def test_estimate_kappa_all_feasible_probes_error():
     prob = StochasticProblem([QuadraticNorm(2, 1.0)], [WholeSpace(2)], 2)
     with pytest.raises(ValueError):
-        estimate_kappa(prob, 10, RandomSource(3))
+        estimate_kappa(prob, 10, np.random.default_rng(3))
 
 
 def test_working_set_matches_enumeration():
     # 24 halfspaces in 4-D: one least-distance solve, same projection
-    rng = RandomSource(33)
-    anchor = 0.2 * rng.normal(4)
+    rng = np.random.default_rng(33)
+    anchor = 0.2 * rng.standard_normal(4)
     sets = [Halfspace(c, float(c @ anchor) + 0.05 + float(rng.uniform()))
-            for c in (rng.normal(4) for _ in range(24))]
+            for c in (rng.standard_normal(4) for _ in range(24))]
     for _ in range(5):
-        x = 3 * rng.normal(4)
+        x = 3 * rng.standard_normal(4)
         fast = project_intersection(sets, x, tol=1e-10)
         exact = enum_polyhedron_projection(sets, x)
         assert np.linalg.norm(fast - exact) <= 1e-8
@@ -261,28 +261,28 @@ def test_working_set_matches_enumeration():
 
 def _mixed_family(rng, dim):
     """Boxes, orthants, 1-3 hyperplanes and halfspaces sharing a point."""
-    anchor = 0.2 + np.abs(rng.normal(dim))
+    anchor = 0.2 + np.abs(rng.standard_normal(dim))
     sets = [NonnegativeOrthant(dim),
-            Box(anchor - 0.1 - np.abs(rng.normal(dim)),
-                anchor + 0.1 + np.abs(rng.normal(dim)))]
+            Box(anchor - 0.1 - np.abs(rng.standard_normal(dim)),
+                anchor + 0.1 + np.abs(rng.standard_normal(dim)))]
     for _ in range(1 + rng.integers(3)):
-        c = rng.normal(dim)
+        c = rng.standard_normal(dim)
         sets.append(Halfspace(c, float(c @ anchor) + 0.5 * float(rng.uniform())))
     for i in range(1 + rng.integers(3)):
         if i and not rng.integers(3):  # a scaled duplicate: dependent rows
             c = -2.5 * sets[-1].c
         else:
-            c = rng.normal(dim) if rng.integers(3) else np.eye(dim)[0]
+            c = rng.standard_normal(dim) if rng.integers(3) else np.eye(dim)[0]
         sets.append(Hyperplane(c, float(c @ anchor)))
     return sets
 
 
 def test_mixed_families_match_enumeration():
-    rng = RandomSource(41)
+    rng = np.random.default_rng(41)
     for _ in range(40):
         dim = 2 + rng.integers(2)
         sets = _mixed_family(rng, dim)
-        xs = 3 * rng.normal((3, dim))
+        xs = 3 * rng.standard_normal((3, dim))
         # the stack is solved cold, then from the previous point's rows
         stacked = Polyhedron.of(sets, dim).project(xs)
         for x, z in zip(xs, stacked):
@@ -314,25 +314,25 @@ def test_projection_rejects_a_bad_tolerance(tol):
 
 
 def test_row_mean_sq_distance_matches_set_loop():
-    rng = RandomSource(43)
+    rng = np.random.default_rng(43)
     for _ in range(20):
         dim = 3
         sets = _mixed_family(rng, dim) + [WholeSpace(dim)]
         prob = StochasticProblem([QuadraticNorm(dim, 1.0)], sets, dim)
-        x = 3 * rng.normal(dim)
+        x = 3 * rng.standard_normal(dim)
         loop = sum(s.distance(x) ** 2 for s in sets) / len(sets)
         assert abs(prob.mean_constraint_sq_distance(x) - loop) <= 1e-12 * loop
 
 
 def _feas_is_bit_stable(problem, cfg, seed):
     # each run's records are one stacked solve of its own points
-    first = run(problem, cfg, RandomSource(seed))
+    first = run(problem, cfg, np.random.default_rng(seed))
     assert np.all(np.isfinite(first.feas))
     for other in (seed + 1, seed + 2):
-        run(problem, cfg, RandomSource(other))
-    estimate_kappa(problem, 2, RandomSource(seed + 3))
+        run(problem, cfg, np.random.default_rng(other))
+    estimate_kappa(problem, 2, np.random.default_rng(seed + 3))
     ProblemConstants.measure(problem, np.zeros(problem.dim), kappa=2.0)
-    again = run(problem, cfg, RandomSource(seed))
+    again = run(problem, cfg, np.random.default_rng(seed))
     assert np.array_equal(again.feas, first.feas)
     return first
 
@@ -342,7 +342,7 @@ def _recorded_points(problem, cfg, seed):
     the stepsize-weighted average of the iterates before it."""
     K = cfg.iterations
     mus = cfg.schedule.block(0, K)
-    li, ci = problem.sample_indices(RandomSource(seed), K)
+    li, ci = problem.sample_indices(np.random.default_rng(seed), K)
     x, wavg, wsum, points = np.zeros(problem.dim), 0.0, 0.0, []
     for k in range(K + 1):
         if k % cfg.stride == 0:

@@ -10,7 +10,7 @@ import pytest
 
 from spprox import (AggregateTrace, Cell, ConfigError, ExperimentConfig,
                     GeneratorSpec, PolynomialDecay, ProblemConstants,
-                    RandomSource, SolverConfig, aggregate, build_markowitz,
+                    SolverConfig, aggregate, build_markowitz,
                     emit_csv, emit_svg, log_log_slope, parse_config,
                     parse_csv, run_cell, run_experiment, synth_returns)
 from spprox import DykstraError, Polyhedron, SolverError, harness

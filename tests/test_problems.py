@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from spprox import (GeneratorSpec, Halfspace, Hyperplane, QuadraticNorm,
-                    RandomSource, SolverConfig, StochasticProblem,
+                    SolverConfig, StochasticProblem,
                     build_markowitz, gen_constrained_ls, gen_feasibility,
                     gen_finite_sum, gen_random_ls_polyhedron, generate,
                     load_returns_csv, run, synth_returns)
 from spprox.components import BatchLeastSquares
 from spprox.constraints import dist_intersection, project_intersection
-from spprox.problems import _refine_optimum
+from spprox.problems import FAMILIES, _refine_optimum
 from spprox.schedules import PolynomialDecay
 
 
@@ -79,9 +79,9 @@ def test_random_ls_polyhedron_reference(desk_poly):
 def test_refine_matches_normal_equations_unconstrained():
     from spprox.components import LinearResidualSquared
     from spprox.constraints import WholeSpace
-    rng = RandomSource(13)
-    A = rng.normal((40, 5))
-    b = rng.normal(40)
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((40, 5))
+    b = rng.standard_normal(40)
     losses = [LinearResidualSquared(A[i], b[i]) for i in range(40)]
     x = _refine_optimum(StochasticProblem(losses, [WholeSpace(5)], 5))
     x_ne = np.linalg.solve(A.T @ A, A.T @ b)
@@ -103,7 +103,7 @@ def test_feasibility_family_least_norm():
     assert np.allclose(prob.x_star, np.zeros(4))
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 0), iterations=400, stride=40,
                        x0=np.array([2.0, -1.0, 1.0, 0.5]))
-    tr = run(prob, cfg, RandomSource(2))
+    tr = run(prob, cfg, np.random.default_rng(2))
     assert tr.sqdist[-1] < 1e-3 * tr.sqdist[0]
 
 
@@ -113,7 +113,7 @@ def test_feasibility_hyperplane_through_origin():
     prob = StochasticProblem(losses, sets, 3, x_star=np.zeros(3))
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 0), iterations=200, stride=20,
                        x0=np.array([2.0, -1.0, 1.5]))
-    tr = run(prob, cfg, RandomSource(3))
+    tr = run(prob, cfg, np.random.default_rng(3))
     assert tr.sqdist[-1] < 1e-10
 
 
@@ -126,7 +126,7 @@ def test_feasibility_wedge_small_lambda_limit():
     prob = StochasticProblem(losses, sets, 2)
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 0), iterations=3000,
                        stride=300, x0=np.array([3.0, 3.0]))
-    tr = run(prob, cfg, RandomSource(4))
+    tr = run(prob, cfg, np.random.default_rng(4))
     assert np.linalg.norm(tr.final - target) <= 0.05
 
 
@@ -235,3 +235,49 @@ def test_generator_spec_dispatch():
         generate(GeneratorSpec("nope"))
     with pytest.raises(ValueError):
         gen_constrained_ls(n=4, m=3)
+
+
+
+# Draws each generator makes at small knobs, recorded once: a change in how a
+# seed becomes a stream shows here.  Per family: knobs, then the raw draws
+# (compared exactly) and the values that pass through a BLAS product
+# (compared to 1e-12), each as a reader and its recorded value.
+_DRAWS = {
+    "constrained-ls": (
+        dict(n=3, m=6, seed=4, active=2),
+        lambda p: (p.meta["ground_truth"].tolist(), p.constraints[0].c.tolist()),
+        ([0.2417718768768513, 0.23538091873745476, 1.5756260314314627],
+         [0.9591848586745111, -0.9798545663746768, -0.7977957578895382]),
+        lambda p: (), ()),
+    "random-ls-polyhedron": (
+        dict(n=2, m=3, seed=5),
+        lambda p: (p.losses[0].a.tolist(), p.constraints[0].c.tolist()),
+        ([-0.8019314252534474, -1.324358995628145],
+         [-1.2333286640307717, -0.9582652054360887]),
+        lambda p: (p.losses[0].b, p.constraints[0].d),
+        (2.231261947347158, 1.1796351232224989)),
+    "feasibility": (
+        dict(n=3, sets=2, seed=6),
+        lambda p: (p.constraints[0].c.tolist(), p.constraints[0].d),
+        ([1.0531157544867582, 1.776491303816993, -2.5532918384570134],
+         0.47449676558788234),
+        lambda p: (), ()),
+    "finite-sum": (
+        dict(n=2, m=2, seed=7),
+        lambda p: p.losses[0].b.tolist(),
+        [-0.2180938342687079, -0.7085215889879705],
+        lambda p: (), ()),
+    "markowitz": (
+        dict(n=2, periods=10, seed=8, split_seed=9),
+        lambda p: (p.meta["train_rows"], p.meta["test_rows"]), (9, 1),
+        lambda p: tuple(p.meta["a_av"]),
+        (0.002365264578685991, -0.007376805122691038)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_generators_reproduce_their_draws(family):
+    knobs, raw, expected, blas, expected_blas = _DRAWS[family]
+    problem = FAMILIES[family](**knobs)
+    assert raw(problem) == expected
+    assert blas(problem) == pytest.approx(expected_blas, rel=1e-12)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spprox import (PolynomialDecay, ProblemConstants, QuadraticNorm,
-                    RandomSource, StochasticProblem, WholeSpace,
+                    StochasticProblem, WholeSpace,
                     constant_step_envelope, iteration_complexity, phi,
-                    rspp_plan, strongly_convex_bound, theta)
+                    rspp_plan, strongly_convex_bound)
 from spprox.schedules import mean_theta_sq
 
 
@@ -105,11 +105,12 @@ def test_phi_increasing_and_continuous_in_alpha():
 
 
 def test_theta_examples():
-    assert theta(1.0, 1.0) == 0.5
-    assert theta(2.7, 0.0) == 1.0
-    vals = [theta(mu, 1.0) for mu in (0.1, 1.0, 10.0, 100.0)]
+    # one sigma: E[theta_S(mu)^2] is the squared factor 1/(1 + mu sigma)^2
+    assert mean_theta_sq([1.0], 1.0) == 0.25
+    assert mean_theta_sq([0.0], 2.7) == 1.0
+    vals = [mean_theta_sq([1.0], mu) for mu in (0.1, 1.0, 10.0, 100.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 0.02
+    assert vals[-1] < 0.02 ** 2
 
 
 def _problem_with_sigmas(sigmas):
@@ -152,7 +153,7 @@ def test_theta0_matches_sampling_oracle(small_ls):
     mu0 = 1.0
     exact = _theta0(small_ls, mu0)
     assert 0.0 < exact < 1.0
-    rng = RandomSource(77)
+    rng = np.random.default_rng(77)
     li, _ = small_ls.sample_indices(rng, 200_000)
     sigmas = small_ls.sigma_values()[li]
     mc = float(np.mean(1.0 / (1.0 + mu0 * sigmas) ** 2))

@@ -8,8 +8,8 @@ from scipy import stats
 
 from conftest import random_component
 from spprox import (BatchLeastSquares, Halfspace, PolynomialDecay,
-                    QuadraticNorm, RandomSource,
-                    SolverConfig, SolverError, StochasticProblem, WholeSpace,
+                    QuadraticNorm, SolverConfig, SolverError,
+                    StochasticProblem, WholeSpace,
                     epochs_for_budget, parse_config, rspp_schedule, run)
 from spprox.components import LossComponent
 from spprox.schedules import mean_theta_sq
@@ -32,7 +32,7 @@ def test_spp_deterministic_recursion():
     x0 = np.array([4.0, 1.0, -3.0])
     cfg = SolverConfig("spp", PolynomialDecay(mu, 0), iterations=100, stride=1,
                        x0=x0, record_feasibility=False)
-    tr = run(prob, cfg, RandomSource(0))
+    tr = run(prob, cfg, np.random.default_rng(0))
     for j, k in enumerate(tr.ks):
         expected = np.linalg.norm((x0 - c) / (1.0 + mu) ** int(k)) ** 2
         assert abs(tr.sqdist[j] - expected) <= 1e-12 * (1.0 + expected)
@@ -44,7 +44,7 @@ def test_spp_converges_inside_halfspace():
     prob = _single(_half_sq_dist(2, c), h, x_star=c, kappa=1.0)
     cfg = SolverConfig("spp", PolynomialDecay(0.5, 0), iterations=200, stride=20,
                        x0=np.array([3.0, 3.0]))
-    tr = run(prob, cfg, RandomSource(1))
+    tr = run(prob, cfg, np.random.default_rng(1))
     assert tr.sqdist[-1] < 1e-8
     assert tr.feas[-1] < 1e-8
 
@@ -53,7 +53,8 @@ def test_spp_decay_on_desk_instance(desk_ls):
     # one-pass decay factor between k = 200 and k = 2000, 30 seeds
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=2000,
                        stride=200, record_feasibility=False)
-    traces = [run(desk_ls, cfg, RandomSource(500 + i)) for i in range(30)]
+    traces = [run(desk_ls, cfg, np.random.default_rng(500 + i))
+              for i in range(30)]
     sq = np.mean([t.sqdist for t in traces], axis=0)
     k200 = list(traces[0].ks).index(200)
     assert sq[k200] / sq[-1] >= 5.0
@@ -64,7 +65,7 @@ def test_aspp_constant_stepsize_average_is_plain_mean():
                    x_star=np.zeros(2), kappa=1.0)
     cfg = SolverConfig("aspp", PolynomialDecay(0.6, 0), iterations=12, stride=1,
                        x0=np.array([2.0, -1.0]))
-    tr = run(prob, cfg, RandomSource(2))
+    tr = run(prob, cfg, np.random.default_rng(2))
     # replay the iterate recursion by hand
     x = np.array([2.0, -1.0])
     iterates = [x.copy()]
@@ -81,7 +82,7 @@ def test_aspp_first_average_is_start():
     x0 = np.array([3.0, 0.0])
     cfg = SolverConfig("aspp", PolynomialDecay(1.0, 0), iterations=1, stride=1,
                        x0=x0)
-    tr = run(prob, cfg, RandomSource(3))
+    tr = run(prob, cfg, np.random.default_rng(3))
     assert np.allclose(tr.final_average, x0)
 
 
@@ -90,7 +91,7 @@ def test_aspp_average_lags_deterministic_iterate():
     prob = _single(_half_sq_dist(2, c), WholeSpace(2), x_star=c, kappa=1.0)
     cfg = SolverConfig("aspp", PolynomialDecay(1.0, 0), iterations=60, stride=1,
                        x0=np.array([5.0, -3.0]))
-    tr = run(prob, cfg, RandomSource(4))
+    tr = run(prob, cfg, np.random.default_rng(4))
     assert tr.sqdist[-1] >= tr.iterate_sqdist[-1]
 
 
@@ -101,7 +102,7 @@ def test_sgd_linear_recursion():
     x0 = np.array([4.0, 4.0])
     cfg = SolverConfig("sgd", PolynomialDecay(mu, 0), iterations=50, stride=1,
                        x0=x0)
-    tr = run(prob, cfg, RandomSource(5))
+    tr = run(prob, cfg, np.random.default_rng(5))
     for j, k in enumerate(tr.ks):
         expected = np.linalg.norm((1 - mu) ** int(k) * (x0 - c)) ** 2
         assert abs(tr.sqdist[j] - expected) <= 1e-10 * (1.0 + expected)
@@ -112,7 +113,7 @@ def test_sgd_divergence_flagged():
     prob = _single(_half_sq_dist(2, c), WholeSpace(2), x_star=c, kappa=1.0)
     cfg = SolverConfig("sgd", PolynomialDecay(3.0, 0), iterations=100, stride=10,
                        x0=np.array([1.0, 1.0]))
-    tr = run(prob, cfg, RandomSource(6))
+    tr = run(prob, cfg, np.random.default_rng(6))
     assert tr.diverged
     assert tr.diverged_at is not None
     assert np.all(np.isfinite(tr.sqdist))
@@ -135,15 +136,15 @@ def test_rspp_single_epoch_equals_aspp():
                          stride=1, x0=x0)
     cfg_a = SolverConfig("aspp", PolynomialDecay(0.8, 0), iterations=1, stride=1,
                          x0=x0)
-    tr_r = run(prob, cfg_r, RandomSource(7))
-    tr_a = run(prob, cfg_a, RandomSource(7))
+    tr_r = run(prob, cfg_r, np.random.default_rng(7))
+    tr_a = run(prob, cfg_a, np.random.default_rng(7))
     assert np.array_equal(tr_r.final_average, tr_a.final_average)
 
 
 def test_rspp_restarts_from_epoch_average(small_ls):
     cfg = SolverConfig("rspp", PolynomialDecay(1.0, 1.0), iterations=21,
                        stride=1, record_feasibility=False)
-    tr = run(small_ls, cfg, RandomSource(8))
+    tr = run(small_ls, cfg, np.random.default_rng(8))
     assert tr.epoch_lengths == [1, 2, 3, 4, 5, 6]
     assert tr.epoch_ends == [1, 3, 6, 10, 15, 21]
     assert np.allclose(tr.epoch_stepsizes, [1.0 / t for t in range(1, 7)])
@@ -167,7 +168,7 @@ def test_rspp_spends_the_iteration_budget_on_whole_epochs(gamma):
             cfg = SolverConfig("rspp", PolynomialDecay(1.0, gamma),
                                iterations=int(budget), stride=1,
                                record_feasibility=False)
-            tr = run(prob, cfg, RandomSource(3))
+            tr = run(prob, cfg, np.random.default_rng(3))
             assert len(tr.epoch_ends) == T, budget
             assert tr.epoch_ends[-1] == total == tr.ks[-1], budget
 
@@ -241,11 +242,11 @@ def test_seed_determinism(small_ls):
 
 
 def test_spp_step_equals_moreau_gradient_step():
-    rng = RandomSource(9)
+    rng = np.random.default_rng(9)
     for _ in range(100):
         dim = 2 + rng.integers(3)
         comp = random_component(rng, dim)
-        x = rng.normal(dim)
+        x = rng.standard_normal(dim)
         mu = 0.1 + float(rng.uniform())
         lhs = x - mu * comp.moreau_gradient(x, mu)
         assert np.allclose(lhs, comp.prox(x, mu), atol=1e-12)
@@ -259,7 +260,7 @@ def test_boundedness_cap_strongly_convex(small_ls):
     cap = max(r0, mu0 * eta / (1.0 - math.sqrt(th0)))
     cfg = SolverConfig("spp", PolynomialDecay(mu0, 1.0), iterations=240,
                        stride=20, record_feasibility=False)
-    sq = np.array([run(small_ls, cfg, RandomSource(600 + i)).sqdist
+    sq = np.array([run(small_ls, cfg, np.random.default_rng(600 + i)).sqdist
                    for i in range(30)])
     mean = sq.mean(axis=0)
     se = sq.std(axis=0, ddof=1) / math.sqrt(30)
@@ -269,8 +270,8 @@ def test_boundedness_cap_strongly_convex(small_ls):
 def test_feasibility_trend_spearman(small_ls):
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=240,
                        stride=24, record_feasibility=True)
-    feas_sq = np.mean([run(small_ls, cfg, RandomSource(700 + i)).feas ** 2
-                       for i in range(30)], axis=0)
+    feas_sq = np.mean([run(small_ls, cfg, np.random.default_rng(700 + i)).feas
+                       ** 2 for i in range(30)], axis=0)
     rho, _ = stats.spearmanr(np.arange(len(feas_sq)), feas_sq)
     assert rho < 0.0
 
@@ -279,7 +280,7 @@ def test_trace_record_count_and_finiteness(small_ls):
     for stride, K in ((10, 240), (7, 240), (300, 240)):
         cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=K,
                            stride=stride)
-        tr = run(small_ls, cfg, RandomSource(11))
+        tr = run(small_ls, cfg, np.random.default_rng(11))
         assert len(tr.ks) == K // stride + 1
         assert np.all(np.isfinite(tr.sqdist))
         assert np.all(np.isfinite(tr.objective))
@@ -294,7 +295,7 @@ def test_recorded_stepsize_is_the_one_stepped(small_ls, algorithm):
     K, schedule = 1000, PolynomialDecay(1.0, 0.75)
     cfg = SolverConfig(algorithm, schedule, iterations=K, stride=20,
                        record_feasibility=False)
-    tr = run(small_ls, cfg, RandomSource(3))
+    tr = run(small_ls, cfg, np.random.default_rng(3))
     assert len(tr.ks) == 51
     assert np.array_equal(tr.stepsizes, schedule.block(0, K + 1)[tr.ks])
 
@@ -324,14 +325,14 @@ def test_non_finite_iterate_raises_with_index(algorithm, schedule, budget):
     prob = StochasticProblem([_PoisonComponent(2)], [WholeSpace(2)], 2)
     cfg = SolverConfig(algorithm, schedule, stride=1, **budget)
     with pytest.raises(SolverError) as err:
-        run(prob, cfg, RandomSource(12))
+        run(prob, cfg, np.random.default_rng(12))
     assert err.value.iteration == 1
 
 
 def test_non_finite_sgd_iterate_is_flagged_divergence():
     prob = StochasticProblem([_PoisonComponent(2)], [WholeSpace(2)], 2)
     cfg = SolverConfig("sgd", PolynomialDecay(1.0, 0), iterations=5, stride=1)
-    tr = run(prob, cfg, RandomSource(12))
+    tr = run(prob, cfg, np.random.default_rng(12))
     assert tr.diverged and tr.diverged_at == 1
     assert list(tr.ks) == [0]
 
@@ -357,5 +358,5 @@ def test_non_finite_x0_rejected(algorithm, record, capfd):
         cfg = SolverConfig(algorithm, PolynomialDecay(1.0, 0), iterations=5,
                            x0=np.array([bad, 0.0]), record_feasibility=record)
         with pytest.raises(ValueError, match="x0"):
-            run(prob, cfg, RandomSource(0))
+            run(prob, cfg, np.random.default_rng(0))
     assert "DLASCL" not in capfd.readouterr().err
