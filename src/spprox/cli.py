@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``run`` executes an experiment config, ``gen-config`` prints a
-documented template, ``estimate-kappa`` probes the linear-regularity constant
-of the configured problem, ``plan`` prints stepsize/iteration/epoch plans for
-a target accuracy.  Exit codes: 0 success, 1 configuration error, 2 runtime
+documented template, ``estimate-kappa`` prints the configured problem's
+linear-regularity constant, known or a sampled lower bound (both from
+``estimate_kappa``), ``plan`` prints stepsize/iteration/epoch plans for a
+target accuracy.  Exit codes: 0 success, 1 configuration error, 2 runtime
 error.  The SPPROX_OUTDIR environment variable overrides the output directory.
 """
 
@@ -79,11 +80,11 @@ def _cmd_gen_config(args) -> int:
 def _cmd_estimate_kappa(args) -> int:
     config = parse_config(args.config)
     problem = generate(config.spec)
-    kappa_hat = estimate_kappa(problem, args.probes, config.probe_source(),
-                               tol=config.feas_tol)
-    print(f"kappa_hat (lower bound, {args.probes} probes): {kappa_hat:.6g}")
-    print("note: a sampled estimate certifies a lower bound on the "
-          "regularity constant only")
+    kappa = estimate_kappa(problem, args.probes, config.probe_source(),
+                           tol=config.feas_tol)
+    print(f"kappa (known): {kappa:.6g}" if problem.kappa is not None else
+          f"kappa_hat (lower bound, {args.probes} probes): {kappa:.6g}\nnote: a "
+          "sampled estimate certifies a lower bound on the regularity constant only")
     return 0
 
 
@@ -95,7 +96,7 @@ def _cmd_plan(args) -> int:
         raise ConfigError(str(exc)) from None
     problem = generate(config.spec)
     kappa = args.kappa
-    if kappa is None and problem.kappa is None and problem.x_star is not None:
+    if kappa is None and problem.x_star is not None:
         kappa = estimate_kappa(problem, args.probes, config.probe_source(),
                                tol=config.feas_tol)
     c = bounds.ProblemConstants.measure(problem, np.zeros(problem.dim),

@@ -16,26 +16,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Array, as_vector
+from .core import Array, Oracle, as_vector
 
 
 class ProxSolveError(RuntimeError):
     """The 1-D prox solve found no bracketed root or did not converge."""
 
 
-class LossComponent:
+class LossComponent(Oracle):
     kind = "abstract"
 
     def __init__(self, dim: int, sigma: float, lips_grad: float):
         self.dim = dim
         self.sigma = float(sigma)
         self.lips_grad = float(lips_grad)
-
-    def _check(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"dimension mismatch: expected ({self.dim},), got {x.shape}")
-        return x
 
     @staticmethod
     def _check_mu(mu: float) -> float:

@@ -6,36 +6,27 @@ of unit rows {z : C z <= d}; a hyperplane is two opposite rows.
 the previous point's active rows) by Goldfarb and Idnani's dual active-set
 method and certifies the answer by its KKT conditions; an empty
 intersection, certified by a dual ray of the same solve, raises.
-``estimate_kappa`` probes the linear-regularity ratio
-dist_X(x)^2 / E[dist_{X_S}(x)^2]; being sampled, it certifies a lower bound
-on the regularity constant only.
+``estimate_kappa`` is the one owner of the linear-regularity constant: a
+problem's known kappa, else the largest sampled ratio
+dist_X(x)^2 / E[dist_{X_S}(x)^2], which certifies a lower bound only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Array, as_vector, norm
+from .core import Array, Oracle, as_vector, norm
 
 # default relative tolerance of a projection's KKT certificate
 CERTIFICATE_TOL = 1e-10
 
 
-class ConstraintSet:
+class ConstraintSet(Oracle):
     kind = "abstract"
-
-    def __init__(self, dim: int):
-        self.dim = dim
 
     def rows(self):
         """(C, d) with the set equal to {x : C x <= d}."""
         raise NotImplementedError
-
-    def _check(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"dimension mismatch: expected ({self.dim},), got {x.shape}")
-        return x
 
     def project(self, x: Array) -> Array:
         raise NotImplementedError
@@ -219,8 +210,8 @@ class Polyhedron:
                    sets=len(sets))
 
     def violations(self, x: Array) -> Array:
-        """Per-row distances: the positive violations."""
-        return np.maximum(self.C @ x - self.d, 0.0)
+        """Per-row distances: the positive violations, a row per point."""
+        return np.maximum(x @ self.C.T - self.d, 0.0)
 
     def set_sq_distances(self, x: Array) -> Array:
         """dist_{X_i}(x)^2 for every set i: the sum over its rows."""
@@ -336,34 +327,27 @@ def dist_intersection(sets, x, tol: float = CERTIFICATE_TOL):
 
 def estimate_kappa(problem, probes: int, rng: np.random.Generator,
                    tol: float = CERTIFICATE_TOL) -> float:
-    """Empirical lower bound on the linear-regularity constant.
-
-    Probe points are drawn uniformly on the sphere of radius
-    ``2 max(1, ||c||)`` around the center c, the known optimum or else the
-    origin: a feasible anchor of the iterate region.  Each probe contributes
-    dist_X(x)^2 / E[dist_{X_S}(x)^2], with dist_X certified at ``tol`` as in
-    ``project_intersection``; probes with denominator below 1e-14 are
-    skipped.  Returns the largest ratio floored at 1 (X lies in each X_S).
+    """The linear-regularity constant: ``problem.kappa`` if known (no probe
+    is drawn), else an empirical lower bound.  A (probes, n) block of normal
+    draws gives probes uniformly on the sphere of radius ``2 max(1, ||c||)``
+    around c, the known optimum or else the origin: a feasible anchor of the
+    iterate region.  Each contributes dist_X(x)^2 / E[dist_{X_S}(x)^2], with
+    dist_X certified at ``tol`` as in ``project_intersection``; probes with
+    denominator below 1e-14 are skipped.  Returns the largest ratio floored
+    at 1 (X lies in each X_S).
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
+    if problem.kappa is not None:
+        return problem.kappa
     center = (problem.x_star if problem.x_star is not None
               else np.zeros(problem.dim))
     radius = 2.0 * max(1.0, norm(center))
-    best = None
-    for _ in range(probes):
-        u = rng.standard_normal(problem.dim)
-        nu = norm(u)
-        if nu == 0.0:
-            continue
-        x = center + (radius / nu) * u
-        den = problem.mean_constraint_sq_distance(x)
-        if den < 1e-14:
-            continue
-        num = dist_intersection(problem.rows, x, tol=tol) ** 2
-        ratio = num / den
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
+    u = rng.standard_normal((probes, problem.dim))
+    x = center + (radius / np.sqrt(np.einsum("ij,ij->i", u, u)))[:, None] * u
+    den = problem.mean_constraint_sq_distance(x)
+    x, den = x[den >= 1e-14], den[den >= 1e-14]
+    if not len(den):
         raise ValueError("all probes were degenerate (feasible or near-feasible)")
-    return max(best, 1.0)
+    num = np.array([dist_intersection(problem.rows, p, tol=tol) for p in x])
+    return max(float((num ** 2 / den).max()), 1.0)

@@ -1,5 +1,5 @@
-"""Vector validation and norm, and the stochastic problem container, whose
-index pairs come from a seeded ``numpy.random.Generator``."""
+"""Vector validation and norm, the point check of sets and losses, and the
+stochastic problem, whose index pairs come from a numpy ``Generator``."""
 
 from __future__ import annotations
 
@@ -28,6 +28,19 @@ def norm(a: Array) -> float:
     """Euclidean norm sqrt(<a, a>)."""
     a = np.asarray(a, dtype=np.float64)
     return float(np.sqrt(np.dot(a, a)))
+
+
+class Oracle:
+    """An operator on the points of R^dim: the base of sets and losses."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def _check(self, x: Array) -> Array:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.dim,):
+            raise ValueError(f"dimension mismatch: expected ({self.dim},), got {x.shape}")
+        return x
 
 
 class QuadraticForm:
@@ -60,7 +73,7 @@ class StochasticProblem:
         Known optimum.  Must lie in the intersection of all constraint sets
         within ``FEASIBILITY_TOL``; checked again whenever it is set.
     kappa : float, optional
-        Known (or externally estimated) linear-regularity constant.
+        Known (or estimated) linear-regularity constant; 1 if X = R^n.
     test_objective : callable, optional
         Held-out objective F_test(x) (portfolio experiments).
     one_pass : int, optional
@@ -82,12 +95,12 @@ class StochasticProblem:
             raise ValueError("at least one loss component is required")
         if not self.constraints:
             raise ValueError("at least one constraint set is required")
-        self.kappa = kappa
         self.test_objective = test_objective
         self.one_pass = int(one_pass) if one_pass else len(self.losses)
         self.meta = dict(meta) if meta else {}
         from .constraints import Polyhedron  # constraints imports this module
         self.rows = Polyhedron.of(self.constraints, self.dim)
+        self.kappa = 1.0 if kappa is None and not len(self.rows.d) else kappa
         self.x_star = x_star
         self._quad = self._build_quadratic_objective()
 
@@ -150,11 +163,11 @@ class StochasticProblem:
         L = np.array([f.lips_grad for f in self.losses])
         return float(np.mean(L ** 2))
 
-    def mean_constraint_sq_distance(self, x: Array) -> float:
-        """Exact E[dist_{X_S}(x)^2] over the constraint marginal: the sum of
-        squared row violations over the set count."""
+    def mean_constraint_sq_distance(self, x: Array):
+        """Exact E[dist_{X_S}(x)^2] over the constraint marginal, per point of
+        a stack: the sum of squared row violations over the set count."""
         v = self.rows.violations(np.asarray(x, dtype=np.float64))
-        return float(np.dot(v, v)) / self.rows.sets
+        return np.einsum("...i,...i->...", v, v) / self.rows.sets
 
     # -- internals ------------------------------------------------------------
 

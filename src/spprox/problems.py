@@ -181,8 +181,8 @@ def gen_finite_sum(n: int = 5, m: int = 8, seed: int = 0,
     w = alphas ** 2
     x_star = (w[:, None] * centers).sum(axis=0) / w.sum()
     return StochasticProblem(
-        losses, [WholeSpace(n)], n, x_star=x_star,
-        kappa=1.0, one_pass=m, meta={"family": "finite-sum"})
+        losses, [WholeSpace(n)], n, x_star=x_star, one_pass=m,
+        meta={"family": "finite-sum"})
 
 
 # -- returns data -------------------------------------------------------------

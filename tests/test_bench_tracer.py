@@ -5,6 +5,7 @@ changed answer, must fail here, not first in a benchmark run."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spprox import cli, constraints, harness, parse_config, problems, solvers
@@ -69,6 +70,51 @@ def test_traced_run_passes_the_bench_self_check(tmp_path, monkeypatch):
     cells = {cell.name: None for cell in parse_config(cfg).cells}
     assert len(cells) == 4
     assert bench.tracer_self_check(t.to_json(), {"cells": cells}) == []
+
+
+KAPPA_CONFIG = """\
+[experiment]
+runs = 2
+iterations = 20
+stride = 10
+kappa_probes = 2
+overlay_bounds = true
+
+[problem]
+family = constrained-ls
+n = 4
+m = 40
+seed = 2
+
+[solvers]
+algorithms = spp
+"""
+
+
+def test_traced_run_times_the_kappa_probes(tmp_path, monkeypatch):
+    # the bench's kappa phase is the estimate_kappa span, and its per-probe
+    # time the dist_intersection calls that estimate_kappa makes
+    tracer = _load("tracer")
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(KAPPA_CONFIG)
+    monkeypatch.setenv("SPPROX_OUTDIR", str(tmp_path / "out"))
+    t = tracer.Tracer("t")
+    try:
+        tracer.install(t)
+        assert cli.main(["run", str(cfg), "--workers", "1"]) == 0
+    finally:
+        t.restore()
+    trace = t.to_json()
+    names = [span[2] for span in trace["spans"]]
+    assert names.count("constraints.estimate_kappa") == 1
+    config = parse_config(cfg)
+    problem = problems.generate(config.spec)
+    u = config.probe_source().standard_normal((2, problem.dim))
+    radius = 2.0 * max(1.0, np.linalg.norm(problem.x_star))
+    x = problem.x_star + radius * u / np.linalg.norm(u, axis=1)[:, None]
+    kept = sum(problem.mean_constraint_sq_distance(p) >= 1e-14 for p in x)
+    assert kept == 2
+    assert trace["calls"]["constraints.probe_projection"]["count"] == kept
 
 
 @pytest.mark.parametrize("workload", ["ls_steps", "ls_feas", "portfolio"])

@@ -325,6 +325,32 @@ def test_plan_reports_a_plan_past_the_cap_as_unavailable(tmp_path, capsys):
     assert lines["restart plan"] == unreachable
 
 
+_SMALL_KNOBS = {"n": "4", "m": "40", "sets": "6", "periods": "60"}
+
+
+@pytest.mark.filterwarnings("ignore:constant-step plan assumes")
+@pytest.mark.parametrize("family", sorted(harness.CONFIG_TEMPLATES))
+def test_every_template_estimates_kappa_and_plans(tmp_path, capsys, family):
+    # finite-sum's one set is the whole space: its kappa is known, not probed
+    text = harness.CONFIG_TEMPLATES[family]
+    for key, value in _SMALL_KNOBS.items():
+        if key in knob_defaults(family):
+            text = _with_key("problem", key, value, text)
+    cfg = tmp_path / f"{family}.ini"
+    cfg.write_text(text)
+    assert main(["estimate-kappa", str(cfg), "--probes", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("kappa (known): 1\n" if family == "finite-sum"
+                          else "kappa_hat (lower bound, 5 probes): ")
+    code = main(["plan", str(cfg), "--eps", "0.1", "--probes", "5",
+                 "--subgrad-sq", "2"])
+    out, err = capsys.readouterr()
+    if family == "markowitz":  # no known optimum: no constants to plan from
+        assert code == 2 and "no known optimum" in err
+    else:
+        assert code == 0 and sorted(_plan_lines(out)) == sorted(_PLAN_LABELS)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0.5"])
 def test_cli_plan_rejects_a_bad_kappa(tmp_path, capsys, value):
     cfg = tmp_path / "p.ini"

@@ -11,8 +11,9 @@ from spprox import (Box, DykstraError, Halfspace, Hyperplane,
                     ProblemConstants, QuadraticNorm, SolverConfig,
                     StochasticProblem, WholeSpace,
                     build_markowitz, dist_intersection, estimate_kappa,
-                    gen_constrained_ls, project_intersection, run,
-                    synth_returns)
+                    gen_constrained_ls, generate, parse_config,
+                    project_intersection, run, synth_returns)
+from spprox.harness import CONFIG_TEMPLATES
 from spprox.problems import _refine_optimum
 
 
@@ -241,9 +242,41 @@ def test_estimate_kappa_stability_on_generated_instance(small_ls):
 
 
 def test_estimate_kappa_all_feasible_probes_error():
-    prob = StochasticProblem([QuadraticNorm(2, 1.0)], [WholeSpace(2)], 2)
-    with pytest.raises(ValueError):
+    # one row, far outside the probe sphere of radius 2 around the origin
+    prob = StochasticProblem([QuadraticNorm(2, 1.0)],
+                             [Halfspace(np.array([1.0, 0.0]), 100.0)], 2)
+    assert prob.kappa is None
+    with pytest.raises(ValueError, match="all probes were degenerate"):
         estimate_kappa(prob, 10, np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("sets, kappa, known", [
+    ([WholeSpace(2)], None, 1.0),  # no rows: X = R^n
+    ([WholeSpace(2), WholeSpace(2)], None, 1.0),
+    ([Halfspace(np.array([1.0, 0.0]), 0.0)], 3.0, 3.0)])
+def test_estimate_kappa_returns_a_known_kappa_without_probing(sets, kappa,
+                                                              known):
+    prob = StochasticProblem([QuadraticNorm(2, 1.0)], sets, 2, kappa=kappa)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert prob.kappa == known
+    assert estimate_kappa(prob, 10, rng) == known
+    assert rng.bit_generator.state == state
+
+
+def test_estimate_kappa_draws_its_probes_as_one_block(tmp_path):
+    # the constrained-ls template's 20-probe estimate, pinned to its value
+    # from one probe draw at a time; the stream moves by one (20, 20) block
+    path = tmp_path / "ls.ini"
+    path.write_text(CONFIG_TEMPLATES["constrained-ls"])
+    config = parse_config(path)
+    problem = generate(config.spec)
+    assert problem.dim == 20
+    rng, block = config.probe_source(), config.probe_source()
+    kappa = estimate_kappa(problem, 20, rng, tol=config.feas_tol)
+    assert abs(kappa - 51.71058446005237) <= 1e-12 * 51.71058446005237
+    block.standard_normal((20, 20))
+    assert rng.bit_generator.state == block.bit_generator.state
 
 
 def test_working_set_matches_enumeration():
@@ -322,6 +355,11 @@ def test_row_mean_sq_distance_matches_set_loop():
         x = 3 * rng.standard_normal(dim)
         loop = sum(s.distance(x) ** 2 for s in sets) / len(sets)
         assert abs(prob.mean_constraint_sq_distance(x) - loop) <= 1e-12 * loop
+        # a stack of points: one value per row
+        loops = np.array([loop, sum(s.distance(-x) ** 2 for s in sets)
+                          / len(sets)])
+        stacked = prob.mean_constraint_sq_distance(np.stack([x, -x]))
+        assert np.all(np.abs(stacked - loops) <= 1e-12 * loops)
 
 
 def _feas_is_bit_stable(problem, cfg, seed):

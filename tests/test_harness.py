@@ -316,6 +316,17 @@ def test_overlay_bounds_adds_dashed_curves(tmp_path):
     assert sum("stroke-dasharray" in e.attrib for e in polys) == 1
 
 
+def test_a_row_free_run_records_its_known_kappa(tmp_path):
+    # finite-sum's one set is the whole space: kappa = 1, and no probe fails
+    config = ExperimentConfig(
+        spec=GeneratorSpec("finite-sum", n=3, m=5, seed=4),
+        cells=[Cell("spp", 0.5, 1.0)], runs=2, base_seed=5,
+        outdir=str(tmp_path / "rf"), iterations=20, stride=10, workers=1,
+        kappa_probes=3)
+    (agg,) = run_experiment(config).values()
+    assert agg.metadata["kappa_hat_lower_bound"] == 1.0
+
+
 def test_run_certifies_every_intersection_solve_at_feas_tol(tmp_path,
                                                            monkeypatch):
     tols = []
