@@ -14,8 +14,8 @@ Two expected-squared-Lipschitz constants coexist deliberately:
   analysis); measured from the components.
 * ``subgrad_sq`` — subgradient bound over the iterate region (convex
   Lipschitz analysis), an argument of ``convex_bounds`` and
-  ``constant_step_plan``; least-squares losses are only locally Lipschitz,
-  so no problem carries it.
+  ``constant_step_plan``; every generated family's losses are quadratics,
+  only locally Lipschitz, so no problem carries it (``SUBGRADIENT_CAVEAT``).
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ from .schedules import PolynomialDecay, mean_theta_sq, phi
 
 # No plan asks for more iterations than this; beyond it a plan is unreachable.
 ITERATION_CAP = 2 ** 62
+
+SUBGRADIENT_CAVEAT = (
+    "least-squares losses are Lipschitz only on bounded sets; convex-case "
+    "certificates are interpreted over the observed iterate region")
 
 
 class MissingConstantError(ValueError):

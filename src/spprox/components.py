@@ -115,18 +115,18 @@ class LinearResidualSquared(LossComponent):
 
     def value(self, x):
         x = self._check(x)
-        r = float(np.dot(self.a, x)) - self.b
+        r = float(self.a.dot(x)) - self.b
         return r * r
 
     def gradient(self, x):
         x = self._check(x)
-        r = float(np.dot(self.a, x)) - self.b
+        r = float(self.a.dot(x)) - self.b
         return (2.0 * r) * self.a
 
     def prox(self, x, mu):
         x = self._check(x)
         mu = self._check_mu(mu)
-        r = float(np.dot(self.a, x)) - self.b
+        r = float(self.a.dot(x)) - self.b
         return x - (2.0 * mu * r / (1.0 + 2.0 * mu * self._a_sq)) * self.a
 
     def quad_terms(self):
@@ -168,14 +168,14 @@ class BatchLeastSquares(LossComponent):
 
     def gradient(self, x):
         x = self._check(x)
-        return 2.0 * (self.A.T @ (self.A @ x) - self._atb)
+        return 2.0 * (self.A.T.dot(self.A.dot(x)) - self._atb)
 
     def prox(self, x, mu):
         x = self._check(x)
         mu = self._check_mu(mu)
         V = self._vecs
-        y = V.T @ (x + (2.0 * mu) * self._atb)
-        return V @ (y / (1.0 + (2.0 * mu) * self._eigs))
+        y = V.T.dot(x + (2.0 * mu) * self._atb)
+        return V.dot(y / (1.0 + (2.0 * mu) * self._eigs))
 
     def quad_terms(self):
         return (self._ata, self._atb, float(np.dot(self.b, self.b)))

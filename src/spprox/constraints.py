@@ -4,7 +4,8 @@ Every set kind is polyhedral, so a finite intersection is one ``Polyhedron``
 of unit rows {z : C z <= d}; a hyperplane is two opposite rows.
 ``project_intersection`` projects onto it (or a stack of points, each from
 the previous point's active rows) by Goldfarb and Idnani's dual active-set
-method and certifies the answer by its KKT conditions; an empty
+method and certifies the answer by its KKT conditions (feasibility, tight
+active rows, nonnegative multipliers, stationarity); an empty
 intersection, certified by a dual ray of the same solve, raises.
 ``estimate_kappa`` is the one owner of the linear-regularity constant: a
 problem's known kappa, else the largest sampled ratio
@@ -75,14 +76,14 @@ class Halfspace(_OneRow):
 
     def project(self, x):
         x = self._check(x)
-        viol = float(np.dot(self.c, x)) - self.d
+        viol = float(self.c.dot(x)) - self.d
         if viol <= 0.0:
             return x.copy()
         return x - (viol / self._c_sq) * self.c
 
     def distance(self, x):
         x = self._check(x)
-        return max(0.0, float(np.dot(self.c, x)) - self.d) / self._c_nrm
+        return max(0.0, float(self.c.dot(x)) - self.d) / self._c_nrm
 
 
 class Hyperplane(_OneRow):
@@ -95,11 +96,11 @@ class Hyperplane(_OneRow):
 
     def project(self, x):
         x = self._check(x)
-        return x - ((float(np.dot(self.c, x)) - self.d) / self._c_sq) * self.c
+        return x - ((float(self.c.dot(x)) - self.d) / self._c_sq) * self.c
 
     def distance(self, x):
         x = self._check(x)
-        return abs(float(np.dot(self.c, x)) - self.d) / self._c_nrm
+        return abs(float(self.c.dot(x)) - self.d) / self._c_nrm
 
 
 class Box(ConstraintSet):
@@ -246,7 +247,8 @@ class Polyhedron:
         some lam_j with r_j > 0 reaches 0 first, which drops row j.  A
         dependent p (h ~ 0) violated within tol is set aside; with no
         r_j > 0, e_p - r is a dual ray: a Farkas certificate of emptiness
-        once its gap d_A'r - d_p exceeds tol.  Returns z and the state."""
+        once its gap d_A'r - d_p exceeds tol.  Returns z, certified as in
+        ``project_intersection``, and the state."""
         C, d, n, eps = self.C, self.d, len(x), np.finfo(float).eps
         scale = 1.0 + float(np.abs(x).max()) + self._scale
         tol, roundoff, dependent = (tol * scale, 16.0 * eps * scale,
@@ -254,7 +256,7 @@ class Polyhedron:
         rows, J, Tinv = start or ([], np.eye(n), np.zeros((n, n)))
         z, lam, (rows, J, Tinv) = _equality(C, d, x, list(rows), J.copy(),
                                             Tinv.copy())
-        aside, p = np.zeros(len(d), dtype=bool), None
+        aside, p, moved = np.zeros(len(d), dtype=bool), None, False
         for _ in range(10 * (len(d) + n)):
             if p is None:  # the next row to add
                 s = np.where(aside, -np.inf, C @ z - d)
@@ -276,6 +278,7 @@ class Polyhedron:
             full = viol / hh if hh > dependent else np.inf
             t = min(full, ratios.min(initial=np.inf))
             z, lam, lam_p = z - t * (J[:, q:] @ u), lam - t * r, lam_p + t
+            moved = True
             if t == full:  # reflect u to a e_1: T gains the column (T r, a)
                 a, w = -np.copysign(norm(u), u[0]), u.copy()
                 w[0] -= a
@@ -289,14 +292,18 @@ class Polyhedron:
                 lam, aside[:] = np.delete(lam, k), False
         else:
             raise DykstraError("dual active-set solve did not stop")
-        z, _, state = _equality(C, d, x, rows, J, Tinv)
+        if moved:  # else the first equality projection is the answer
+            z, lam, (rows, J, Tinv) = _equality(C, d, x, rows, J, Tinv)
         slack = C @ z - d
         worst = max(float(slack.max(initial=0.0)),
-                    float(np.abs(slack[state[0]]).max(initial=0.0)))
-        if not worst <= tol:  # also catches NaN
-            raise DykstraError(f"least-distance certificate failed: "
-                               f"residual {worst:.3g} > {tol:.3g}")
-        return z, state
+                    float(np.abs(slack[rows]).max(initial=0.0)),
+                    norm(x - z - C[rows].T @ lam))
+        least = float(lam.min(initial=0.0))
+        if not (worst <= tol and least >= 0.0):  # also catches NaN
+            raise DykstraError(f"least-distance certificate failed: residual "
+                               f"{worst:.3g} (tolerance {tol:.3g}), least "
+                               f"multiplier {least:.3g}")
+        return z, (rows, J, Tinv)
 
 
 def project_intersection(sets, x, tol: float = CERTIFICATE_TOL) -> Array:
@@ -304,9 +311,9 @@ def project_intersection(sets, x, tol: float = CERTIFICATE_TOL) -> Array:
     onto the intersection of ``sets`` (``ConstraintSet`` objects or their
     ``Polyhedron``).  Each point starts from the previous one's active rows,
     the first cold.  An answer is returned only when its KKT certificate
-    (feasibility and complementary slackness to tol * (1 + ||x||_inf +
-    max_i |d_i|), nonnegative multipliers) holds; an empty intersection or
-    a failed certificate raises DykstraError.
+    (feasibility, complementary slackness and stationarity to tol * (1 +
+    ||x||_inf + max_i |d_i|), nonnegative multipliers) holds; an empty
+    intersection or a failed certificate raises DykstraError.
     """
     if not isinstance(sets, Polyhedron):
         sets = list(sets)

@@ -27,7 +27,7 @@ def as_vector(x, dim: int | None = None) -> Array:
 def norm(a: Array) -> float:
     """Euclidean norm sqrt(<a, a>)."""
     a = np.asarray(a, dtype=np.float64)
-    return float(np.sqrt(np.dot(a, a)))
+    return float(np.sqrt(a.dot(a)))
 
 
 class Oracle:

@@ -426,10 +426,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     meta_common = {"iterations": K, "stride": stride, "runs": config.runs,
                    "base_seed": config.base_seed,
-                   "family": config.spec.family}
-    if "subgradient_caveat" in problem.meta:
-        meta_common["subgradient_caveat"] = problem.meta["subgradient_caveat"]
-    meta_common["theta0_at_1"] = mean_theta_sq(problem.sigma_values(), 1.0)
+                   "family": config.spec.family,
+                   "subgradient_caveat": bounds_mod.SUBGRADIENT_CAVEAT,
+                   "theta0_at_1": mean_theta_sq(problem.sigma_values(), 1.0)}
 
     kappa_hat = None
     if config.kappa_probes > 0:

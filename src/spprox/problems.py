@@ -18,6 +18,7 @@ Generated problems store their known optimum as the minimizer of the realized
 finite-sum objective over the constraint intersection.  For constrained-ls
 the planted ground truth differs from that minimizer at desk scale by the
 statistical error of the sample; it is kept in ``meta["ground_truth"]``.
+``problem.meta`` holds what a generator computed, never a knob.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ from .components import BatchLeastSquares, LinearResidualSquared, QuadraticNorm
 from .constraints import Halfspace, NonnegativeOrthant, Polyhedron, \
     WholeSpace, project_intersection
 from .core import Array, StochasticProblem
-
-SUBGRADIENT_CAVEAT = (
-    "least-squares losses are Lipschitz only on bounded sets; convex-case "
-    "certificates are interpreted over the observed iterate region")
 
 
 class ReferenceSolveError(RuntimeError):
@@ -64,9 +61,20 @@ def _refine_optimum(problem: StochasticProblem) -> Array:
     return np.linalg.solve(L.T, y)
 
 
+def _least_squares(losses, C: Array, d: Array, dim: int, one_pass=None,
+                   meta=None) -> StochasticProblem:
+    """The least-squares problem over the halfspaces {x : C x <= d}, one per
+    row, with its exact optimum."""
+    problem = StochasticProblem(
+        losses, [Halfspace(c, di) for c, di in zip(C, d)], dim,
+        one_pass=one_pass, meta=meta)
+    problem.x_star = _refine_optimum(problem)
+    return problem
+
+
 def gen_constrained_ls(n: int = 20, m: int = 2000, seed: int = 0,
-                       noise: float = 1.0, active: int = 3, *,
-                       refine: bool = True) -> StochasticProblem:
+                       noise: float = 1.0,
+                       active: int = 3) -> StochasticProblem:
     """Constrained least squares with planted structure.
 
     Feature rows are Gaussian with covariance spectrum {1, 1/2, ..., 1/n} in
@@ -78,8 +86,7 @@ def gen_constrained_ls(n: int = 20, m: int = 2000, seed: int = 0,
 
     The problem's known optimum is the minimizer of the realized finite sum
     over the polyhedron (exact least-distance solve); the planted point
-    stays in ``meta["ground_truth"]``.  ``refine=False`` skips the solve and
-    leaves the optimum unset (sampling diagnostics at large m).
+    stays in ``meta["ground_truth"]``.
     """
     if n < 2 or m < n:
         raise ValueError("need n >= 2 and m >= n")
@@ -102,17 +109,8 @@ def gen_constrained_ls(n: int = 20, m: int = 2000, seed: int = 0,
     v = np.zeros(p)  # slack: the first ``active`` rows are tight at x_gt
     v[active:] = 0.1 + 0.9 * rng.uniform(size=p - active)
     d = C @ x_gt + v
-    constraints = [Halfspace(C[i], d[i]) for i in range(p)]
-
-    H = (Q * lams) @ Q.T
-    problem = StochasticProblem(
-        losses, constraints, n, one_pass=m,
-        meta={"family": "constrained-ls", "ground_truth": x_gt,
-              "feature_cov": H, "noise": noise, "active": active, "m": m,
-              "subgradient_caveat": SUBGRADIENT_CAVEAT})
-    if refine:
-        problem.x_star = _refine_optimum(problem)
-    return problem
+    return _least_squares(losses, C, d, n, one_pass=m, meta={
+        "ground_truth": x_gt, "feature_cov": (Q * lams) @ Q.T})
 
 
 def gen_random_ls_polyhedron(n: int = 20, m: int = 1000, seed: int = 0,
@@ -132,13 +130,7 @@ def gen_random_ls_polyhedron(n: int = 20, m: int = 1000, seed: int = 0,
     anchor = 0.5 * rng.standard_normal(n)
     d = C @ anchor + rng.uniform(0.1, 1.1, m)  # anchor strictly interior
     losses = [LinearResidualSquared(A[i], b[i]) for i in range(m)]
-    constraints = [Halfspace(C[i], d[i]) for i in range(m)]
-    problem = StochasticProblem(
-        losses, constraints, n, one_pass=m,
-        meta={"family": "random-ls-polyhedron", "noise": noise, "m": m,
-              "subgradient_caveat": SUBGRADIENT_CAVEAT})
-    problem.x_star = _refine_optimum(problem)
-    return problem
+    return _least_squares(losses, C, d, n)
 
 
 def gen_feasibility(n: int = 10, sets: int = 20, seed: int = 0,
@@ -156,9 +148,8 @@ def gen_feasibility(n: int = 10, sets: int = 20, seed: int = 0,
     for _ in range(sets):
         c = rng.standard_normal(n)
         constraints.append(Halfspace(c, rng.uniform(margin, margin + 1.0)))
-    problem = StochasticProblem(
-        [QuadraticNorm(n, lam)], constraints, n, one_pass=sets,
-        meta={"family": "feasibility", "lam": lam})
+    problem = StochasticProblem([QuadraticNorm(n, lam)], constraints, n,
+                                one_pass=sets)
     problem.x_star = project_intersection(problem.rows, np.zeros(n), tol=1e-13)
     return problem
 
@@ -180,9 +171,7 @@ def gen_finite_sum(n: int = 5, m: int = 8, seed: int = 0,
               for a, c in zip(alphas, centers)]
     w = alphas ** 2
     x_star = (w[:, None] * centers).sum(axis=0) / w.sum()
-    return StochasticProblem(
-        losses, [WholeSpace(n)], n, x_star=x_star, one_pass=m,
-        meta={"family": "finite-sum"})
+    return StochasticProblem(losses, [WholeSpace(n)], n, x_star=x_star)
 
 
 # -- returns data -------------------------------------------------------------
@@ -313,11 +302,9 @@ def build_markowitz(table: ReturnsTable, b_policy="mean", seed: int = 0,
                    Halfspace(np.ones(n), 1.0),
                    Halfspace(-a_av, -b)]
     return StochasticProblem(
-        losses, constraints, n,
-        test_objective=MeanSquaredTarget(test, b), one_pass=n_train,
-        meta={"family": "markowitz", "b": b, "assets": list(table.assets),
-              "train_rows": int(n_train), "test_rows": int(T - n_train),
-              "a_av": a_av, "subgradient_caveat": SUBGRADIENT_CAVEAT})
+        losses, constraints, n, test_objective=MeanSquaredTarget(test, b),
+        meta={"b": b, "assets": list(table.assets), "a_av": a_av,
+              "train_rows": int(n_train), "test_rows": int(T - n_train)})
 
 
 # -- family dispatch -----------------------------------------------------------

@@ -115,7 +115,7 @@ def _sqdist(point: Array, x_star: Array | None) -> float:
     if x_star is None:
         return math.nan
     d = point - x_star
-    return float(np.dot(d, d))
+    return float(d.dot(d))
 
 
 def rspp_schedule(mu0: float, gamma: float, epochs: int):
@@ -173,8 +173,10 @@ def run(problem: StochasticProblem, config: SolverConfig,
     else:
         mus = config.schedule.block(0, config.iterations + 1)
     K = len(mus) - 1  # mus[k] steps iteration k and is recorded at k
-    li, ci = problem.sample_indices(rng, K)
+    li, ci = (a.tolist() for a in problem.sample_indices(rng, K))
+    losses, sets, steps = problem.losses, problem.constraints, mus.tolist()
     x_star, test_objective = problem.x_star, problem.test_objective
+    stride = config.stride
     records = []  # one row of RunTrace columns per recorded k
     points = []  # recorded output points: one feasibility call per run
     wavg, wsum = np.zeros_like(x), 0.0
@@ -182,7 +184,7 @@ def run(problem: StochasticProblem, config: SolverConfig,
     max_viol = 0.0
     diverged_at = None
     for k in range(K + 1):
-        if k % config.stride == 0:
+        if k % stride == 0:
             point = (wavg / wsum) if (averaged and k > 0) else x
             points.append(point)
             records.append((
@@ -192,18 +194,17 @@ def run(problem: StochasticProblem, config: SolverConfig,
                 _sqdist(x, x_star)))
         if k == K:
             break
-        mu = float(mus[k])
+        mu = steps[k]
         if averaged or restarted:
             wavg += mu * x if averaged else x
             wsum += mu if averaged else 1.0
-        loss = problem.losses[li[k]]
-        cons = problem.constraints[ci[k]]
+        loss, cons = losses[li[k]], sets[ci[k]]
         x = cons.project(x - mu * loss.gradient(x) if sgd
                          else loss.prox(x, mu))
         v = cons.distance(x)
         if v > max_viol:
             max_viol = v
-        s = float(np.dot(x, x))
+        s = float(x.dot(x))
         if not math.isfinite(s) or (sgd and s > DIVERGENCE_NORM ** 2):
             if not sgd:
                 raise SolverError(

@@ -1,4 +1,5 @@
 import contextlib
+import json
 import multiprocessing
 import os
 import subprocess
@@ -194,6 +195,10 @@ def test_every_template_runs(tmp_path, monkeypatch, capsys, family):
     assert main(["run", str(cfg), "--workers", "1"]) == 0
     assert (sorted(p.stem for p in out.glob("*.csv"))
             == sorted(cell.name for cell in parse_config(cfg).cells))
+    # every family's losses are quadratics: each cell states the caveat
+    for meta in out.glob("*.meta.json"):
+        assert (json.loads(meta.read_text())["subgradient_caveat"]
+                == spprox.bounds.SUBGRADIENT_CAVEAT)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -13,6 +13,7 @@ from spprox import (Box, DykstraError, Halfspace, Hyperplane,
                     build_markowitz, dist_intersection, estimate_kappa,
                     gen_constrained_ls, generate, parse_config,
                     project_intersection, run, synth_returns)
+from spprox import constraints
 from spprox.harness import CONFIG_TEMPLATES
 from spprox.problems import _refine_optimum
 
@@ -200,6 +201,43 @@ def test_thin_wedge_is_not_reported_empty(eps):
         assert "certificate failed" in str(err)
     else:
         assert max(s.distance(z) for s in sets) <= 1e-9
+
+
+def _patch_equality(monkeypatch, multipliers):
+    """Route every equality projection's multipliers through ``multipliers``
+    and return the list its calls are appended to."""
+    calls, original = [], constraints._equality
+
+    def patched(*args):
+        z, mu, state = original(*args)
+        calls.append(len(state[0]))
+        return z, multipliers(mu), state
+    monkeypatch.setattr(constraints, "_equality", patched)
+    return calls
+
+
+def test_a_point_that_keeps_its_rows_is_projected_once(monkeypatch):
+    # the warm start's equality projection is the answer: no second pass
+    poly = Polyhedron(np.eye(2), np.zeros(2))
+    first, second = np.array([1.0, 1.0]), np.array([2.0, 3.0])
+    assert np.allclose(poly.project(first), 0.0)  # memoized for the stack
+    calls = _patch_equality(monkeypatch, lambda mu: mu)
+    z = poly.project(np.stack([first, second]))
+    assert calls == [2]
+    assert np.allclose(z, 0.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("multipliers", [
+    lambda mu: 2.0 * mu,  # stationarity fails
+    lambda mu: mu - 1e-300,  # the boundary point's 0 turns negative
+], ids=["doubled", "negative"])
+def test_the_certificate_checks_the_multipliers(monkeypatch, multipliers):
+    # doubled fails at the first point (mu = 1), negative at the second,
+    # which lies on the first point's active row (z = x, mu = 0)
+    poly = Polyhedron(np.array([[1.0, 0.0]]), np.zeros(1))
+    _patch_equality(monkeypatch, multipliers)
+    with pytest.raises(DykstraError, match="certificate failed"):
+        poly.project(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_far_probe_projection_is_certified(desk_ls):

@@ -8,7 +8,7 @@ from spprox import (GeneratorSpec, Halfspace, Hyperplane, QuadraticNorm,
                     load_returns_csv, run, synth_returns)
 from spprox.components import BatchLeastSquares
 from spprox.constraints import dist_intersection, project_intersection
-from spprox.problems import FAMILIES, _refine_optimum
+from spprox.problems import FAMILIES, _refine_optimum, knob_defaults
 from spprox.schedules import PolynomialDecay
 
 
@@ -38,7 +38,7 @@ def test_constrained_ls_spectrum(small_ls):
 
 
 def test_constrained_ls_row_covariance_lln():
-    prob = gen_constrained_ls(n=10, m=100_000, seed=5, refine=False)
+    prob = gen_constrained_ls(n=10, m=100_000, seed=5)
     rows = np.vstack([c.A for c in prob.losses
                       if isinstance(c, BatchLeastSquares)])
     assert rows.shape == (100_000, 10)
@@ -273,6 +273,13 @@ _DRAWS = {
         lambda p: tuple(p.meta["a_av"]),
         (0.002365264578685991, -0.007376805122691038)),
 }
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_meta_holds_no_knob(family):
+    # the knobs stay with the spec; meta keeps what the generator computed
+    problem = FAMILIES[family](**_DRAWS[family][0])
+    assert not set(problem.meta) & {"family", *knob_defaults(family)}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
