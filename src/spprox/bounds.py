@@ -34,7 +34,7 @@ from .schedules import PolynomialDecay, mean_theta_sq, phi
 ITERATION_CAP = 2 ** 62
 
 SUBGRADIENT_CAVEAT = (
-    "least-squares losses are Lipschitz only on bounded sets; convex-case "
+    "quadratic losses are Lipschitz only on bounded sets; convex-case "
     "certificates are interpreted over the observed iterate region")
 
 

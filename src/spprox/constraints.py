@@ -2,11 +2,13 @@
 
 Every set kind is polyhedral, so a finite intersection is one ``Polyhedron``
 of unit rows {z : C z <= d}; a hyperplane is two opposite rows.
-``project_intersection`` projects onto it (or a stack of points, each from
-the previous point's active rows) by Goldfarb and Idnani's dual active-set
-method and certifies the answer by its KKT conditions (feasibility, tight
-active rows, nonnegative multipliers, stationarity); an empty
-intersection, certified by a dual ray of the same solve, raises.
+``project_intersection`` projects a point, or a stack of points solved cold
+in lockstep (a point is the batch of one), by Goldfarb and Idnani's dual
+active-set method, and certifies each answer by its KKT conditions
+(feasibility, tight active rows, nonnegative multipliers, stationarity); an
+empty intersection, certified by a dual ray of the same solve, raises.  A
+point's answer has the same bits in any batch: every product coupling its
+entries is a BLAS call of its own.
 ``estimate_kappa`` is the one owner of the linear-regularity constant: a
 problem's known kappa, else the largest sampled ratio
 dist_X(x)^2 / E[dist_{X_S}(x)^2], which certifies a lower bound only.
@@ -20,6 +22,8 @@ from .core import Array, Oracle, as_vector, norm
 
 # default relative tolerance of a projection's KKT certificate
 CERTIFICATE_TOL = 1e-10
+# points per lockstep solve: caps the (CHUNK, n, n) factors held at once
+CHUNK = 64
 
 
 class ConstraintSet(Oracle):
@@ -147,28 +151,48 @@ class DykstraError(RuntimeError):
     """The intersection is empty, or a projection's certificate failed."""
 
 
-def _factor(C, rows):
-    """C_A' = J [T; 0], J orthogonal, T triangular: J and T^-1 (n x n)."""
-    J, T = np.linalg.qr(C[rows].T, mode="complete")
-    Tinv = np.zeros_like(J)
-    Tinv[:len(rows), :len(rows)] = np.linalg.inv(T[:len(rows)])
-    return J, Tinv
+def _matvec(A, x):
+    """A @ x for every point x of a stack (A shared, or one per point).
+
+    Each point gets its own BLAS call of one shape, so its bits do not
+    depend on the rest of the batch; a BLAS product of the whole stack
+    does not promise that.
+    """
+    return np.matmul(A, x[..., None])[..., 0]
 
 
-def _equality(C, d, x, rows, J, Tinv):
-    """Projection z = x - C_A' mu onto {z : C_A z = d_A} by the factors of
-    the rows A, dropping the most negative multiplier mu until none is: z,
-    refined by a second pass from z, mu and the rows and factors kept."""
-    while True:
-        q = len(rows)
-        Ti, Jq, CA, dA = Tinv[:q, :q], J[:, :q], C[rows], d[rows]
-        y = Ti.T @ (CA @ x - dA)
-        mu = Ti @ y
-        if not rows or mu.min() >= 0.0:
-            z = x - Jq @ y
-            return z - Jq @ (Ti.T @ (CA @ z - dA)), mu, (rows, J, Tinv)
-        del rows[int(np.argmin(mu))]
-        J, Tinv = _factor(C, rows)
+def _rowdot(a, b):
+    """Per-point inner products: a sum along each row alone."""
+    return (a * b).sum(axis=-1)
+
+
+def _padded(rows, q, zero):
+    """Every point's first q rows, then the zero row ``zero`` (ending C0)."""
+    return np.where(np.arange(rows.shape[1]) < q[:, None], rows, zero)
+
+
+def _factor(C0, pad):
+    """Per point, C_A' = J [T; 0] for its rows A (``pad``), J orthogonal and
+    T triangular, by a stacked QR of the zero-padded n x n C_A': J and
+    T^-T, zero outside its q x q block."""
+    n = C0.shape[1]
+    tail = pad == len(C0) - 1
+    J, T = np.linalg.qr(C0[pad].transpose(0, 2, 1), mode="complete")
+    T[:, np.arange(n), np.arange(n)] += tail  # [T_A 0; 0 0] -> [T_A 0; 0 I]
+    TinvT = np.linalg.inv(T).transpose(0, 2, 1)
+    TinvT[tail] = 0.0
+    TinvT.transpose(0, 2, 1)[tail] = 0.0
+    return J, TinvT
+
+
+def _equality(C0, d0, x, pad, J, TinvT):
+    """Per point, the projection z = x - C_A' mu onto {z : C_A z = d_A} for
+    its rows A (``pad``), by their factors, refined by a second pass from
+    z: z and mu, zero past its rows."""
+    y = _matvec(TinvT, np.take_along_axis(_matvec(C0, x) - d0, pad, axis=1))
+    z = x - _matvec(J, y)
+    y2 = _matvec(TinvT, np.take_along_axis(_matvec(C0, z) - d0, pad, axis=1))
+    return z - _matvec(J, y2), _matvec(TinvT.transpose(0, 2, 1), y)
 
 
 def _unit_rows(C, d):
@@ -185,8 +209,6 @@ class Polyhedron:
     A halfspace gives one row, a hyperplane two opposite rows, an orthant n
     rows, a box 2n rows and the whole space none.  ``owner`` maps the rows
     to the ``sets`` they came from (by default every row is its own set).
-    The last cold projection (the first of a stack) is memoized: it is a
-    pure function of x and the tolerance, and every run starts at x0.
     """
 
     def __init__(self, C, d, owner=None, sets=None):
@@ -196,7 +218,6 @@ class Polyhedron:
         self.owner = np.arange(len(self.d)) if owner is None else owner
         self.sets = len(self.d) if sets is None else sets
         self._scale = float(np.abs(self.d).max(initial=0.0))
-        self._memo = None
 
     @classmethod
     def of(cls, sets, dim: int) -> "Polyhedron":
@@ -231,89 +252,149 @@ class Polyhedron:
         if not 0 < tol < np.inf:
             raise ValueError(f"tol = {tol} must be positive and finite")
         points = np.atleast_2d(x)
-        key = (points[0].tobytes(), tol)
-        if self._memo is None or self._memo[0] != key:
-            self._memo = (key, *self._solve(points[0], tol, None))
-        z, state = [self._memo[1]], self._memo[2]
-        for point in points[1:]:  # each from the previous point's rows
-            zi, state = self._solve(point, tol, state)
-            z.append(zi)
-        return np.reshape(z, x.shape)
+        if not len(self.d) or not len(points):  # X = R^n, or no point
+            return x.copy()
+        z = [self._solve(points[i:i + CHUNK], tol)
+             for i in range(0, len(points), CHUNK)]
+        return np.concatenate(z).reshape(x.shape)
 
-    def _solve(self, x, tol, start):
-        """Goldfarb and Idnani's dual method from the rows and factors
-        ``start``: z = x - C_A' lam, lam >= 0, the rows A tight.  The most
-        violated row p has c_p = C_A' r + h; a step along -h adds p unless
-        some lam_j with r_j > 0 reaches 0 first, which drops row j.  A
-        dependent p (h ~ 0) violated within tol is set aside; with no
-        r_j > 0, e_p - r is a dual ray: a Farkas certificate of emptiness
-        once its gap d_A'r - d_p exceeds tol.  Returns z, certified as in
-        ``project_intersection``, and the state."""
-        C, d, n, eps = self.C, self.d, len(x), np.finfo(float).eps
-        scale = 1.0 + float(np.abs(x).max()) + self._scale
-        tol, roundoff, dependent = (tol * scale, 16.0 * eps * scale,
-                                    (16.0 * eps * n) ** 2)
-        rows, J, Tinv = start or ([], np.eye(n), np.zeros((n, n)))
-        z, lam, (rows, J, Tinv) = _equality(C, d, x, list(rows), J.copy(),
-                                            Tinv.copy())
-        aside, p, moved = np.zeros(len(d), dtype=bool), None, False
-        for _ in range(10 * (len(d) + n)):
-            if p is None:  # the next row to add
-                s = np.where(aside, -np.inf, C @ z - d)
-                s[rows] = -np.inf
-                if not (s > roundoff).any():
-                    break
-                p, lam_p = int(np.argmax(s)), 0.0
-            q, v = len(rows), J.T @ C[p]
-            r, u = Tinv[:q, :q] @ v[:q], v[q:]
-            hh, viol = float(u @ u), float(C[p] @ z) - d[p]
-            block = np.flatnonzero(r > 0.0)
-            if hh <= dependent and (viol <= tol or not block.size):
-                if viol > tol and float(d[rows] @ r) - d[p] > tol:
+    def _solve(self, x, tol):
+        """Goldfarb and Idnani's dual method for every point of the stack x,
+        in lockstep, each from no rows: z = x - C_A' lam, lam >= 0, the rows
+        A tight.  The most violated row p has c_p = C_A' r + h; a step along
+        -h adds p unless some lam_j with r_j > 0 reaches 0 first, which
+        drops row j.  A dependent p (h ~ 0) violated within tol is set
+        aside; with no r_j > 0, e_p - r is a dual ray: a Farkas certificate
+        of emptiness once its gap d_A'r - d_p exceeds tol.  Returns z, each
+        point certified as in ``project_intersection``."""
+        C, d, eps = self.C, self.d, np.finfo(float).eps
+        (B, n), m = x.shape, len(d)
+        C0, d0 = np.vstack([C, np.zeros(n)]), np.append(d, 0.0)
+        dependent, cols = (16.0 * eps * n) ** 2, np.arange(n)
+        # per point: its tolerance, rows A (the first q) and their factors
+        # J and T^-T (zero past q), kept to the end; then its iterate,
+        # roundoff, multipliers, each row's mark (1 active, 2 set aside)
+        # and the row p adding.  The first L points are unfinished, and one
+        # that finishes swaps places with the last unfinished one.
+        scale = 1.0 + np.abs(x).max(axis=1) + self._scale
+        state = [np.arange(B), tol * scale, np.zeros((B, n), dtype=np.intp),
+                 np.zeros(B, dtype=np.intp), np.tile(np.eye(n), (B, 1, 1)),
+                 np.zeros((B, n, n)), x.copy(), 16.0 * eps * scale,
+                 np.zeros((B, n)), np.zeros((B, m), dtype=np.int8),
+                 np.full(B, -1), np.zeros(B)]
+        L, outer = B, np.empty((B, n, n))  # (reused: no page faults)
+        for _ in range(10 * (m + n)):
+            ids, tol_, rows, q, J, TinvT, z, roundoff, lam, mark, p, lam_p = (
+                a[:L] for a in state)
+            pick = p < 0
+            if pick.any():  # the next row to add, or the point is done
+                at = slice(None) if pick.all() else np.flatnonzero(pick)
+                s = np.where(mark[at] != 0, -np.inf, _matvec(C, z[at]) - d)
+                best = s.argmax(axis=1)
+                more = s.max(axis=1) > roundoff[at]
+                p[at], lam_p[at] = np.where(more, best, -1), 0.0
+                done = np.flatnonzero(p < 0)
+                if len(done):
+                    L -= len(done)
+                    if not L:
+                        break
+                    hole = done[done < L]
+                    fill = L + np.flatnonzero(p[L:] >= 0)
+                    for a in state[:6]:
+                        a[hole], a[fill] = a[fill], a[hole]
+                    for a in state[6:]:
+                        a[hole] = a[fill]
+                    ids, tol_, rows, q, J, TinvT, z, roundoff, lam, mark, p, \
+                        lam_p = (a[:L] for a in state)
+            # c_p = C_A' r + J u past q; r and lam are 0 past q
+            Cp, head = C[p], cols < q[:, None]
+            v = _matvec(J.transpose(0, 2, 1), Cp)
+            r, u = _matvec(TinvT.transpose(0, 2, 1), v), np.where(head, 0.0, v)
+            hh, viol = _rowdot(u, u), _rowdot(Cp, z) - d[p]
+            block = r > 0.0
+            ratios = np.where(block, lam / np.where(block, r, 1.0), np.inf)
+            k = ratios.argmin(axis=1)
+            ratio = ratios.min(axis=1)
+            flat = hh <= dependent  # p depends on the rows A
+            if flat.any():
+                stuck = flat & ((viol <= tol_) | ~block.any(axis=1))
+                gap = _rowdot(d[rows], r) - d[p]
+                if (stuck & (viol > tol_) & (gap > tol_)).any():
                     raise DykstraError("empty intersection: a dual ray is "
                                        "a Farkas certificate")
-                aside[p], p = True, None
-                continue
-            ratios = lam[block] / r[block]
-            full = viol / hh if hh > dependent else np.inf
-            t = min(full, ratios.min(initial=np.inf))
-            z, lam, lam_p = z - t * (J[:, q:] @ u), lam - t * r, lam_p + t
-            moved = True
-            if t == full:  # reflect u to a e_1: T gains the column (T r, a)
-                a, w = -np.copysign(norm(u), u[0]), u.copy()
-                w[0] -= a
-                J[:, q:] -= np.outer(J[:, q:] @ w, w) * (2.0 / (w @ w))
-                Tinv[:q, q], Tinv[q, q] = -r / a, 1.0 / a
-                rows, lam, p = rows + [p], np.append(lam, lam_p), None
+                mark[np.flatnonzero(stuck), p[stuck]] = 2
+                p[stuck] = -1
+                if stuck.all():
+                    continue
+                full = np.where(flat, np.inf, viol / np.where(flat, 1.0, hh))
+                t = np.where(stuck, 0.0, np.minimum(full, ratio))
+                adds = ~stuck & (full <= ratio)  # a stuck point stays put
+                drops = ~stuck & ~adds
             else:
-                k = int(block[np.argmin(ratios)])
-                del rows[k]
-                J, Tinv = _factor(C, rows)
-                lam, aside[:] = np.delete(lam, k), False
+                full = viol / hh
+                t, adds = np.minimum(full, ratio), full <= ratio
+                drops = ~adds
+            Ju = _matvec(J, u)
+            z -= t[:, None] * Ju
+            lam -= t[:, None] * r
+            lam_p += t
+            if adds.any():  # reflect u to a e_q: T gains the column (T r, a)
+                i = np.flatnonzero(adds)
+                at = slice(None) if len(i) == L else i
+                qi, w, pi, j = q[at], u[at], p[at], np.arange(len(i))
+                a = -np.copysign(np.sqrt(hh[at]), w[j, qi])
+                w[j, qi] -= a
+                Jw = ((Ju[at] - a[:, None] * J[i, :, qi])  # J w = J u - a J e_q
+                      * (2.0 / _rowdot(w, w))[:, None])
+                J[at] -= np.einsum("bi,bj->bij", Jw, w, out=outer[:len(i)])
+                TinvT[i, qi] = -r[at] / a[:, None]
+                TinvT[i, qi, qi] = 1.0 / a
+                rows[i, qi], mark[i, pi], lam[i, qi] = pi, 1, lam_p[at]
+                q[at], p[at] = qi + 1, -1
+            if drops.any():  # row k leaves A: refactor the rows kept
+                i = np.flatnonzero(drops)
+                ki = k[i]
+                mark[i, rows[i, ki]] = 0
+                mark[i] &= 1  # rows set aside are candidates again
+                order = np.argsort(cols == ki[:, None], axis=1, kind="stable")
+                rows[i] = np.take_along_axis(rows[i], order, axis=1)
+                lam_i = np.take_along_axis(lam[i], order, axis=1)
+                lam_i[:, -1] = 0.0
+                lam[i], q[i] = lam_i, q[i] - 1
+                J[i], TinvT[i] = _factor(C0, _padded(rows[i], q[i], m))
         else:
             raise DykstraError("dual active-set solve did not stop")
-        if moved:  # else the first equality projection is the answer
-            z, lam, (rows, J, Tinv) = _equality(C, d, x, rows, J, Tinv)
-        slack = C @ z - d
-        worst = max(float(slack.max(initial=0.0)),
-                    float(np.abs(slack[rows]).max(initial=0.0)),
-                    norm(x - z - C[rows].T @ lam))
-        least = float(lam.min(initial=0.0))
-        if not (worst <= tol and least >= 0.0):  # also catches NaN
+        ids, tol, rows, q, J, TinvT = state[:6]
+        x = x[ids]  # in the order the states end in
+        pad = _padded(rows, q, m)
+        z, mu = _equality(C0, d0, x, pad, J, TinvT)
+        slack, act = _matvec(C0, z) - d0, np.zeros((len(x), m + 1))
+        np.put_along_axis(act, pad, mu, axis=1)  # the zero row gets 0s
+        res = x - z - _matvec(C0.T, act)
+        worst = np.maximum.reduce([
+            slack.max(axis=1, initial=0.0),
+            np.abs(np.take_along_axis(slack, pad, axis=1)).max(axis=1),
+            np.sqrt(_rowdot(res, res))])
+        least = mu.min(axis=1)
+        failed = ~((worst <= tol) & (least >= 0.0))  # also catches NaN
+        if failed.any():
+            i = int(np.argmax(failed))
             raise DykstraError(f"least-distance certificate failed: residual "
-                               f"{worst:.3g} (tolerance {tol:.3g}), least "
-                               f"multiplier {least:.3g}")
-        return z, (rows, J, Tinv)
+                               f"{worst[i]:.3g} (tolerance {tol[i]:.3g}), "
+                               f"least multiplier {least[i]:.3g}")
+        z[ids] = z.copy()
+        return z
 
 
 def project_intersection(sets, x, tol: float = CERTIFICATE_TOL) -> Array:
-    """Projection of x, or of a stack of points (rows) solved in order,
-    onto the intersection of ``sets`` (``ConstraintSet`` objects or their
-    ``Polyhedron``).  Each point starts from the previous one's active rows,
-    the first cold.  An answer is returned only when its KKT certificate
-    (feasibility, complementary slackness and stationarity to tol * (1 +
-    ||x||_inf + max_i |d_i|), nonnegative multipliers) holds; an empty
-    intersection or a failed certificate raises DykstraError.
+    """Projection of x, or of each point of a stack (rows), onto the
+    intersection of ``sets`` (``ConstraintSet`` objects or their
+    ``Polyhedron``).  The points are solved cold, in lockstep, at most
+    ``CHUNK`` at a time; a point's answer does not depend on the others.
+    An answer is returned only when its KKT certificate (feasibility,
+    complementary slackness and stationarity to tol * (1 + ||x||_inf +
+    max_i |d_i|), nonnegative multipliers) holds; an empty intersection or
+    a failed certificate raises DykstraError.
     """
     if not isinstance(sets, Polyhedron):
         sets = list(sets)

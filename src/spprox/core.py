@@ -44,15 +44,18 @@ class Oracle:
 
 
 class QuadraticForm:
-    """Exact quadratic x'Mx - 2h'x + c, used as a fast objective evaluator."""
+    """Exact quadratic x'Mx - 2h'x + c, used as a fast objective evaluator;
+    a float at a point, an array over a stack of points (rows)."""
 
     def __init__(self, M: Array, h: Array, c: float):
         self.M = M
         self.h = h
         self.c = c
 
-    def __call__(self, x: Array) -> float:
-        return float(x @ self.M @ x - 2.0 * (self.h @ x) + self.c)
+    def __call__(self, x: Array):
+        x = np.asarray(x, dtype=np.float64)
+        value = ((x @ self.M) * x).sum(axis=-1) - 2.0 * (x @ self.h) + self.c
+        return value if x.ndim == 2 else float(value)
 
 
 class StochasticProblem:
@@ -133,12 +136,16 @@ class StochasticProblem:
 
     # -- exact expectations over the uniform loss marginal -------------------
 
-    def objective(self, x: Array) -> float:
-        """Exact F(x) = E[f(x;S)] over the finite loss marginal."""
+    def objective(self, x: Array):
+        """Exact F(x) = E[f(x;S)] over the finite loss marginal, per point
+        of a stack (rows)."""
         if self._quad is not None:
             return self._quad(x)
         w = 1.0 / len(self.losses)
-        return float(sum(w * f.value(x) for f in self.losses))
+        x = np.asarray(x, dtype=np.float64)
+        value = [sum(w * f.value(p) for f in self.losses)
+                 for p in np.atleast_2d(x)]
+        return np.array(value) if x.ndim == 2 else float(value[0])
 
     def mean_gradient(self, x: Array) -> Array:
         """Exact gradient of F at x."""

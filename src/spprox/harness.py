@@ -7,11 +7,14 @@ flattened (cell, run) tasks are dealt into ``workers`` interleaved shares:
 the parent runs share 0, and one pool of ``workers - 1`` processes, whose
 initializer installs the problem once each, runs one share per process.  A
 task carries only its ``(SolverConfig, seed)``; a failed run stops every share
-at its next run, and no file is written.  Aggregation is keyed by run index,
-so serial and parallel execution emit byte-identical CSVs.  The problem's
-constants are measured once; ``bounds.bound_overlay`` picks each cell's bound
-for its schedule.  Each ``gen-config`` template shows the ``ExperimentConfig``
-defaults and the family generator's knob defaults, and a per-family grid.
+at its next run, and no file is written.  The feasibility records of a cell
+(serial) or of a share (pooled) come from one batched intersection solve,
+whose answer for a point does not depend on the batch.  Aggregation is
+keyed by run index, so serial and parallel execution emit byte-identical
+CSVs.  The problem's constants are measured once; ``bounds.bound_overlay``
+picks each cell's bound for its schedule.  Each ``gen-config`` template
+shows the ``ExperimentConfig`` defaults and the family generator's knob
+defaults, and a per-family grid.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .constraints import CERTIFICATE_TOL, estimate_kappa
 from .core import StochasticProblem
 from .problems import FAMILIES, GeneratorSpec, generate, knob_defaults
 from .schedules import PolynomialDecay, mean_theta_sq
-from .solvers import RunTrace, SolverConfig, check_scheme, run
+from .solvers import (RunTrace, SolverConfig, check_scheme, fill_feasibility,
+                      run)
 
 CSV_HEADER = "k,mean_sqdist,se_sqdist,mean_feas,se_feas,mean_obj,se_obj,stepsize"
 
@@ -182,19 +186,39 @@ def _install_problem(problem: StochasticProblem, stop) -> None:
 
 
 def _execute_run(solver_config: SolverConfig, seed: int,
-                 problem: StochasticProblem | None = None) -> RunTrace:
-    """One Monte-Carlo run; a pool task omits ``problem`` (installed once)."""
+                 problem: StochasticProblem) -> RunTrace:
+    """One Monte-Carlo run; its feasibility is left to its batch."""
+    return run(problem, replace(solver_config, seed=seed,
+                                record_feasibility=False))
+
+
+def _with_feasibility(problem: StochasticProblem, tasks: list,
+                      traces: list) -> list:
+    """``traces`` of ``tasks``, the feasibility of every recorded point from
+    one batched solve (an experiment's configs share one ``feas_tol``)."""
+    recorded = [t for (cfg, _), t in zip(tasks, traces)
+                if cfg.record_feasibility]
+    if recorded:
+        fill_feasibility(problem, recorded, tasks[0][0].feas_tol)
+    return traces
+
+
+def _run_share(share: list, problem: StochasticProblem | None = None,
+               stop=None) -> list:
+    """A share's traces, as ``_with_feasibility`` gives them; a pool process
+    omits ``problem`` and ``stop`` (installed once).  Once any share has
+    failed, it runs no more."""
     problem = _worker_problem if problem is None else problem
-    return run(problem, replace(solver_config, seed=seed))
-
-
-def _run_share(share: list) -> list:
-    """A pool process's share; once any share has failed, it runs no more."""
+    stop = _worker_stop if stop is None else stop
     try:
-        return [_execute_run(cfg, seed) for cfg, seed in share
-                if not _worker_stop.is_set()]
+        traces = []
+        for cfg, seed in share:
+            if stop.is_set():  # a share cut short is never read
+                return traces
+            traces.append(_execute_run(cfg, seed, problem))
+        return _with_feasibility(problem, share, traces)
     except BaseException:
-        _worker_stop.set()
+        stop.set()
         raise
 
 
@@ -214,9 +238,8 @@ def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
                              initargs=(problem, stop)) as pool:
         futures = [pool.submit(_run_share, tasks[i::workers])
                    for i in range(1, workers)]
-        try:  # a share cut short by a failure is never read
-            shares = [[_execute_run(cfg, seed, problem)
-                       for cfg, seed in tasks[::workers] if not stop.is_set()]]
+        try:
+            shares = [_run_share(tasks[::workers], problem, stop)]
             shares += [future.result() for future in futures]
         except BaseException:
             stop.set()
@@ -233,10 +256,12 @@ def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
 def run_cell(problem: StochasticProblem, solver_config: SolverConfig,
              runs: int, base_seed: int, name: str = "cell",
              metadata: dict | None = None) -> AggregateTrace:
-    """Monte-Carlo repetitions of one cell; seeds are base_seed + run index."""
-    traces = [_execute_run(solver_config, base_seed + i, problem)
-              for i in range(runs)]
-    return aggregate(name, traces, metadata)
+    """Monte-Carlo repetitions of one cell; seeds are base_seed + run index.
+    The feasibility of every point the cell records is one batched solve."""
+    tasks = [(solver_config, base_seed + i) for i in range(runs)]
+    traces = [_execute_run(cfg, seed, problem) for cfg, seed in tasks]
+    return aggregate(name, _with_feasibility(problem, tasks, traces),
+                     metadata)
 
 
 # -- emission ------------------------------------------------------------------

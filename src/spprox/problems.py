@@ -255,15 +255,18 @@ def synth_returns(periods: int = 1276, n: int = 25,
 
 
 class MeanSquaredTarget:
-    """Held-out objective mean((a_i'x - b)^2) over the test rows."""
+    """Held-out objective mean((a_i'x - b)^2) over the test rows; a float at
+    a point, an array over a stack of points (rows)."""
 
     def __init__(self, rows: Array, b: float):
         self.rows = rows
         self.b = float(b)
 
-    def __call__(self, x: Array) -> float:
-        r = self.rows @ x - self.b
-        return float(np.dot(r, r) / len(r))
+    def __call__(self, x: Array):
+        x = np.asarray(x, dtype=np.float64)
+        r = x @ self.rows.T - self.b
+        value = (r * r).sum(axis=-1) / len(self.rows)
+        return value if x.ndim == 2 else float(value)
 
 
 def build_markowitz(table: ReturnsTable, b_policy="mean", seed: int = 0,
@@ -303,8 +306,7 @@ def build_markowitz(table: ReturnsTable, b_policy="mean", seed: int = 0,
                    Halfspace(-a_av, -b)]
     return StochasticProblem(
         losses, constraints, n, test_objective=MeanSquaredTarget(test, b),
-        meta={"b": b, "assets": list(table.assets), "a_av": a_av,
-              "train_rows": int(n_train), "test_rows": int(T - n_train)})
+        meta={"assets": list(table.assets), "a_av": a_av})
 
 
 # -- family dispatch -----------------------------------------------------------

@@ -4,9 +4,11 @@ One loop, ``run``, serves all four: SPP's step x <- project_{X_S}(prox_{mu
 f(.;S)}(x)) (a projected gradient step for the SGD baseline) with the
 iterate, the stepsize-weighted average, or an epoch restart as output.  All
 share the sampling contract of ``StochasticProblem`` and emit a ``RunTrace``
-of per-iteration metrics.  One run is strictly sequential; Monte-Carlo
-repetitions parallelize at the harness level with independently seeded
-generators.
+of per-iteration metrics, computed on the stack of recorded points after
+the loop; ``fill_feasibility`` gets the distances to X of the points of any
+list of traces from one batched intersection solve.  One run is strictly
+sequential; Monte-Carlo repetitions parallelize at the harness level with
+independently seeded generators.
 """
 
 from __future__ import annotations
@@ -87,9 +89,9 @@ class RunTrace:
 
     ``sqdist``/``feas``/``objective``/``test_obj`` refer to the algorithm's
     output point at the recorded iteration (the running weighted average for
-    aspp, the iterate otherwise); entries are NaN where a metric is
-    unavailable (unknown optimum, feasibility recording disabled, no test
-    objective).
+    aspp, the iterate otherwise), the rows of ``points``; entries are NaN
+    where a metric is unavailable (unknown optimum, feasibility not
+    recorded, no test objective).
     """
 
     algorithm: str
@@ -100,6 +102,7 @@ class RunTrace:
     objective: Array
     test_obj: Array
     final: Array
+    points: Array | None = None
     final_average: Array | None = None
     iterate_sqdist: Array | None = None
     epoch_ends: list = field(default_factory=list)
@@ -111,11 +114,24 @@ class RunTrace:
     max_sampled_violation: float = 0.0
 
 
-def _sqdist(point: Array, x_star: Array | None) -> float:
+def _sq_distances(points: Array, x_star: Array | None) -> Array:
+    """||x - x_star||^2 for every point of a stack (NaN with no optimum)."""
     if x_star is None:
-        return math.nan
-    d = point - x_star
-    return float(d.dot(d))
+        return np.full(len(points), math.nan)
+    d = points - x_star
+    return (d * d).sum(axis=1)
+
+
+def fill_feasibility(problem: StochasticProblem, traces: list,
+                     tol: float) -> None:
+    """Set every trace's ``feas`` to dist_X of its recorded points, from one
+    batched intersection solve of all of them; a point's distance does not
+    depend on the batch it is solved in."""
+    sizes = [len(t.points) for t in traces]
+    dist = dist_intersection(problem.rows, np.concatenate(
+        [t.points for t in traces]), tol=tol)
+    for t, lo, hi in zip(traces, np.cumsum([0] + sizes), np.cumsum(sizes)):
+        t.feas = dist[lo:hi]
 
 
 def rspp_schedule(mu0: float, gamma: float, epochs: int):
@@ -157,7 +173,9 @@ def run(problem: StochasticProblem, config: SolverConfig,
 
     A non-finite iterate raises ``SolverError`` in a prox scheme.  For sgd,
     divergence (norm above 1e12, or a non-finite iterate) is an observable
-    outcome: the trace is truncated and flagged, not raised.
+    outcome: the trace is truncated and flagged, not raised.  With
+    ``record_feasibility`` the run fills its own ``feas``; the harness runs
+    without it and fills a cell's or a share's traces as one batch.
     """
     alg = config.algorithm
     x = config.validate(problem.dim)
@@ -175,23 +193,16 @@ def run(problem: StochasticProblem, config: SolverConfig,
     K = len(mus) - 1  # mus[k] steps iteration k and is recorded at k
     li, ci = (a.tolist() for a in problem.sample_indices(rng, K))
     losses, sets, steps = problem.losses, problem.constraints, mus.tolist()
-    x_star, test_objective = problem.x_star, problem.test_objective
     stride = config.stride
-    records = []  # one row of RunTrace columns per recorded k
-    points = []  # recorded output points: one feasibility call per run
+    points, iterates = [], []  # the recorded output points and iterates
     wavg, wsum = np.zeros_like(x), 0.0
     epoch_outputs = []
     max_viol = 0.0
     diverged_at = None
     for k in range(K + 1):
         if k % stride == 0:
-            point = (wavg / wsum) if (averaged and k > 0) else x
-            points.append(point)
-            records.append((
-                k, _sqdist(point, x_star), problem.objective(point),
-                float(test_objective(point))
-                if test_objective is not None else math.nan,
-                _sqdist(x, x_star)))
+            points.append((wavg / wsum) if (averaged and k > 0) else x)
+            iterates.append(x)
         if k == K:
             break
         mu = steps[k]
@@ -223,13 +234,19 @@ def run(problem: StochasticProblem, config: SolverConfig,
                      epoch_stepsizes=list(map(float, mu_ts)),
                      epoch_lengths=list(map(int, k_ts)),
                      epoch_outputs=epoch_outputs)
-    ks, sqdist, objective, test_obj, iterate_sqdist = np.array(records).T
-    ks = ks.astype(np.int64)
-    feas = (dist_intersection(problem.rows, np.array(points),
-                              tol=config.feas_tol)
-            if config.record_feasibility else np.full(len(ks), math.nan))
-    return RunTrace(alg, ks, mus[ks], sqdist, feas,
-                    objective, test_obj, final=x.copy(),
-                    iterate_sqdist=iterate_sqdist if averaged else None,
-                    diverged=diverged_at is not None, diverged_at=diverged_at,
-                    max_sampled_violation=max_viol, **extra)
+    points = np.array(points)
+    ks = stride * np.arange(len(points))
+    nan = np.full(len(ks), math.nan)
+    test_objective = problem.test_objective
+    trace = RunTrace(
+        alg, ks, mus[ks], _sq_distances(points, problem.x_star), nan.copy(),
+        problem.objective(points),
+        nan if test_objective is None else test_objective(points),
+        final=x.copy(), points=points,
+        iterate_sqdist=(_sq_distances(np.array(iterates), problem.x_star)
+                        if averaged else None),
+        diverged=diverged_at is not None, diverged_at=diverged_at,
+        max_sampled_violation=max_viol, **extra)
+    if config.record_feasibility:
+        fill_feasibility(problem, [trace], config.feas_tol)
+    return trace

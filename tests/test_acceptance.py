@@ -281,7 +281,7 @@ def test_criterion_11_markowitz_pipeline(tmp_path):
     """Full ingest -> build -> run -> emit path on SP500-shaped returns."""
     table = synth_returns(periods=1276, n=25, seed=3)
     prob = build_markowitz(table, seed=5)
-    assert (prob.meta["train_rows"], table.n_assets) == (1148, 25)
+    assert (len(prob.losses), table.n_assets) == (1148, 25)
     x0 = project_intersection(prob.constraints, np.zeros(25), tol=1e-12)
     K = prob.one_pass
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=K,

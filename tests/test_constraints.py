@@ -204,40 +204,29 @@ def test_thin_wedge_is_not_reported_empty(eps):
 
 
 def _patch_equality(monkeypatch, multipliers):
-    """Route every equality projection's multipliers through ``multipliers``
-    and return the list its calls are appended to."""
-    calls, original = [], constraints._equality
+    """Route the multipliers of every final equality pass through
+    ``multipliers``."""
+    original = constraints._equality
 
     def patched(*args):
-        z, mu, state = original(*args)
-        calls.append(len(state[0]))
-        return z, multipliers(mu), state
+        z, mu = original(*args)
+        return z, multipliers(mu)
     monkeypatch.setattr(constraints, "_equality", patched)
-    return calls
 
 
-def test_a_point_that_keeps_its_rows_is_projected_once(monkeypatch):
-    # the warm start's equality projection is the answer: no second pass
-    poly = Polyhedron(np.eye(2), np.zeros(2))
-    first, second = np.array([1.0, 1.0]), np.array([2.0, 3.0])
-    assert np.allclose(poly.project(first), 0.0)  # memoized for the stack
-    calls = _patch_equality(monkeypatch, lambda mu: mu)
-    z = poly.project(np.stack([first, second]))
-    assert calls == [2]
-    assert np.allclose(z, 0.0, rtol=0.0, atol=1e-15)
-
-
-@pytest.mark.parametrize("multipliers", [
-    lambda mu: 2.0 * mu,  # stationarity fails
-    lambda mu: mu - 1e-300,  # the boundary point's 0 turns negative
+@pytest.mark.parametrize("multipliers, point", [
+    (lambda mu: 2.0 * mu, [1.0, 1.0]),  # mu = 1: stationarity fails
+    (np.negative, [1e-12, 1.0]),  # mu = 1e-12: only its sign fails
 ], ids=["doubled", "negative"])
-def test_the_certificate_checks_the_multipliers(monkeypatch, multipliers):
-    # doubled fails at the first point (mu = 1), negative at the second,
-    # which lies on the first point's active row (z = x, mu = 0)
+def test_the_certificate_checks_the_multipliers(monkeypatch, multipliers,
+                                                point):
+    # a feasible point (no rows, z = x) rides in the same batch
     poly = Polyhedron(np.array([[1.0, 0.0]]), np.zeros(1))
+    stack = np.array([[0.0, 1.0], point])
+    assert np.allclose(poly.project(stack), [[0.0, 1.0], [0.0, 1.0]])
     _patch_equality(monkeypatch, multipliers)
     with pytest.raises(DykstraError, match="certificate failed"):
-        poly.project(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        poly.project(stack)
 
 
 def test_far_probe_projection_is_certified(desk_ls):
@@ -354,8 +343,7 @@ def test_mixed_families_match_enumeration():
         dim = 2 + rng.integers(2)
         sets = _mixed_family(rng, dim)
         xs = 3 * rng.standard_normal((3, dim))
-        # the stack is solved cold, then from the previous point's rows
-        stacked = Polyhedron.of(sets, dim).project(xs)
+        stacked = Polyhedron.of(sets, dim).project(xs)  # one batch
         for x, z in zip(xs, stacked):
             exact = enum_polyhedron_projection(sets, x)
             assert np.linalg.norm(project_intersection(sets, x) - exact) <= 1e-9
@@ -451,3 +439,62 @@ def test_feasibility_record_bits_do_not_depend_on_history_markowitz():
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 0.5), iterations=400,
                        stride=20)
     _feas_is_one_stacked_call(problem, cfg, 9)
+
+
+def _same_bits_in_any_batch(rows, points):
+    """Projections and distances of ``points`` solved all at once, in
+    batches of 7 and one at a time (a stack of one and a 1-D point) agree
+    bit for bit."""
+    whole = rows.project(points)
+    for size in (1, 7):
+        parts = [rows.project(points[i:i + size])
+                 for i in range(0, len(points), size)]
+        assert np.array_equal(np.concatenate(parts), whole)
+    assert all(np.array_equal(rows.project(x), z)
+               for x, z in zip(points, whole))
+    dist = dist_intersection(rows, points)
+    assert np.array_equal(dist, [np.sqrt(r.dot(r)) for r in points - whole])
+    assert dist_intersection(rows, points[-1]) == dist[-1]
+    return whole
+
+
+def test_batches_of_desk_record_points_give_the_same_bits():
+    problem = gen_constrained_ls(n=20, m=2000, seed=7)
+    points = np.concatenate([
+        _recorded_points(problem, SolverConfig(
+            alg, PolynomialDecay(1.0, 1.0), iterations=600, stride=25), 5)
+        for alg in ("spp", "aspp")])
+    _same_bits_in_any_batch(problem.rows, points)
+
+
+def test_batches_of_markowitz_record_points_give_the_same_bits():
+    problem = build_markowitz(synth_returns(periods=300, n=10, seed=3))
+    points = np.concatenate([
+        _recorded_points(problem, SolverConfig(
+            alg, PolynomialDecay(1.0, 0.5), iterations=400, stride=10), 9)
+        for alg in ("spp", "aspp")])
+    _same_bits_in_any_batch(problem.rows, points)
+
+
+def test_batches_of_mixed_family_points_give_the_same_bits(monkeypatch):
+    # hyperplanes and dependent rows; chunks of 4 split the batches too
+    monkeypatch.setattr(constraints, "CHUNK", 4)
+    rng = np.random.default_rng(47)
+    for _ in range(6):
+        dim = 2 + rng.integers(3)
+        sets = _mixed_family(rng, dim)
+        points = 3 * rng.standard_normal((12, dim))
+        whole = _same_bits_in_any_batch(Polyhedron.of(sets, dim), points)
+        for x, z in zip(points, whole):
+            exact = enum_polyhedron_projection(sets, x)
+            assert np.linalg.norm(z - exact) <= 1e-9
+
+
+def test_a_problem_with_no_rows_gives_zero_distances():
+    problem = StochasticProblem([QuadraticNorm(3, 1.0)], [WholeSpace(3)], 3)
+    assert len(problem.rows.d) == 0
+    points = np.random.default_rng(5).standard_normal((6, 3))
+    assert np.array_equal(dist_intersection(problem.rows, points),
+                          np.zeros(6))
+    assert dist_intersection(problem.rows, points[0]) == 0.0
+    assert np.array_equal(problem.rows.project(points), points)

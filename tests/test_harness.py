@@ -1,7 +1,8 @@
 import configparser
 import math
+import multiprocessing
 import pickle
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -13,7 +14,8 @@ from spprox import (AggregateTrace, Cell, ConfigError, ExperimentConfig,
                     SolverConfig, aggregate, build_markowitz,
                     emit_csv, emit_svg, log_log_slope, parse_config,
                     parse_csv, run_cell, run_experiment, synth_returns)
-from spprox import DykstraError, Polyhedron, SolverError, harness
+from spprox import (DykstraError, Polyhedron, SolverError, constraints,
+                    harness, solvers)
 from spprox.constraints import CERTIFICATE_TOL
 from spprox.harness import CONFIG_TEMPLATES, CSV_HEADER, emit_run_csv
 from spprox.problems import FAMILIES, generate, knob_defaults
@@ -234,6 +236,58 @@ def test_serial_parallel_identical(tmp_path):
     run_experiment(c2)
     for f in sorted(Path(c1.outdir).glob("*.csv")):
         assert f.read_bytes() == (Path(c2.outdir) / f.name).read_bytes()
+
+
+def test_markowitz_records_are_byte_identical_at_any_worker_count(tmp_path):
+    # 43 records per run: a serial cell's 129 points end in a chunk of one
+    # (a BLAS matrix-vector call), a pooled share's chunks mix cells, and
+    # a point's feasibility must not depend on the batch it is solved in
+    assert 3 * 43 == 2 * constraints.CHUNK + 1
+    outdirs = [tmp_path / f"w{w}" for w in (1, 2, 3)]
+    for workers, outdir in zip((1, 2, 3), outdirs):
+        run_experiment(ExperimentConfig(
+            spec=GeneratorSpec("markowitz", n=25, periods=300, seed=3),
+            cells=[Cell(a, 1.0, 0.5) for a in ("spp", "aspp", "sgd")],
+            runs=3, base_seed=11, outdir=str(outdir), workers=workers,
+            iterations=168, stride=4, debug_runs=True))
+    csvs = sorted(p.name for p in outdirs[0].glob("*.csv"))
+    assert len(csvs) == 3 * (1 + 3)
+    for outdir in outdirs[1:]:
+        assert sorted(p.name for p in outdir.glob("*.csv")) == csvs
+        for name in csvs:
+            assert ((outdir / name).read_bytes()
+                    == (outdirs[0] / name).read_bytes())
+    runs = parse_csv(outdirs[0] / "aspp_mu1_g0.5_run000.csv")
+    assert len(runs["k"]) == 43 and np.isfinite(runs["mean_feas"]).all()
+
+
+def test_feasibility_is_one_solve_per_cell_and_per_share(tmp_path,
+                                                         monkeypatch):
+    sizes = []
+    dist = solvers.dist_intersection
+
+    def counted(rows, x, tol):
+        sizes.append(len(x))
+        return dist(rows, x, tol=tol)
+
+    monkeypatch.setattr(solvers, "dist_intersection", counted)
+    problem = build_markowitz(synth_returns(periods=200, n=5, seed=2))
+    cfg = SolverConfig("spp", PolynomialDecay(1.0, 0.5), iterations=40,
+                       stride=10)
+    agg = run_cell(problem, cfg, runs=3, base_seed=7)
+    assert sizes == [15] and np.isfinite(agg.mean_feas).all()
+    sizes.clear()  # a share of two cells' runs
+    share = [(cfg, 7), (replace(cfg, algorithm="aspp"), 8)]
+    traces = harness._run_share(share, problem, multiprocessing.Event())
+    assert sizes == [10]
+    assert all(np.isfinite(t.feas).all() for t in traces)
+    sizes.clear()  # the parent's share 0 of a pooled experiment
+    run_experiment(ExperimentConfig(
+        spec=GeneratorSpec("markowitz", n=5, periods=200, seed=2),
+        cells=[Cell("spp", 1.0, 0.5), Cell("aspp", 1.0, 0.5)], runs=2,
+        base_seed=7, outdir=str(tmp_path / "pool"), iterations=40,
+        stride=10, workers=2))
+    assert sizes == [10]
 
 
 @pytest.fixture

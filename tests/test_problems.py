@@ -186,10 +186,10 @@ def test_synth_returns_matches_sp500_shape():
 def test_markowitz_build():
     table = synth_returns(periods=200, n=6, seed=1)
     prob = build_markowitz(table, seed=2)
-    b = prob.meta["b"]
+    b = prob.test_objective.b
     assert b == pytest.approx(float(np.mean(prob.meta["a_av"])))
-    assert len(prob.losses) == prob.meta["train_rows"] == 180
-    assert prob.meta["test_rows"] == 20
+    assert len(prob.losses) == 180
+    assert len(prob.test_objective.rows) == 20
     # x = 0: feasible for the orthant and budget, violates the return set iff b > 0
     zero = np.zeros(6)
     orthant, budget, ret = prob.constraints
@@ -203,8 +203,8 @@ def test_markowitz_build():
 def test_markowitz_split_is_partition():
     table = synth_returns(periods=101, n=4, seed=3)
     prob = build_markowitz(table, seed=4)
-    assert prob.meta["train_rows"] == 90
-    assert prob.meta["test_rows"] == 11
+    assert len(prob.losses) == 90
+    assert len(prob.test_objective.rows) == 11
     with pytest.raises(ValueError):
         build_markowitz(table, train_frac=0.0)
 
@@ -269,7 +269,7 @@ _DRAWS = {
         lambda p: (), ()),
     "markowitz": (
         dict(n=2, periods=10, seed=8, split_seed=9),
-        lambda p: (p.meta["train_rows"], p.meta["test_rows"]), (9, 1),
+        lambda p: (len(p.losses), len(p.test_objective.rows)), (9, 1),
         lambda p: tuple(p.meta["a_av"]),
         (0.002365264578685991, -0.007376805122691038)),
 }
