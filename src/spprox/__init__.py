@@ -27,6 +27,6 @@ from .problems import (GeneratorSpec, ReturnsTable, build_markowitz, generate,
                        load_returns_csv, synth_returns)
 from .schedules import PolynomialDecay, phi
 from .solvers import (RunTrace, SolverConfig, SolverError, epochs_for_budget,
-                      rspp_schedule, run)
+                      fill_feasibility, rspp_schedule, run)
 
 __version__ = "0.1.0"

@@ -2,16 +2,18 @@
 
 A configuration names one generated problem and a grid of solver cells
 (algorithm x mu0 x gamma).  Each cell runs ``runs`` Monte-Carlo repetitions
-with seeds ``base_seed + run_index``.  With ``workers`` > 1 processes, the
-flattened (cell, run) tasks are dealt into ``workers`` interleaved shares:
-the parent runs share 0, and one pool of ``workers - 1`` processes, whose
-initializer installs the problem once each, runs one share per process.  A
-task carries only its ``(SolverConfig, seed)``; a failed run stops every share
-at its next run, and no file is written.  The feasibility records of a cell
-(serial) or of a share (pooled) come from one batched intersection solve,
-whose answer for a point does not depend on the batch.  Aggregation is
-keyed by run index, so serial and parallel execution emit byte-identical
-CSVs.  The problem's constants are measured once; ``bounds.bound_overlay``
+with seeds ``base_seed + run_index``.  Every run goes through one share
+runner, ``_run_share``; serially each cell is one share.  With ``workers``
+> 1 processes, the flattened (cell, run) tasks are dealt into ``workers``
+interleaved shares: the parent runs share 0, and one pool of ``workers - 1``
+processes, whose initializer installs the problem, the stop event and the
+feasibility tolerance once each, runs one share per process.  A task
+carries only its ``(SolverConfig, seed)``; a failed run stops every share at
+its next run, and no file is written.  A share's feasibility records come
+from one ``solvers.fill_feasibility`` call (none with ``record_feasibility``
+off), whose answer for a point does not depend on the batch.  Aggregation
+is keyed by run index, so serial and parallel execution emit byte-identical
+files.  The problem's constants are measured once; ``bounds.bound_overlay``
 picks each cell's bound for its schedule.  Each ``gen-config`` template
 shows the ``ExperimentConfig`` defaults and the family generator's knob
 defaults, and a per-family grid.
@@ -24,6 +26,7 @@ import json
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -177,53 +180,42 @@ def aggregate(name: str, traces: list, metadata: dict | None = None) -> Aggregat
         traces=list(traces))
 
 
-_worker_problem = _worker_stop = None  # set by _install_problem in a worker
+_worker_context = None  # (problem, stop, feas_tol), set in a pool process
 
 
-def _install_problem(problem: StochasticProblem, stop) -> None:
-    global _worker_problem, _worker_stop
-    _worker_problem, _worker_stop = problem, stop
+def _install_problem(problem: StochasticProblem, stop,
+                     feas_tol: float | None) -> None:
+    global _worker_context
+    _worker_context = problem, stop, feas_tol
 
 
-def _execute_run(solver_config: SolverConfig, seed: int,
-                 problem: StochasticProblem) -> RunTrace:
-    """One Monte-Carlo run; its feasibility is left to its batch."""
-    return run(problem, replace(solver_config, seed=seed,
-                                record_feasibility=False))
+def _run_share(share: list, *context) -> list:
+    """The traces of a share's ``(SolverConfig, seed)`` tasks, in order.
 
-
-def _with_feasibility(problem: StochasticProblem, tasks: list,
-                      traces: list) -> list:
-    """``traces`` of ``tasks``, the feasibility of every recorded point from
-    one batched solve (an experiment's configs share one ``feas_tol``)."""
-    recorded = [t for (cfg, _), t in zip(tasks, traces)
-                if cfg.record_feasibility]
-    if recorded:
-        fill_feasibility(problem, recorded, tasks[0][0].feas_tol)
-    return traces
-
-
-def _run_share(share: list, problem: StochasticProblem | None = None,
-               stop=None) -> list:
-    """A share's traces, as ``_with_feasibility`` gives them; a pool process
-    omits ``problem`` and ``stop`` (installed once).  Once any share has
-    failed, it runs no more."""
-    problem = _worker_problem if problem is None else problem
-    stop = _worker_stop if stop is None else stop
+    ``context`` is ``(problem, stop, feas_tol)``; a pool process omits it
+    (installed once).  The feasibility of every point the share records is
+    one ``fill_feasibility`` solve certified at ``feas_tol``, or none when
+    it is None.  Once any share has failed (``stop`` is set), it runs no
+    more.
+    """
+    problem, stop, feas_tol = context or _worker_context
     try:
         traces = []
         for cfg, seed in share:
             if stop.is_set():  # a share cut short is never read
                 return traces
-            traces.append(_execute_run(cfg, seed, problem))
-        return _with_feasibility(problem, share, traces)
+            traces.append(run(problem, replace(cfg, seed=seed)))
+        if feas_tol is not None:
+            fill_feasibility(problem, traces, feas_tol)
+        return traces
     except BaseException:
         stop.set()
         raise
 
 
 def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
-                   seeds: range, workers: int) -> list:
+                   seeds: range, workers: int,
+                   feas_tol: float | None) -> list:
     """Traces of every config in ``solver_cfgs`` at every seed.
 
     Task i of the flattened (config, seed) list goes to share ``i % workers``
@@ -235,11 +227,11 @@ def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
     stop = multiprocessing.Event()
     with ProcessPoolExecutor(max_workers=workers - 1,
                              initializer=_install_problem,
-                             initargs=(problem, stop)) as pool:
+                             initargs=(problem, stop, feas_tol)) as pool:
         futures = [pool.submit(_run_share, tasks[i::workers])
                    for i in range(1, workers)]
         try:
-            shares = [_run_share(tasks[::workers], problem, stop)]
+            shares = [_run_share(tasks[::workers], problem, stop, feas_tol)]
             shares += [future.result() for future in futures]
         except BaseException:
             stop.set()
@@ -255,13 +247,14 @@ def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
 
 def run_cell(problem: StochasticProblem, solver_config: SolverConfig,
              runs: int, base_seed: int, name: str = "cell",
-             metadata: dict | None = None) -> AggregateTrace:
+             metadata: dict | None = None,
+             feas_tol: float | None = CERTIFICATE_TOL) -> AggregateTrace:
     """Monte-Carlo repetitions of one cell; seeds are base_seed + run index.
-    The feasibility of every point the cell records is one batched solve."""
-    tasks = [(solver_config, base_seed + i) for i in range(runs)]
-    traces = [_execute_run(cfg, seed, problem) for cfg, seed in tasks]
-    return aggregate(name, _with_feasibility(problem, tasks, traces),
-                     metadata)
+    The cell runs as one share: the feasibility of every point it records
+    is one batched solve at ``feas_tol`` (none when it is None)."""
+    share = [(solver_config, base_seed + i) for i in range(runs)]
+    traces = _run_share(share, problem, threading.Event(), feas_tol)
+    return aggregate(name, traces, metadata)
 
 
 # -- emission ------------------------------------------------------------------
@@ -467,18 +460,19 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     solver_cfgs = [SolverConfig(
         algorithm=cell.algorithm, schedule=cell.schedule(),
-        iterations=K, stride=stride, feas_tol=config.feas_tol,
-        record_feasibility=config.record_feasibility)
-        for cell in config.cells]
+        iterations=K, stride=stride) for cell in config.cells]
+    feas_tol = config.feas_tol if config.record_feasibility else None
     workers = min(workers, len(solver_cfgs) * config.runs)
     if workers > 1:
         seeds = range(config.base_seed, config.base_seed + config.runs)
-        pooled = _pooled_traces(problem, solver_cfgs, seeds, workers)
+        pooled = _pooled_traces(problem, solver_cfgs, seeds, workers,
+                                feas_tol)
         aggs = [aggregate(cell.name, traces, dict(meta_common))
                 for cell, traces in zip(config.cells, pooled)]
     else:
         aggs = [run_cell(problem, solver_cfg, config.runs, config.base_seed,
-                         name=cell.name, metadata=dict(meta_common))
+                         name=cell.name, metadata=dict(meta_common),
+                         feas_tol=feas_tol)
                 for cell, solver_cfg in zip(config.cells, solver_cfgs)]
     results = {}
     groups = {}

@@ -5,10 +5,11 @@ f(.;S)}(x)) (a projected gradient step for the SGD baseline) with the
 iterate, the stepsize-weighted average, or an epoch restart as output.  All
 share the sampling contract of ``StochasticProblem`` and emit a ``RunTrace``
 of per-iteration metrics, computed on the stack of recorded points after
-the loop; ``fill_feasibility`` gets the distances to X of the points of any
-list of traces from one batched intersection solve.  One run is strictly
-sequential; Monte-Carlo repetitions parallelize at the harness level with
-independently seeded generators.
+the loop.  ``run`` never solves an intersection: its ``feas`` is NaN, and
+``fill_feasibility``, the one owner of that metric, sets the distances to X
+of the points of any list of traces from one batched intersection solve.
+One run is strictly sequential; Monte-Carlo repetitions parallelize at the
+harness level with independently seeded generators.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import CERTIFICATE_TOL, dist_intersection
+from .constraints import dist_intersection
 from .core import Array, StochasticProblem
 from .schedules import PolynomialDecay
 
@@ -64,8 +65,6 @@ class SolverConfig:
     seed: int = 0
     stride: int = 1
     x0: Array | None = None
-    feas_tol: float = CERTIFICATE_TOL
-    record_feasibility: bool = True
 
     def validate(self, dim: int) -> Array:
         check_scheme(self.algorithm, self.schedule.gamma)
@@ -90,8 +89,10 @@ class RunTrace:
     ``sqdist``/``feas``/``objective``/``test_obj`` refer to the algorithm's
     output point at the recorded iteration (the running weighted average for
     aspp, the iterate otherwise), the rows of ``points``; entries are NaN
-    where a metric is unavailable (unknown optimum, feasibility not
-    recorded, no test objective).
+    where a metric is unavailable (unknown optimum, no test objective, or
+    ``feas`` before ``fill_feasibility``).  ``final_average`` is aspp's
+    output at K (every other scheme's is ``final``); a run truncated by
+    divergence has ``diverged_at``, the iteration it stopped at.
     """
 
     algorithm: str
@@ -109,9 +110,12 @@ class RunTrace:
     epoch_stepsizes: list = field(default_factory=list)
     epoch_lengths: list = field(default_factory=list)
     epoch_outputs: list = field(default_factory=list)
-    diverged: bool = False
     diverged_at: int | None = None
     max_sampled_violation: float = 0.0
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
 
 def _sq_distances(points: Array, x_star: Array | None) -> Array:
@@ -125,8 +129,10 @@ def _sq_distances(points: Array, x_star: Array | None) -> Array:
 def fill_feasibility(problem: StochasticProblem, traces: list,
                      tol: float) -> None:
     """Set every trace's ``feas`` to dist_X of its recorded points, from one
-    batched intersection solve of all of them; a point's distance does not
-    depend on the batch it is solved in."""
+    batched intersection solve of all of them certified at ``tol``; a
+    point's distance does not depend on the batch it is solved in."""
+    if not traces:
+        return
     sizes = [len(t.points) for t in traces]
     dist = dist_intersection(problem.rows, np.concatenate(
         [t.points for t in traces]), tol=tol)
@@ -173,9 +179,8 @@ def run(problem: StochasticProblem, config: SolverConfig,
 
     A non-finite iterate raises ``SolverError`` in a prox scheme.  For sgd,
     divergence (norm above 1e12, or a non-finite iterate) is an observable
-    outcome: the trace is truncated and flagged, not raised.  With
-    ``record_feasibility`` the run fills its own ``feas``; the harness runs
-    without it and fills a cell's or a share's traces as one batch.
+    outcome: the trace is truncated and flagged, not raised.  The trace's
+    ``feas`` is NaN; ``fill_feasibility`` fills it.
     """
     alg = config.algorithm
     x = config.validate(problem.dim)
@@ -230,7 +235,7 @@ def run(problem: StochasticProblem, config: SolverConfig,
     if averaged:
         extra = dict(final_average=wavg / wsum)
     elif restarted:
-        extra = dict(final_average=x.copy(), epoch_ends=epoch_ends,
+        extra = dict(epoch_ends=epoch_ends,
                      epoch_stepsizes=list(map(float, mu_ts)),
                      epoch_lengths=list(map(int, k_ts)),
                      epoch_outputs=epoch_outputs)
@@ -238,15 +243,11 @@ def run(problem: StochasticProblem, config: SolverConfig,
     ks = stride * np.arange(len(points))
     nan = np.full(len(ks), math.nan)
     test_objective = problem.test_objective
-    trace = RunTrace(
+    return RunTrace(
         alg, ks, mus[ks], _sq_distances(points, problem.x_star), nan.copy(),
         problem.objective(points),
         nan if test_objective is None else test_objective(points),
         final=x.copy(), points=points,
         iterate_sqdist=(_sq_distances(np.array(iterates), problem.x_star)
                         if averaged else None),
-        diverged=diverged_at is not None, diverged_at=diverged_at,
-        max_sampled_violation=max_viol, **extra)
-    if config.record_feasibility:
-        fill_feasibility(problem, [trace], config.feas_tol)
-    return trace
+        diverged_at=diverged_at, max_sampled_violation=max_viol, **extra)

@@ -16,10 +16,10 @@ from spprox import (BatchLeastSquares, Cell, ExperimentConfig,
                     GeneratorSpec, PolynomialDecay, ProblemConstants,
                     SolverConfig,
                     StochasticProblem, WholeSpace, build_markowitz,
-                    constant_step_envelope, estimate_kappa, gen_feasibility,
-                    run, run_experiment, rspp_plan, rspp_schedule,
-                    strongly_convex_bound, synth_returns)
-from spprox.constraints import project_intersection
+                    constant_step_envelope, estimate_kappa, fill_feasibility,
+                    gen_feasibility, run, run_experiment, rspp_plan,
+                    rspp_schedule, strongly_convex_bound, synth_returns)
+from spprox.constraints import CERTIFICATE_TOL, project_intersection
 from spprox.schedules import mean_theta_sq
 from spprox.harness import log_log_slope
 
@@ -34,10 +34,11 @@ def mc_runs(problem, key, algorithm, schedule, iterations, stride,
     """Cached Monte-Carlo cell: list of traces with seeds base + i."""
     if key not in _cells:
         cfg = SolverConfig(algorithm, schedule, iterations=iterations,
-                           stride=stride, x0=x0,
-                           record_feasibility=record_feasibility)
+                           stride=stride, x0=x0)
         _cells[key] = [run(problem, cfg, np.random.default_rng(base + i))
                        for i in range(runs)]
+        if record_feasibility:
+            fill_feasibility(problem, _cells[key], CERTIFICATE_TOL)
     return _cells[key]
 
 
@@ -115,7 +116,7 @@ def test_criterion_03_deterministic_recursion():
     mu = 0.6
     x0 = np.array([5.0, 2.0, -4.0, 1.0])
     cfg = SolverConfig("spp", PolynomialDecay(mu, 0), iterations=100, stride=1,
-                       x0=x0, record_feasibility=False)
+                       x0=x0)
     tr = run(prob, cfg, np.random.default_rng(3))
     worst = 0.0
     for j, k in enumerate(tr.ks):
@@ -209,7 +210,7 @@ def test_criterion_07_noise_floor():
     plateaus = {}
     for mu in (0.4, 0.2):
         cfg = SolverConfig("spp", PolynomialDecay(mu, 0), iterations=6000,
-                           stride=60, record_feasibility=False, x0=x_star)
+                           stride=60, x0=x_star)
         traces = [run(prob, cfg, np.random.default_rng(300 + i))
                   for i in range(RUNS)]
         sq = np.mean([t.sqdist for t in traces], axis=0)
@@ -232,7 +233,7 @@ def test_criterion_08_rspp_schedule():
         mu_ts, k_ts = rspp_schedule(1.0, gamma, T)
         cfg = SolverConfig("rspp", PolynomialDecay(1.0, gamma),
                            iterations=int(k_ts.sum()), stride=10 ** 9,
-                           record_feasibility=False, x0=np.ones(3))
+                           x0=np.ones(3))
         tr = run(prob, cfg, np.random.default_rng(8))
         assert tr.epoch_stepsizes == [1.0 / t ** gamma for t in range(1, T + 1)]
         assert tr.epoch_lengths == [math.ceil(t ** gamma) for t in range(1, T + 1)]
@@ -285,7 +286,7 @@ def test_criterion_11_markowitz_pipeline(tmp_path):
     x0 = project_intersection(prob.constraints, np.zeros(25), tol=1e-12)
     K = prob.one_pass
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=K,
-                       stride=K // 8, record_feasibility=False, x0=x0)
+                       stride=K // 8, x0=x0)
     traces = [run(prob, cfg, np.random.default_rng(100 + i)) for i in range(RUNS)]
     worst_violation = max(t.max_sampled_violation for t in traces)
     assert worst_violation <= 1e-9

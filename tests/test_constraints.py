@@ -11,9 +11,10 @@ from spprox import (Box, DykstraError, Halfspace, Hyperplane,
                     ProblemConstants, QuadraticNorm, SolverConfig,
                     StochasticProblem, WholeSpace,
                     build_markowitz, dist_intersection, estimate_kappa,
-                    gen_constrained_ls, generate, parse_config,
-                    project_intersection, run, synth_returns)
+                    fill_feasibility, gen_constrained_ls, generate,
+                    parse_config, project_intersection, run, synth_returns)
 from spprox import constraints
+from spprox.constraints import CERTIFICATE_TOL
 from spprox.harness import CONFIG_TEMPLATES
 from spprox.problems import _refine_optimum
 
@@ -391,12 +392,15 @@ def test_row_mean_sq_distance_matches_set_loop():
 def _feas_is_bit_stable(problem, cfg, seed):
     # each run's records are one stacked solve of its own points
     first = run(problem, cfg, np.random.default_rng(seed))
+    fill_feasibility(problem, [first], CERTIFICATE_TOL)
     assert np.all(np.isfinite(first.feas))
-    for other in (seed + 1, seed + 2):
-        run(problem, cfg, np.random.default_rng(other))
+    others = [run(problem, cfg, np.random.default_rng(other))
+              for other in (seed + 1, seed + 2)]
+    fill_feasibility(problem, others, CERTIFICATE_TOL)
     estimate_kappa(problem, 2, np.random.default_rng(seed + 3))
     ProblemConstants.measure(problem, np.zeros(problem.dim), kappa=2.0)
     again = run(problem, cfg, np.random.default_rng(seed))
+    fill_feasibility(problem, [again], CERTIFICATE_TOL)
     assert np.array_equal(again.feas, first.feas)
     return first
 
@@ -423,7 +427,7 @@ def _feas_is_one_stacked_call(problem, cfg, seed):
     trace = _feas_is_bit_stable(problem, cfg, seed)
     points = _recorded_points(problem, cfg, seed)
     assert np.array_equal(trace.feas, dist_intersection(
-        problem.rows, points, tol=cfg.feas_tol))
+        problem.rows, points, tol=CERTIFICATE_TOL))
 
 
 def test_feasibility_record_bits_do_not_depend_on_history_desk():

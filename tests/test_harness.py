@@ -125,7 +125,7 @@ def test_aggregate_handles_truncated_runs(make):
     longest = max(len(t.ks) for t in traces)
     for t in traces:
         if len(t.ks) < longest:
-            t.diverged, t.diverged_at = True, int(t.ks[-1]) + 4
+            t.diverged_at = int(t.ks[-1]) + 4
     agg = aggregate("cell", traces)
     assert agg.diverged == sum(len(t.ks) < longest for t in traces)
     assert agg.counts.tolist() == counts
@@ -234,8 +234,19 @@ def test_serial_parallel_identical(tmp_path):
                       **base)
     run_experiment(c1)
     run_experiment(c2)
-    for f in sorted(Path(c1.outdir).glob("*.csv")):
-        assert f.read_bytes() == (Path(c2.outdir) / f.name).read_bytes()
+    # per cell its CSV and meta.json; one SVG per gamma
+    _assert_same_files(c1.outdir, c2.outdir, 2 * 2 + 2)
+
+
+def _assert_same_files(dir1, dir2, count):
+    """``dir1`` and ``dir2`` hold the same ``count`` files, byte for byte:
+    every CSV, per-run CSV, meta.json and SVG."""
+    dir1, dir2 = Path(dir1), Path(dir2)
+    names = sorted(p.name for p in dir1.iterdir())
+    assert len(names) == count
+    assert sorted(p.name for p in dir2.iterdir()) == names
+    for name in names:
+        assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes(), name
 
 
 def test_markowitz_records_are_byte_identical_at_any_worker_count(tmp_path):
@@ -250,13 +261,9 @@ def test_markowitz_records_are_byte_identical_at_any_worker_count(tmp_path):
             cells=[Cell(a, 1.0, 0.5) for a in ("spp", "aspp", "sgd")],
             runs=3, base_seed=11, outdir=str(outdir), workers=workers,
             iterations=168, stride=4, debug_runs=True))
-    csvs = sorted(p.name for p in outdirs[0].glob("*.csv"))
-    assert len(csvs) == 3 * (1 + 3)
+    # per cell: its CSV, 3 per-run CSVs and meta.json; one SVG
     for outdir in outdirs[1:]:
-        assert sorted(p.name for p in outdir.glob("*.csv")) == csvs
-        for name in csvs:
-            assert ((outdir / name).read_bytes()
-                    == (outdirs[0] / name).read_bytes())
+        _assert_same_files(outdirs[0], outdir, 3 * (1 + 3 + 1) + 1)
     runs = parse_csv(outdirs[0] / "aspp_mu1_g0.5_run000.csv")
     assert len(runs["k"]) == 43 and np.isfinite(runs["mean_feas"]).all()
 
@@ -276,18 +283,24 @@ def test_feasibility_is_one_solve_per_cell_and_per_share(tmp_path,
                        stride=10)
     agg = run_cell(problem, cfg, runs=3, base_seed=7)
     assert sizes == [15] and np.isfinite(agg.mean_feas).all()
-    sizes.clear()  # a share of two cells' runs
+    sizes.clear()  # a cell with no feasibility records solves nothing
+    agg = run_cell(problem, cfg, runs=3, base_seed=7, feas_tol=None)
+    assert sizes == [] and np.isnan(agg.mean_feas).all()
+    # a share of two cells' runs
     share = [(cfg, 7), (replace(cfg, algorithm="aspp"), 8)]
-    traces = harness._run_share(share, problem, multiprocessing.Event())
+    traces = harness._run_share(share, problem, multiprocessing.Event(),
+                                CERTIFICATE_TOL)
     assert sizes == [10]
     assert all(np.isfinite(t.feas).all() for t in traces)
-    sizes.clear()  # the parent's share 0 of a pooled experiment
-    run_experiment(ExperimentConfig(
-        spec=GeneratorSpec("markowitz", n=5, periods=200, seed=2),
-        cells=[Cell("spp", 1.0, 0.5), Cell("aspp", 1.0, 0.5)], runs=2,
-        base_seed=7, outdir=str(tmp_path / "pool"), iterations=40,
-        stride=10, workers=2))
-    assert sizes == [10]
+    for record, solves in ((True, [10]), (False, [])):
+        sizes.clear()  # the parent's share 0 of a pooled experiment
+        run_experiment(ExperimentConfig(
+            spec=GeneratorSpec("markowitz", n=5, periods=200, seed=2),
+            cells=[Cell("spp", 1.0, 0.5), Cell("aspp", 1.0, 0.5)], runs=2,
+            base_seed=7, outdir=str(tmp_path / f"pool_{record}"),
+            iterations=40, stride=10, workers=2,
+            record_feasibility=record))
+        assert sizes == solves
 
 
 @pytest.fixture
@@ -304,13 +317,6 @@ def opened_pools(monkeypatch):
     return opened
 
 
-def _assert_same_csvs(c1, c2, count):
-    csvs = sorted(Path(c1.outdir).glob("*.csv"))
-    assert len(csvs) == count
-    for f in csvs:
-        assert f.read_bytes() == (Path(c2.outdir) / f.name).read_bytes()
-
-
 def test_one_pool_per_experiment(tmp_path, opened_pools):
     # 3 runs per cell do not divide evenly over 2 workers; the parent is one
     base = dict(cells=[Cell("spp", 1.0, 1.0), Cell("rspp", 1.0, 0.5),
@@ -322,7 +328,7 @@ def test_one_pool_per_experiment(tmp_path, opened_pools):
     assert opened_pools == []
     run_experiment(c2)
     assert opened_pools == [1]
-    _assert_same_csvs(c1, c2, 3)
+    _assert_same_files(c1.outdir, c2.outdir, 3 + 3 + 2)
 
 
 def test_uneven_shares_match_serial(tmp_path, opened_pools):
@@ -337,7 +343,7 @@ def test_uneven_shares_match_serial(tmp_path, opened_pools):
     run_experiment(c1)
     run_experiment(c3)
     assert opened_pools == [2]
-    _assert_same_csvs(c1, c3, 7)
+    _assert_same_files(c1.outdir, c3.outdir, 7 + 7 + 2)
 
 
 def test_one_task_grid_opens_no_pool(tmp_path, opened_pools):

@@ -7,11 +7,13 @@ import pytest
 from scipy import stats
 
 from conftest import random_component
-from spprox import (BatchLeastSquares, Halfspace, PolynomialDecay,
-                    QuadraticNorm, SolverConfig, SolverError,
-                    StochasticProblem, WholeSpace,
-                    epochs_for_budget, parse_config, rspp_schedule, run)
+from spprox import (BatchLeastSquares, Halfspace, Polyhedron,
+                    PolynomialDecay, QuadraticNorm, SolverConfig, SolverError,
+                    StochasticProblem, WholeSpace, epochs_for_budget,
+                    fill_feasibility, parse_config, rspp_schedule, run,
+                    solvers)
 from spprox.components import LossComponent
+from spprox.constraints import CERTIFICATE_TOL
 from spprox.schedules import mean_theta_sq
 
 
@@ -31,7 +33,7 @@ def test_spp_deterministic_recursion():
     mu = 0.7
     x0 = np.array([4.0, 1.0, -3.0])
     cfg = SolverConfig("spp", PolynomialDecay(mu, 0), iterations=100, stride=1,
-                       x0=x0, record_feasibility=False)
+                       x0=x0)
     tr = run(prob, cfg, np.random.default_rng(0))
     for j, k in enumerate(tr.ks):
         expected = np.linalg.norm((x0 - c) / (1.0 + mu) ** int(k)) ** 2
@@ -45,6 +47,7 @@ def test_spp_converges_inside_halfspace():
     cfg = SolverConfig("spp", PolynomialDecay(0.5, 0), iterations=200, stride=20,
                        x0=np.array([3.0, 3.0]))
     tr = run(prob, cfg, np.random.default_rng(1))
+    fill_feasibility(prob, [tr], CERTIFICATE_TOL)
     assert tr.sqdist[-1] < 1e-8
     assert tr.feas[-1] < 1e-8
 
@@ -52,7 +55,7 @@ def test_spp_converges_inside_halfspace():
 def test_spp_decay_on_desk_instance(desk_ls):
     # one-pass decay factor between k = 200 and k = 2000, 30 seeds
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=2000,
-                       stride=200, record_feasibility=False)
+                       stride=200)
     traces = [run(desk_ls, cfg, np.random.default_rng(500 + i))
               for i in range(30)]
     sq = np.mean([t.sqdist for t in traces], axis=0)
@@ -138,12 +141,13 @@ def test_rspp_single_epoch_equals_aspp():
                          x0=x0)
     tr_r = run(prob, cfg_r, np.random.default_rng(7))
     tr_a = run(prob, cfg_a, np.random.default_rng(7))
-    assert np.array_equal(tr_r.final_average, tr_a.final_average)
+    assert tr_r.final_average is None
+    assert np.array_equal(tr_r.final, tr_a.final_average)
 
 
 def test_rspp_restarts_from_epoch_average(small_ls):
     cfg = SolverConfig("rspp", PolynomialDecay(1.0, 1.0), iterations=21,
-                       stride=1, record_feasibility=False)
+                       stride=1)
     tr = run(small_ls, cfg, np.random.default_rng(8))
     assert tr.epoch_lengths == [1, 2, 3, 4, 5, 6]
     assert tr.epoch_ends == [1, 3, 6, 10, 15, 21]
@@ -166,8 +170,7 @@ def test_rspp_spends_the_iteration_budget_on_whole_epochs(gamma):
     for T, (total, next_total) in enumerate(zip(totals, totals[1:]), 1):
         for budget in range(total, next_total):
             cfg = SolverConfig("rspp", PolynomialDecay(1.0, gamma),
-                               iterations=int(budget), stride=1,
-                               record_feasibility=False)
+                               iterations=int(budget), stride=1)
             tr = run(prob, cfg, np.random.default_rng(3))
             assert len(tr.epoch_ends) == T, budget
             assert tr.epoch_ends[-1] == total == tr.ks[-1], budget
@@ -234,7 +237,7 @@ def test_epochs_for_budget_large_budget_is_fast():
 
 def test_seed_determinism(small_ls):
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 0.5), iterations=120,
-                       stride=10, seed=99, record_feasibility=False)
+                       stride=10, seed=99)
     t1 = run(small_ls, cfg)
     t2 = run(small_ls, cfg)
     assert np.array_equal(t1.sqdist, t2.sqdist)
@@ -259,7 +262,7 @@ def test_boundedness_cap_strongly_convex(small_ls):
     r0 = float(np.linalg.norm(small_ls.x_star))
     cap = max(r0, mu0 * eta / (1.0 - math.sqrt(th0)))
     cfg = SolverConfig("spp", PolynomialDecay(mu0, 1.0), iterations=240,
-                       stride=20, record_feasibility=False)
+                       stride=20)
     sq = np.array([run(small_ls, cfg, np.random.default_rng(600 + i)).sqdist
                    for i in range(30)])
     mean = sq.mean(axis=0)
@@ -269,9 +272,11 @@ def test_boundedness_cap_strongly_convex(small_ls):
 
 def test_feasibility_trend_spearman(small_ls):
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=240,
-                       stride=24, record_feasibility=True)
-    feas_sq = np.mean([run(small_ls, cfg, np.random.default_rng(700 + i)).feas
-                       ** 2 for i in range(30)], axis=0)
+                       stride=24)
+    traces = [run(small_ls, cfg, np.random.default_rng(700 + i))
+              for i in range(30)]
+    fill_feasibility(small_ls, traces, CERTIFICATE_TOL)
+    feas_sq = np.mean([t.feas ** 2 for t in traces], axis=0)
     rho, _ = stats.spearmanr(np.arange(len(feas_sq)), feas_sq)
     assert rho < 0.0
 
@@ -281,6 +286,7 @@ def test_trace_record_count_and_finiteness(small_ls):
         cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=K,
                            stride=stride)
         tr = run(small_ls, cfg, np.random.default_rng(11))
+        fill_feasibility(small_ls, [tr], CERTIFICATE_TOL)
         assert len(tr.ks) == K // stride + 1
         assert np.all(np.isfinite(tr.sqdist))
         assert np.all(np.isfinite(tr.objective))
@@ -293,8 +299,7 @@ def test_recorded_stepsize_is_the_one_stepped(small_ls, algorithm):
     # at gamma = 0.75, mu0 / k**gamma in Python and in numpy differ by an
     # ulp at some k; the record must carry the value the step used
     K, schedule = 1000, PolynomialDecay(1.0, 0.75)
-    cfg = SolverConfig(algorithm, schedule, iterations=K, stride=20,
-                       record_feasibility=False)
+    cfg = SolverConfig(algorithm, schedule, iterations=K, stride=20)
     tr = run(small_ls, cfg, np.random.default_rng(3))
     assert len(tr.ks) == 51
     assert np.array_equal(tr.stepsizes, schedule.block(0, K + 1)[tr.ks])
@@ -347,16 +352,38 @@ def test_config_validation():
         SolverConfig("nope", sched, iterations=5).validate(2)
 
 
-@pytest.mark.parametrize("record", [False, True])
 @pytest.mark.parametrize("algorithm", ["sgd", "spp"])
-def test_non_finite_x0_rejected(algorithm, record, capfd):
-    # not a divergence at iteration 1, nor a failed SVD in the recorder
+def test_non_finite_x0_rejected(algorithm, capfd):
+    # not a divergence at iteration 1, nor a LAPACK call on a NaN
     prob = _single(_half_sq_dist(2, [1.0, 2.0]),
                    Halfspace(np.array([1.0, 0.0]), 0.5),
                    x_star=np.array([0.5, 2.0]))
     for bad in (np.nan, np.inf):
         cfg = SolverConfig(algorithm, PolynomialDecay(1.0, 0), iterations=5,
-                           x0=np.array([bad, 0.0]), record_feasibility=record)
+                           x0=np.array([bad, 0.0]))
         with pytest.raises(ValueError, match="x0"):
             run(prob, cfg, np.random.default_rng(0))
     assert "DLASCL" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["spp", "aspp", "sgd", "rspp"])
+def test_a_bare_run_never_solves_an_intersection(small_ls, monkeypatch,
+                                                 algorithm):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run solved an intersection")
+
+    monkeypatch.setattr(solvers, "dist_intersection", refuse)
+    monkeypatch.setattr(Polyhedron, "project", refuse)
+    cfg = SolverConfig(algorithm, PolynomialDecay(1.0, 1.0), iterations=60,
+                       stride=10)
+    tr = run(small_ls, cfg, np.random.default_rng(13))
+    assert len(tr.ks) >= 2 and np.isnan(tr.feas).all()
+    assert np.isfinite(tr.sqdist).all()
+
+
+def test_fill_feasibility_of_no_traces_is_a_no_op(small_ls, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty batch was solved")
+
+    monkeypatch.setattr(solvers, "dist_intersection", refuse)
+    fill_feasibility(small_ls, [], CERTIFICATE_TOL)
