@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import CERTIFICATE_TOL, dist_intersection
+from .constraints import dist_intersection
 from .core import Array, StochasticProblem, norm
 from .schedules import PolynomialDecay, mean_theta_sq, phi
 
@@ -107,13 +107,12 @@ class ProblemConstants:
 
     @classmethod
     def measure(cls, problem: StochasticProblem, x0: Array,
-                kappa: float | None = None,
-                tol: float = CERTIFICATE_TOL) -> "ProblemConstants":
+                kappa: float | None = None) -> "ProblemConstants":
         """Fill the constants from a problem with a known optimum.
 
         kappa is the argument, else ``problem.kappa`` (``estimate_kappa``
-        gives a lower bound), else an error.  ``tol`` certifies dist0 as in
-        ``project_intersection``.
+        gives a lower bound), else an error.  dist0 is certified as in
+        ``dist_intersection``.
         """
         if problem.x_star is None:
             raise MissingConstantError(
@@ -130,7 +129,7 @@ class ProblemConstants:
             grad_norm_opt=norm(problem.mean_gradient(xs)),
             exp_lips_sq=problem.exp_lips_grad_sq(),
             sigmas=problem.sigma_values(),
-            dist0=dist_intersection(problem.rows, x0, tol=tol))
+            dist0=dist_intersection(problem.rows, x0))
 
 
 def _subgrad_bound(subgrad_sq: float | None) -> float:

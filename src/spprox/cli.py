@@ -80,8 +80,7 @@ def _cmd_gen_config(args) -> int:
 def _cmd_estimate_kappa(args) -> int:
     config = parse_config(args.config)
     problem = generate(config.spec)
-    kappa = estimate_kappa(problem, args.probes, config.probe_source(),
-                           tol=config.feas_tol)
+    kappa = estimate_kappa(problem, args.probes, config.probe_source())
     print(f"kappa (known): {kappa:.6g}" if problem.kappa is not None else
           f"kappa_hat (lower bound, {args.probes} probes): {kappa:.6g}\nnote: a "
           "sampled estimate certifies a lower bound on the regularity constant only")
@@ -97,10 +96,9 @@ def _cmd_plan(args) -> int:
     problem = generate(config.spec)
     kappa = args.kappa
     if kappa is None and problem.x_star is not None:
-        kappa = estimate_kappa(problem, args.probes, config.probe_source(),
-                               tol=config.feas_tol)
+        kappa = estimate_kappa(problem, args.probes, config.probe_source())
     c = bounds.ProblemConstants.measure(problem, np.zeros(problem.dim),
-                                        kappa=kappa, tol=config.feas_tol)
+                                        kappa=kappa)
     print(f"constants: r0={c.r0:.6g} kappa={c.kappa:.6g} eta^2={c.exp_grad_sq_opt:.6g} "
           f"E[L^2]={c.exp_lips_sq:.6g} dist0={c.dist0:.6g}")
     th0 = mean_theta_sq(c.sigmas, schedule.mu0)

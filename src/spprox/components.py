@@ -18,6 +18,9 @@ import numpy as np
 
 from .core import Array, Oracle, as_vector
 
+PROX_1D_TOL = 1e-12     # a 1-D prox root has |g(t)| <= tol * (1 + |l'(c)|)
+PROX_1D_MAX_ITER = 200  # safeguarded Newton steps before ProxSolveError
+
 
 class ProxSolveError(RuntimeError):
     """The 1-D prox solve found no bracketed root or did not converge."""
@@ -259,8 +262,7 @@ class SquareScalar(ScalarConvex):
         return 2.0
 
 
-def _solve_prox_1d(fn: ScalarConvex, c: float, mus: float,
-                   tol: float = 1e-12, max_iter: int = 200) -> float:
+def _solve_prox_1d(fn: ScalarConvex, c: float, mus: float) -> float:
     """Root of g(t) = l'(t) + (t - c)/(mu s): safeguarded Newton on a bracket.
 
     For a convex l, g is increasing and the root lies between c and
@@ -281,9 +283,9 @@ def _solve_prox_1d(fn: ScalarConvex, c: float, mus: float,
         raise ProxSolveError(f"1-D prox bracket [{lo:.6g}, {hi:.6g}] holds no "
                              f"root: the scalar function is not convex")
     t = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(PROX_1D_MAX_ITER):
         gt = g(t)
-        if abs(gt) <= tol * (1.0 + abs(gc)):
+        if abs(gt) <= PROX_1D_TOL * (1.0 + abs(gc)):
             return t
         if gt > 0:
             hi = t
@@ -297,7 +299,8 @@ def _solve_prox_1d(fn: ScalarConvex, c: float, mus: float,
             return t
         t = t_new
     raise ProxSolveError(
-        f"1-D prox solve did not reach tol={tol} in {max_iter} iterations")
+        f"1-D prox solve did not reach tol={PROX_1D_TOL} in "
+        f"{PROX_1D_MAX_ITER} iterations")
 
 
 class ComposedScalar(LossComponent):

@@ -413,16 +413,15 @@ def dist_intersection(sets, x, tol: float = CERTIFICATE_TOL):
     return np.array(dist) if x.ndim == 2 else dist[0]
 
 
-def estimate_kappa(problem, probes: int, rng: np.random.Generator,
-                   tol: float = CERTIFICATE_TOL) -> float:
+def estimate_kappa(problem, probes: int, rng: np.random.Generator) -> float:
     """The linear-regularity constant: ``problem.kappa`` if known (no probe
     is drawn), else an empirical lower bound.  A (probes, n) block of normal
     draws gives probes uniformly on the sphere of radius ``2 max(1, ||c||)``
     around c, the known optimum or else the origin: a feasible anchor of the
     iterate region.  Each contributes dist_X(x)^2 / E[dist_{X_S}(x)^2], with
-    dist_X certified at ``tol`` as in ``project_intersection``; probes with
-    denominator below 1e-14 are skipped.  Returns the largest ratio floored
-    at 1 (X lies in each X_S).
+    dist_X certified as in ``dist_intersection``; probes with denominator
+    below 1e-14 are skipped.  Returns the largest ratio floored at 1 (X lies
+    in each X_S).
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -437,5 +436,5 @@ def estimate_kappa(problem, probes: int, rng: np.random.Generator,
     x, den = x[den >= 1e-14], den[den >= 1e-14]
     if not len(den):
         raise ValueError("all probes were degenerate (feasible or near-feasible)")
-    num = np.array([dist_intersection(problem.rows, p, tol=tol) for p in x])
+    num = np.array([dist_intersection(problem.rows, p) for p in x])
     return max(float((num ** 2 / den).max()), 1.0)

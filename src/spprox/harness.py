@@ -7,16 +7,16 @@ runner, ``_run_share``; serially each cell is one share.  With ``workers``
 > 1 processes, the flattened (cell, run) tasks are dealt into ``workers``
 interleaved shares: the parent runs share 0, and one pool of ``workers - 1``
 processes, whose initializer installs the problem, the stop event and the
-feasibility tolerance once each, runs one share per process.  A task
-carries only its ``(SolverConfig, seed)``; a failed run stops every share at
-its next run, and no file is written.  A share's feasibility records come
-from one ``solvers.fill_feasibility`` call (none with ``record_feasibility``
-off), whose answer for a point does not depend on the batch.  Aggregation
-is keyed by run index, so serial and parallel execution emit byte-identical
-files.  The problem's constants are measured once; ``bounds.bound_overlay``
-picks each cell's bound for its schedule.  Each ``gen-config`` template
-shows the ``ExperimentConfig`` defaults and the family generator's knob
-defaults, and a per-family grid.
+record flag once each, runs one share per process.  A task carries only
+its ``(SolverConfig, seed)``; a failed run stops every share at its next
+run, and no file is written.  A share's feasibility records come from one
+``solvers.fill_feasibility`` call (none with ``record_feasibility`` off),
+certified at ``constraints.CERTIFICATE_TOL``, whose answer for a point does
+not depend on the batch.  Aggregation is keyed by run index, so serial and
+parallel execution emit byte-identical files.  The problem's constants are
+measured once; ``bounds.bound_overlay`` picks each cell's bound for its
+schedule.  Each ``gen-config`` template shows the ``ExperimentConfig``
+defaults and the family generator's knob defaults, and a per-family grid.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from xml.etree import ElementTree as ET
 import numpy as np
 
 from . import bounds as bounds_mod
-from .constraints import CERTIFICATE_TOL, estimate_kappa
+from .constraints import estimate_kappa
 from .core import StochasticProblem
 from .problems import FAMILIES, GeneratorSpec, generate, knob_defaults
 from .schedules import PolynomialDecay, mean_theta_sq
@@ -81,7 +81,6 @@ class ExperimentConfig:
     stride: int = 0           # 0: ~50 records per run
     workers: int = 0          # 0: available parallelism
     record_feasibility: bool = True
-    feas_tol: float = CERTIFICATE_TOL
     debug_runs: bool = False
 
     def probe_source(self) -> np.random.Generator:
@@ -95,8 +94,6 @@ class ExperimentConfig:
                     "kappa_probes"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0")
-        if not (math.isfinite(self.feas_tol) and self.feas_tol > 0):
-            raise ConfigError("feas_tol must be positive and finite")
         try:
             self.spec.validate()
         except ValueError as exc:
@@ -160,6 +157,8 @@ def aggregate(name: str, traces: list, metadata: dict | None = None) -> Aggregat
     The four metrics are reduced as one NaN-padded (metric, record, run)
     array, so a run truncated by divergence counts at its recorded ks only.
     """
+    if not traces:
+        raise ValueError("a cell needs at least one run")
     longest = max(traces, key=lambda t: len(t.ks))
     values = np.full((4, len(longest.ks), len(traces)), math.nan)
     for i, t in enumerate(traces):
@@ -180,33 +179,31 @@ def aggregate(name: str, traces: list, metadata: dict | None = None) -> Aggregat
         traces=list(traces))
 
 
-_worker_context = None  # (problem, stop, feas_tol), set in a pool process
+_worker_context = None  # (problem, stop, record), set in a pool process
 
 
-def _install_problem(problem: StochasticProblem, stop,
-                     feas_tol: float | None) -> None:
+def _install_problem(problem: StochasticProblem, stop, record: bool) -> None:
     global _worker_context
-    _worker_context = problem, stop, feas_tol
+    _worker_context = problem, stop, record
 
 
 def _run_share(share: list, *context) -> list:
     """The traces of a share's ``(SolverConfig, seed)`` tasks, in order.
 
-    ``context`` is ``(problem, stop, feas_tol)``; a pool process omits it
-    (installed once).  The feasibility of every point the share records is
-    one ``fill_feasibility`` solve certified at ``feas_tol``, or none when
-    it is None.  Once any share has failed (``stop`` is set), it runs no
-    more.
+    ``context`` is ``(problem, stop, record)``; a pool process omits it
+    (installed once).  With ``record``, the feasibility of every point the
+    share records is one ``fill_feasibility`` solve.  Once any share has
+    failed (``stop`` is set), it runs no more.
     """
-    problem, stop, feas_tol = context or _worker_context
+    problem, stop, record = context or _worker_context
     try:
         traces = []
         for cfg, seed in share:
             if stop.is_set():  # a share cut short is never read
                 return traces
             traces.append(run(problem, replace(cfg, seed=seed)))
-        if feas_tol is not None:
-            fill_feasibility(problem, traces, feas_tol)
+        if record:
+            fill_feasibility(problem, traces)
         return traces
     except BaseException:
         stop.set()
@@ -214,8 +211,7 @@ def _run_share(share: list, *context) -> list:
 
 
 def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
-                   seeds: range, workers: int,
-                   feas_tol: float | None) -> list:
+                   seeds: range, workers: int, record: bool) -> list:
     """Traces of every config in ``solver_cfgs`` at every seed.
 
     Task i of the flattened (config, seed) list goes to share ``i % workers``
@@ -227,11 +223,11 @@ def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
     stop = multiprocessing.Event()
     with ProcessPoolExecutor(max_workers=workers - 1,
                              initializer=_install_problem,
-                             initargs=(problem, stop, feas_tol)) as pool:
+                             initargs=(problem, stop, record)) as pool:
         futures = [pool.submit(_run_share, tasks[i::workers])
                    for i in range(1, workers)]
         try:
-            shares = [_run_share(tasks[::workers], problem, stop, feas_tol)]
+            shares = [_run_share(tasks[::workers], problem, stop, record)]
             shares += [future.result() for future in futures]
         except BaseException:
             stop.set()
@@ -248,12 +244,12 @@ def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
 def run_cell(problem: StochasticProblem, solver_config: SolverConfig,
              runs: int, base_seed: int, name: str = "cell",
              metadata: dict | None = None,
-             feas_tol: float | None = CERTIFICATE_TOL) -> AggregateTrace:
+             record_feasibility: bool = True) -> AggregateTrace:
     """Monte-Carlo repetitions of one cell; seeds are base_seed + run index.
-    The cell runs as one share: the feasibility of every point it records
-    is one batched solve at ``feas_tol`` (none when it is None)."""
+    The cell runs as one share: with ``record_feasibility``, the feasibility
+    of every point it records is one batched solve."""
     share = [(solver_config, base_seed + i) for i in range(runs)]
-    traces = _run_share(share, problem, threading.Event(), feas_tol)
+    traces = _run_share(share, problem, threading.Event(), record_feasibility)
     return aggregate(name, traces, metadata)
 
 
@@ -452,8 +448,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if config.kappa_probes > 0:
         try:
             kappa_hat = estimate_kappa(problem, config.kappa_probes,
-                                       config.probe_source(),
-                                       tol=config.feas_tol)
+                                       config.probe_source())
             meta_common["kappa_hat_lower_bound"] = kappa_hat
         except ValueError:
             meta_common["kappa_hat_lower_bound"] = None
@@ -461,18 +456,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
     solver_cfgs = [SolverConfig(
         algorithm=cell.algorithm, schedule=cell.schedule(),
         iterations=K, stride=stride) for cell in config.cells]
-    feas_tol = config.feas_tol if config.record_feasibility else None
     workers = min(workers, len(solver_cfgs) * config.runs)
     if workers > 1:
         seeds = range(config.base_seed, config.base_seed + config.runs)
         pooled = _pooled_traces(problem, solver_cfgs, seeds, workers,
-                                feas_tol)
+                                config.record_feasibility)
         aggs = [aggregate(cell.name, traces, dict(meta_common))
                 for cell, traces in zip(config.cells, pooled)]
     else:
         aggs = [run_cell(problem, solver_cfg, config.runs, config.base_seed,
                          name=cell.name, metadata=dict(meta_common),
-                         feas_tol=feas_tol)
+                         record_feasibility=config.record_feasibility)
                 for cell, solver_cfg in zip(config.cells, solver_cfgs)]
     results = {}
     groups = {}
@@ -493,8 +487,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if config.overlay_bounds and curve == "mean_sqdist":
         try:
             constants = bounds_mod.ProblemConstants.measure(
-                problem, np.zeros(problem.dim), kappa=kappa_hat,
-                tol=config.feas_tol)
+                problem, np.zeros(problem.dim), kappa=kappa_hat)
         except ValueError:  # no kappa: no overlay
             pass
     for gname, members in groups.items():
@@ -598,7 +591,6 @@ _TEMPLATE_NOTES = {
     "iterations": "0 = one pass through the data",
     "stride": "0 = about 50 records per run",
     "workers": "0 = available parallelism",
-    "feas_tol": "certificate tolerance of the intersection projection",
     "debug_runs": "also write one CSV per run",
     "n": "dimension (markowitz: assets)",
     "m": "observations (finite-sum: components)",

@@ -126,16 +126,15 @@ def _sq_distances(points: Array, x_star: Array | None) -> Array:
     return (d * d).sum(axis=1)
 
 
-def fill_feasibility(problem: StochasticProblem, traces: list,
-                     tol: float) -> None:
+def fill_feasibility(problem: StochasticProblem, traces: list) -> None:
     """Set every trace's ``feas`` to dist_X of its recorded points, from one
-    batched intersection solve of all of them certified at ``tol``; a
+    batched intersection solve of all of them (``dist_intersection``); a
     point's distance does not depend on the batch it is solved in."""
     if not traces:
         return
     sizes = [len(t.points) for t in traces]
     dist = dist_intersection(problem.rows, np.concatenate(
-        [t.points for t in traces]), tol=tol)
+        [t.points for t in traces]))
     for t, lo, hi in zip(traces, np.cumsum([0] + sizes), np.cumsum(sizes)):
         t.feas = dist[lo:hi]
 

@@ -19,7 +19,7 @@ from spprox import (BatchLeastSquares, Cell, ExperimentConfig,
                     constant_step_envelope, estimate_kappa, fill_feasibility,
                     gen_feasibility, run, run_experiment, rspp_plan,
                     rspp_schedule, strongly_convex_bound, synth_returns)
-from spprox.constraints import CERTIFICATE_TOL, project_intersection
+from spprox.constraints import project_intersection
 from spprox.schedules import mean_theta_sq
 from spprox.harness import log_log_slope
 
@@ -38,7 +38,7 @@ def mc_runs(problem, key, algorithm, schedule, iterations, stride,
         _cells[key] = [run(problem, cfg, np.random.default_rng(base + i))
                        for i in range(runs)]
         if record_feasibility:
-            fill_feasibility(problem, _cells[key], CERTIFICATE_TOL)
+            fill_feasibility(problem, _cells[key])
     return _cells[key]
 
 

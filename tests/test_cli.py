@@ -83,6 +83,7 @@ _FAMILY_USING = {"noise": "random-ls-polyhedron", "train_frac": "markowitz",
     ("experiment", "iterations", "-3", []),
     ("experiment", "workers", "-4", []),
     ("experiment", "kappa_probes", "-2", []),
+    # feas_tol is no longer a key: any value is rejected as an unknown key
     ("experiment", "feas_tol", "-1", []),
     ("experiment", "feas_tol", "0", []),
     ("experiment", "feas_tol", "inf", []),
@@ -111,6 +112,10 @@ _FAMILY_USING = {"noise": "random-ls-polyhedron", "train_frac": "markowitz",
     ("solvers", "mu0", "0.5, 0.5000001", []),  # both spp_mu0.5_g1
     ("solvers", "algorithms", "spp, spp", []),
     ("solvers", "gamma", "1, 1.0000001", []),
+    ("experiment", "runs", "0", []),
+    ("experiment", "record_feasibility", "maybe", []),
+    ("experiment", "debug_runs", "2", []),
+    ("experiment", "kappa_probes", "1.5", []),
 ])
 def test_invalid_run_keys_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
                                                  section, key, value, argv):
@@ -125,6 +130,22 @@ def test_invalid_run_keys_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
     monkeypatch.setenv("SPPROX_OUTDIR", str(out))
     assert main(["run", str(cfg), *argv]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_setting_the_removed_feas_tol_is_rejected(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # projections are certified at constraints.CERTIFICATE_TOL, which no
+    # config can set: the old key is an unknown key like any other
+    cfg = tmp_path / "old.ini"
+    cfg.write_text(_with_key("experiment", "feas_tol", "1e-10"))
+    out = tmp_path / "out"
+    monkeypatch.setenv("SPPROX_OUTDIR", str(out))
+    assert main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "unknown key 'feas_tol' in [experiment]" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -416,6 +437,26 @@ def test_cli_path_does_not_import_scipy():
     out = _run_python(script)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_a_cli_run_needs_only_numpy(tmp_path):
+    # a whole markowitz experiment through cli.main, records and all, in a
+    # process where scipy is importable but never imported
+    cfg = tmp_path / "m.ini"
+    text = harness.CONFIG_TEMPLATES["markowitz"]
+    for key, value in (("runs", "1"), ("iterations", "20"), ("workers", "1"),
+                       ("output_dir", str(tmp_path / "out"))):
+        text = _with_key("experiment", key, value, text)
+    cfg.write_text(text)
+    script = (
+        "import sys\n"
+        "import spprox.cli\n"
+        "code = spprox.cli.main(['run', sys.argv[1]])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    out = _run_python(script, str(cfg))
+    assert out.returncode == 0, out.stderr
+    assert len(list((tmp_path / "out").glob("*.csv"))) == 12
 
 
 def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:

@@ -5,6 +5,7 @@ from conftest import fd_gradient, prox_oracle, random_component
 from spprox import (BatchLeastSquares, ComposedScalar, HuberScalar,
                     LinearResidualSquared, LogisticScalar, ProxSolveError,
                     QuadraticNorm, SquareScalar)
+from spprox import components
 from spprox.components import ScalarConvex, _solve_prox_1d
 
 
@@ -217,6 +218,16 @@ def test_non_convex_scalar_prox_raises():
     # c = 1, mu*s = 2: g(t) = -t + (t - 1)/2 < 0 on the whole bracket [1, 3]
     with pytest.raises(ProxSolveError, match="not convex"):
         _solve_prox_1d(_ConcaveScalar(), 1.0, 2.0)
+
+
+def test_prox_solve_out_of_steps_names_its_tolerance_and_budget(
+        monkeypatch):
+    assert components.PROX_1D_TOL == 1e-12
+    assert components.PROX_1D_MAX_ITER == 200
+    _solve_prox_1d(LogisticScalar(), 3.0, 2.0)  # converges within 200
+    monkeypatch.setattr(components, "PROX_1D_MAX_ITER", 1)
+    with pytest.raises(ProxSolveError, match=r"tol=1e-12 in 1 iterations"):
+        _solve_prox_1d(LogisticScalar(), 3.0, 2.0)
 
 
 @pytest.mark.parametrize("fn", [LogisticScalar(), HuberScalar(0.7),

@@ -301,7 +301,7 @@ def test_estimate_kappa_draws_its_probes_as_one_block(tmp_path):
     problem = generate(config.spec)
     assert problem.dim == 20
     rng, block = config.probe_source(), config.probe_source()
-    kappa = estimate_kappa(problem, 20, rng, tol=config.feas_tol)
+    kappa = estimate_kappa(problem, 20, rng)
     assert abs(kappa - 51.71058446005237) <= 1e-12 * 51.71058446005237
     block.standard_normal((20, 20))
     assert rng.bit_generator.state == block.bit_generator.state
@@ -392,15 +392,15 @@ def test_row_mean_sq_distance_matches_set_loop():
 def _feas_is_bit_stable(problem, cfg, seed):
     # each run's records are one stacked solve of its own points
     first = run(problem, cfg, np.random.default_rng(seed))
-    fill_feasibility(problem, [first], CERTIFICATE_TOL)
+    fill_feasibility(problem, [first])
     assert np.all(np.isfinite(first.feas))
     others = [run(problem, cfg, np.random.default_rng(other))
               for other in (seed + 1, seed + 2)]
-    fill_feasibility(problem, others, CERTIFICATE_TOL)
+    fill_feasibility(problem, others)
     estimate_kappa(problem, 2, np.random.default_rng(seed + 3))
     ProblemConstants.measure(problem, np.zeros(problem.dim), kappa=2.0)
     again = run(problem, cfg, np.random.default_rng(seed))
-    fill_feasibility(problem, [again], CERTIFICATE_TOL)
+    fill_feasibility(problem, [again])
     assert np.array_equal(again.feas, first.feas)
     return first
 

@@ -1,4 +1,5 @@
 import configparser
+import inspect
 import math
 import multiprocessing
 import pickle
@@ -117,6 +118,16 @@ def test_counts_are_runs_recorded_on_markowitz():
     agg = run_cell(problem, cfg, runs=3, base_seed=7)
     assert np.isnan(agg.mean_sqdist).all()
     assert agg.counts.tolist() == [3] * len(agg.ks)
+
+
+def test_a_cell_of_no_runs_is_rejected():
+    problem = build_markowitz(synth_returns(periods=200, n=5, seed=2))
+    cfg = SolverConfig("spp", PolynomialDecay(1.0, 0.5), iterations=40,
+                       stride=10)
+    with pytest.raises(ValueError, match="a cell needs at least one run"):
+        run_cell(problem, cfg, runs=0, base_seed=7)
+    with pytest.raises(ValueError, match="a cell needs at least one run"):
+        aggregate("empty", [])
 
 
 @pytest.mark.parametrize("make", [_two_runs, _twelve_runs])
@@ -273,9 +284,9 @@ def test_feasibility_is_one_solve_per_cell_and_per_share(tmp_path,
     sizes = []
     dist = solvers.dist_intersection
 
-    def counted(rows, x, tol):
+    def counted(rows, x):
         sizes.append(len(x))
-        return dist(rows, x, tol=tol)
+        return dist(rows, x)
 
     monkeypatch.setattr(solvers, "dist_intersection", counted)
     problem = build_markowitz(synth_returns(periods=200, n=5, seed=2))
@@ -284,12 +295,12 @@ def test_feasibility_is_one_solve_per_cell_and_per_share(tmp_path,
     agg = run_cell(problem, cfg, runs=3, base_seed=7)
     assert sizes == [15] and np.isfinite(agg.mean_feas).all()
     sizes.clear()  # a cell with no feasibility records solves nothing
-    agg = run_cell(problem, cfg, runs=3, base_seed=7, feas_tol=None)
+    agg = run_cell(problem, cfg, runs=3, base_seed=7,
+                   record_feasibility=False)
     assert sizes == [] and np.isnan(agg.mean_feas).all()
     # a share of two cells' runs
     share = [(cfg, 7), (replace(cfg, algorithm="aspp"), 8)]
-    traces = harness._run_share(share, problem, multiprocessing.Event(),
-                                CERTIFICATE_TOL)
+    traces = harness._run_share(share, problem, multiprocessing.Event(), True)
     assert sizes == [10]
     assert all(np.isfinite(t.feas).all() for t in traces)
     for record, solves in ((True, [10]), (False, [])):
@@ -387,14 +398,16 @@ def test_a_row_free_run_records_its_known_kappa(tmp_path):
     assert agg.metadata["kappa_hat_lower_bound"] == 1.0
 
 
-def test_run_certifies_every_intersection_solve_at_feas_tol(tmp_path,
-                                                           monkeypatch):
+def test_run_certifies_every_intersection_solve_at_the_certificate_tol(
+        tmp_path, monkeypatch):
     tols = []
     project = Polyhedron.project
 
-    def spy(self, x, tol=1e-10):
-        tols.append(tol)
-        return project(self, x, tol)
+    def spy(*args, **kwargs):  # the tolerance each call solves at
+        call = inspect.signature(project).bind(*args, **kwargs)
+        call.apply_defaults()
+        tols.append(call.arguments["tol"])
+        return project(*args, **kwargs)
 
     generate = harness.generate
 
@@ -408,14 +421,14 @@ def test_run_certifies_every_intersection_solve_at_feas_tol(tmp_path,
         spec=GeneratorSpec("constrained-ls", n=4, m=40, seed=2),
         cells=[Cell("spp", 0.5, 1.0)], runs=2, base_seed=5,
         outdir=str(tmp_path / "tol"), iterations=40, stride=10, workers=1,
-        overlay_bounds=True, kappa_probes=1, feas_tol=1e-8)
+        overlay_bounds=True, kappa_probes=1)
     (agg,) = run_experiment(config).values()
     # the run's records, the kappa probe and the overlay's dist_X(x0)
     assert agg.metadata["kappa_hat_lower_bound"] is not None
     svg = ET.parse(next(Path(config.outdir).glob("*.svg"))).getroot()
     assert any("stroke-dasharray" in e.attrib for e in svg.iter()
                if e.tag.endswith("polyline"))
-    assert len(tols) >= 3 and set(tols) == {1e-8}
+    assert len(tols) >= 3 and set(tols) == {CERTIFICATE_TOL}
 
 
 def test_a_run_measures_its_problem_once(tmp_path, monkeypatch):
@@ -463,7 +476,6 @@ def test_every_template_shows_the_defaults(tmp_path, family):
             for k in shown["experiment"]]
     assert keys == [f.name for f in fields(ExperimentConfig)
                     if f.default is not MISSING]
-    assert default.feas_tol == CERTIFICATE_TOL
     for key in keys:
         assert getattr(config, key) == getattr(default, key), key
     defaults = knob_defaults(family)

@@ -13,7 +13,6 @@ from spprox import (BatchLeastSquares, Halfspace, Polyhedron,
                     fill_feasibility, parse_config, rspp_schedule, run,
                     solvers)
 from spprox.components import LossComponent
-from spprox.constraints import CERTIFICATE_TOL
 from spprox.schedules import mean_theta_sq
 
 
@@ -47,7 +46,7 @@ def test_spp_converges_inside_halfspace():
     cfg = SolverConfig("spp", PolynomialDecay(0.5, 0), iterations=200, stride=20,
                        x0=np.array([3.0, 3.0]))
     tr = run(prob, cfg, np.random.default_rng(1))
-    fill_feasibility(prob, [tr], CERTIFICATE_TOL)
+    fill_feasibility(prob, [tr])
     assert tr.sqdist[-1] < 1e-8
     assert tr.feas[-1] < 1e-8
 
@@ -275,7 +274,7 @@ def test_feasibility_trend_spearman(small_ls):
                        stride=24)
     traces = [run(small_ls, cfg, np.random.default_rng(700 + i))
               for i in range(30)]
-    fill_feasibility(small_ls, traces, CERTIFICATE_TOL)
+    fill_feasibility(small_ls, traces)
     feas_sq = np.mean([t.feas ** 2 for t in traces], axis=0)
     rho, _ = stats.spearmanr(np.arange(len(feas_sq)), feas_sq)
     assert rho < 0.0
@@ -286,7 +285,7 @@ def test_trace_record_count_and_finiteness(small_ls):
         cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=K,
                            stride=stride)
         tr = run(small_ls, cfg, np.random.default_rng(11))
-        fill_feasibility(small_ls, [tr], CERTIFICATE_TOL)
+        fill_feasibility(small_ls, [tr])
         assert len(tr.ks) == K // stride + 1
         assert np.all(np.isfinite(tr.sqdist))
         assert np.all(np.isfinite(tr.objective))
@@ -386,4 +385,4 @@ def test_fill_feasibility_of_no_traces_is_a_no_op(small_ls, monkeypatch):
         raise AssertionError("an empty batch was solved")
 
     monkeypatch.setattr(solvers, "dist_intersection", refuse)
-    fill_feasibility(small_ls, [], CERTIFICATE_TOL)
+    fill_feasibility(small_ls, [])
