@@ -153,6 +153,8 @@ class BatchLeastSquares(LossComponent):
         b = as_vector(b)
         if A.ndim != 2 or A.shape[0] != b.shape[0]:
             raise ValueError("A rows must match b")
+        if not np.isfinite(A).all():
+            raise ValueError("A has non-finite entries")
         self.A = A
         self.b = b
         self._ata = A.T @ A

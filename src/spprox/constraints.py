@@ -1,14 +1,16 @@
 """Simple convex sets with exact projections, plus intersection oracles.
 
 Every set kind is polyhedral, so a finite intersection is one ``Polyhedron``
-of unit rows {z : C z <= d}; a hyperplane is two opposite rows.
-``project_intersection`` projects a point, or a stack of points solved cold
-in lockstep (a point is the batch of one), by Goldfarb and Idnani's dual
-active-set method, and certifies each answer by its KKT conditions
-(feasibility, tight active rows, nonnegative multipliers, stationarity); an
-empty intersection, certified by a dual ray of the same solve, raises.  A
-point's answer has the same bits in any batch: every product coupling its
-entries is a BLAS call of its own.
+of unit rows {z : C z <= d}; a hyperplane is two opposite rows, and a family
+of sets gives its rows through ``Polyhedron.of``.  ``project_intersection``
+and ``dist_intersection`` take those rows and a point, or a stack of points
+solved cold in lockstep (a point is the batch of one), by Goldfarb and
+Idnani's dual active-set method.  Each answer is certified by its KKT
+conditions (feasibility, tight active rows, nonnegative multipliers,
+stationarity) at ``CERTIFICATE_TOL``, which no caller sets; an empty
+intersection, certified by a dual ray of the same solve, raises.  A point's
+answer has the same bits in any batch: every product coupling its entries
+is a BLAS call of its own.
 ``estimate_kappa`` is the one owner of the linear-regularity constant: a
 problem's known kappa, else the largest sampled ratio
 dist_X(x)^2 / E[dist_{X_S}(x)^2], which certifies a lower bound only.
@@ -20,7 +22,7 @@ import numpy as np
 
 from .core import Array, Oracle, as_vector, norm
 
-# default relative tolerance of a projection's KKT certificate
+# the relative tolerance of every projection's KKT certificate
 CERTIFICATE_TOL = 1e-10
 # points per lockstep solve: caps the (CHUNK, n, n) factors held at once
 CHUNK = 64
@@ -196,11 +198,18 @@ def _equality(C0, d0, x, pad, J, TinvT):
 
 
 def _unit_rows(C, d):
-    C = np.asarray(C, dtype=np.float64)
+    C, d = np.asarray(C, dtype=np.float64), np.asarray(d, dtype=np.float64)
+    if C.ndim != 2:
+        raise ValueError(f"C must be 2-D, got shape {C.shape}")
+    if d.shape != (len(C),):
+        raise ValueError(f"d needs one entry per row of C: got shape "
+                         f"{d.shape} for {len(C)} rows")
+    if not (np.isfinite(C).all() and np.isfinite(d).all()):
+        raise ValueError("constraint rows must be finite")
     nrm = np.sqrt(np.einsum("ij,ij->i", C, C))
     if not np.all(nrm > 0.0):
         raise ValueError("constraint rows must be nonzero")
-    return C / nrm[:, None], np.asarray(d, dtype=np.float64) / nrm
+    return C / nrm[:, None], d / nrm
 
 
 class Polyhedron:
@@ -212,9 +221,8 @@ class Polyhedron:
     """
 
     def __init__(self, C, d, owner=None, sets=None):
-        C = np.asarray(C, dtype=np.float64)
-        self.dim = C.shape[1]
         self.C, self.d = _unit_rows(C, d)
+        self.dim = self.C.shape[1]
         self.owner = np.arange(len(self.d)) if owner is None else owner
         self.sets = len(self.d) if sets is None else sets
         self._scale = float(np.abs(self.d).max(initial=0.0))
@@ -240,33 +248,16 @@ class Polyhedron:
         v = self.violations(x)
         return np.bincount(self.owner, weights=v * v, minlength=self.sets)
 
-    def project(self, x: Array, tol: float = CERTIFICATE_TOL) -> Array:
-        """Certified projection of x, or of each row of a stack of points;
-        see ``project_intersection``."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
-            raise ValueError(f"dimension mismatch: expected ({self.dim},), "
-                             f"got {x.shape}")
-        if not np.isfinite(x).all():  # LAPACK would fail on it less clearly
-            raise ValueError("cannot project a non-finite point")
-        if not 0 < tol < np.inf:
-            raise ValueError(f"tol = {tol} must be positive and finite")
-        points = np.atleast_2d(x)
-        if not len(self.d) or not len(points):  # X = R^n, or no point
-            return x.copy()
-        z = [self._solve(points[i:i + CHUNK], tol)
-             for i in range(0, len(points), CHUNK)]
-        return np.concatenate(z).reshape(x.shape)
-
-    def _solve(self, x, tol):
+    def _solve(self, x):
         """Goldfarb and Idnani's dual method for every point of the stack x,
         in lockstep, each from no rows: z = x - C_A' lam, lam >= 0, the rows
         A tight.  The most violated row p has c_p = C_A' r + h; a step along
         -h adds p unless some lam_j with r_j > 0 reaches 0 first, which
-        drops row j.  A dependent p (h ~ 0) violated within tol is set
-        aside; with no r_j > 0, e_p - r is a dual ray: a Farkas certificate
-        of emptiness once its gap d_A'r - d_p exceeds tol.  Returns z, each
-        point certified as in ``project_intersection``."""
+        drops row j.  With tol the point's certificate tolerance, a
+        dependent p (h ~ 0) violated within tol is set aside; with no
+        r_j > 0, e_p - r is a dual ray: a Farkas certificate of emptiness
+        once its gap d_A'r - d_p exceeds tol.  Returns z, each point
+        certified as in ``project_intersection``."""
         C, d, eps = self.C, self.d, np.finfo(float).eps
         (B, n), m = x.shape, len(d)
         C0, d0 = np.vstack([C, np.zeros(n)]), np.append(d, 0.0)
@@ -277,11 +268,11 @@ class Polyhedron:
         # and the row p adding.  The first L points are unfinished, and one
         # that finishes swaps places with the last unfinished one.
         scale = 1.0 + np.abs(x).max(axis=1) + self._scale
-        state = [np.arange(B), tol * scale, np.zeros((B, n), dtype=np.intp),
-                 np.zeros(B, dtype=np.intp), np.tile(np.eye(n), (B, 1, 1)),
-                 np.zeros((B, n, n)), x.copy(), 16.0 * eps * scale,
-                 np.zeros((B, n)), np.zeros((B, m), dtype=np.int8),
-                 np.full(B, -1), np.zeros(B)]
+        state = [np.arange(B), CERTIFICATE_TOL * scale,
+                 np.zeros((B, n), dtype=np.intp), np.zeros(B, dtype=np.intp),
+                 np.tile(np.eye(n), (B, 1, 1)), np.zeros((B, n, n)), x.copy(),
+                 16.0 * eps * scale, np.zeros((B, n)),
+                 np.zeros((B, m), dtype=np.int8), np.full(B, -1), np.zeros(B)]
         L, outer = B, np.empty((B, n, n))  # (reused: no page faults)
         for _ in range(10 * (m + n)):
             ids, tol_, rows, q, J, TinvT, z, roundoff, lam, mark, p, lam_p = (
@@ -386,30 +377,34 @@ class Polyhedron:
         return z
 
 
-def project_intersection(sets, x, tol: float = CERTIFICATE_TOL) -> Array:
-    """Projection of x, or of each point of a stack (rows), onto the
-    intersection of ``sets`` (``ConstraintSet`` objects or their
-    ``Polyhedron``).  The points are solved cold, in lockstep, at most
+def project_intersection(rows: Polyhedron, x) -> Array:
+    """Projection of x, or of each point of a stack (rows of x), onto the
+    polyhedron ``rows``.  The points are solved cold, in lockstep, at most
     ``CHUNK`` at a time; a point's answer does not depend on the others.
     An answer is returned only when its KKT certificate (feasibility,
-    complementary slackness and stationarity to tol * (1 + ||x||_inf +
-    max_i |d_i|), nonnegative multipliers) holds; an empty intersection or
-    a failed certificate raises DykstraError.
+    complementary slackness and stationarity to CERTIFICATE_TOL * (1 +
+    ||x||_inf + max_i |d_i|), nonnegative multipliers) holds; an empty
+    intersection or a failed certificate raises DykstraError.
     """
-    if not isinstance(sets, Polyhedron):
-        sets = list(sets)
-        if not sets:
-            raise ValueError("need at least one set")
-        sets = Polyhedron.of(sets, np.shape(x)[-1])
-    return sets.project(x, tol)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != rows.dim:
+        raise ValueError(f"dimension mismatch: expected ({rows.dim},), "
+                         f"got {x.shape}")
+    if not np.isfinite(x).all():  # LAPACK would fail on it less clearly
+        raise ValueError("cannot project a non-finite point")
+    points = np.atleast_2d(x)
+    if not len(rows.d) or not len(points):  # X = R^n, or no point
+        return x.copy()
+    z = [rows._solve(points[i:i + CHUNK])
+         for i in range(0, len(points), CHUNK)]
+    return np.concatenate(z).reshape(x.shape)
 
 
-def dist_intersection(sets, x, tol: float = CERTIFICATE_TOL):
-    """Distance from x to the intersection of ``sets``, or the array of
+def dist_intersection(rows: Polyhedron, x):
+    """Distance from x to the polyhedron ``rows``, or the array of
     distances of a stack of points (see ``project_intersection``)."""
     x = np.asarray(x, dtype=np.float64)
-    dist = [norm(r) for r in np.atleast_2d(
-        x - project_intersection(sets, x, tol=tol))]
+    dist = [norm(r) for r in np.atleast_2d(x - project_intersection(rows, x))]
     return np.array(dist) if x.ndim == 2 else dist[0]
 
 

@@ -150,7 +150,7 @@ def gen_feasibility(n: int = 10, sets: int = 20, seed: int = 0,
         constraints.append(Halfspace(c, rng.uniform(margin, margin + 1.0)))
     problem = StochasticProblem([QuadraticNorm(n, lam)], constraints, n,
                                 one_pass=sets)
-    problem.x_star = project_intersection(problem.rows, np.zeros(n), tol=1e-13)
+    problem.x_star = project_intersection(problem.rows, np.zeros(n))
     return problem
 
 

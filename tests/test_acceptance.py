@@ -283,7 +283,7 @@ def test_criterion_11_markowitz_pipeline(tmp_path):
     table = synth_returns(periods=1276, n=25, seed=3)
     prob = build_markowitz(table, seed=5)
     assert (len(prob.losses), table.n_assets) == (1148, 25)
-    x0 = project_intersection(prob.constraints, np.zeros(25), tol=1e-12)
+    x0 = project_intersection(prob.rows, np.zeros(25))
     K = prob.one_pass
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 1.0), iterations=K,
                        stride=K // 8, x0=x0)

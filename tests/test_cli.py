@@ -79,43 +79,72 @@ _FAMILY_USING = {"noise": "random-ls-polyhedron", "train_frac": "markowitz",
 
 
 @pytest.mark.parametrize("section, key, value, argv", [
-    ("experiment", "stride", "-5", []),
-    ("experiment", "iterations", "-3", []),
-    ("experiment", "workers", "-4", []),
-    ("experiment", "kappa_probes", "-2", []),
-    # feas_tol is no longer a key: any value is rejected as an unknown key
-    ("experiment", "feas_tol", "-1", []),
-    ("experiment", "feas_tol", "0", []),
-    ("experiment", "feas_tol", "inf", []),
-    ("experiment", "feas_tol", "nan", []),
-    ("problem", "b_policy", "foo", []),
-    ("problem", "b_policy", "nan", []),
-    ("experiment", "workers", "1", ["--workers", "-1"]),
-    ("experiment", "base_seed", "-5", []),
-    ("solvers", "mu0", "nan", []),
-    ("solvers", "mu0", "inf", []),
-    ("solvers", "gamma", "nan", []),
-    ("solvers", "gamma", "inf", []),
-    ("problem", "noise", "nan", []),
-    ("problem", "train_frac", "nan", []),
-    ("problem", "margin", "nan", []),
-    ("problem", "lam", "nan", []),
-    ("problem", "spread", "inf", []),
-    ("problem", "sets", "-3", []),
-    ("problem", "active", "-1", []),
-    ("problem", "family", "foo", []),
-    ("problem", "seed", "-1", []),
-    ("problem", "train_frac", "1", []),
-    ("problem", "lam", "0", []),
-    ("problem", "margin", "-0.5", []),
-    ("problem", "m", "2", []),
-    ("solvers", "mu0", "0.5, 0.5000001", []),  # both spp_mu0.5_g1
-    ("solvers", "algorithms", "spp, spp", []),
-    ("solvers", "gamma", "1, 1.0000001", []),
-    ("experiment", "runs", "0", []),
-    ("experiment", "record_feasibility", "maybe", []),
-    ("experiment", "debug_runs", "2", []),
-    ("experiment", "kappa_probes", "1.5", []),
+    # explicit ids, so that no case is renamed when a row comes or goes:
+    # each row keeps the id pytest gave it from its index when it came
+    pytest.param("experiment", "stride", "-5", [],
+                 id="experiment-stride--5-argv0"),
+    pytest.param("experiment", "iterations", "-3", [],
+                 id="experiment-iterations--3-argv1"),
+    pytest.param("experiment", "workers", "-4", [],
+                 id="experiment-workers--4-argv2"),
+    pytest.param("experiment", "kappa_probes", "-2", [],
+                 id="experiment-kappa_probes--2-argv3"),
+    pytest.param("problem", "b_policy", "foo", [],
+                 id="problem-b_policy-foo-argv8"),
+    pytest.param("problem", "b_policy", "nan", [],
+                 id="problem-b_policy-nan-argv9"),
+    pytest.param("experiment", "workers", "1", ["--workers", "-1"],
+                 id="experiment-workers-1-argv10"),
+    pytest.param("experiment", "base_seed", "-5", [],
+                 id="experiment-base_seed--5-argv11"),
+    pytest.param("solvers", "mu0", "nan", [],
+                 id="solvers-mu0-nan-argv12"),
+    pytest.param("solvers", "mu0", "inf", [],
+                 id="solvers-mu0-inf-argv13"),
+    pytest.param("solvers", "gamma", "nan", [],
+                 id="solvers-gamma-nan-argv14"),
+    pytest.param("solvers", "gamma", "inf", [],
+                 id="solvers-gamma-inf-argv15"),
+    pytest.param("problem", "noise", "nan", [],
+                 id="problem-noise-nan-argv16"),
+    pytest.param("problem", "train_frac", "nan", [],
+                 id="problem-train_frac-nan-argv17"),
+    pytest.param("problem", "margin", "nan", [],
+                 id="problem-margin-nan-argv18"),
+    pytest.param("problem", "lam", "nan", [],
+                 id="problem-lam-nan-argv19"),
+    pytest.param("problem", "spread", "inf", [],
+                 id="problem-spread-inf-argv20"),
+    pytest.param("problem", "sets", "-3", [],
+                 id="problem-sets--3-argv21"),
+    pytest.param("problem", "active", "-1", [],
+                 id="problem-active--1-argv22"),
+    pytest.param("problem", "family", "foo", [],
+                 id="problem-family-foo-argv23"),
+    pytest.param("problem", "seed", "-1", [],
+                 id="problem-seed--1-argv24"),
+    pytest.param("problem", "train_frac", "1", [],
+                 id="problem-train_frac-1-argv25"),
+    pytest.param("problem", "lam", "0", [],
+                 id="problem-lam-0-argv26"),
+    pytest.param("problem", "margin", "-0.5", [],
+                 id="problem-margin--0.5-argv27"),
+    pytest.param("problem", "m", "2", [],
+                 id="problem-m-2-argv28"),
+    pytest.param("solvers", "mu0", "0.5, 0.5000001", [],
+                 id="solvers-mu0-0.5, 0.5000001-argv29"),  # both spp_mu0.5_g1
+    pytest.param("solvers", "algorithms", "spp, spp", [],
+                 id="solvers-algorithms-spp, spp-argv30"),
+    pytest.param("solvers", "gamma", "1, 1.0000001", [],
+                 id="solvers-gamma-1, 1.0000001-argv31"),
+    pytest.param("experiment", "runs", "0", [],
+                 id="experiment-runs-0-argv32"),
+    pytest.param("experiment", "record_feasibility", "maybe", [],
+                 id="experiment-record_feasibility-maybe-argv33"),
+    pytest.param("experiment", "debug_runs", "2", [],
+                 id="experiment-debug_runs-2-argv34"),
+    pytest.param("experiment", "kappa_probes", "1.5", [],
+                 id="experiment-kappa_probes-1.5-argv35"),
 ])
 def test_invalid_run_keys_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
                                                  section, key, value, argv):
@@ -133,13 +162,16 @@ def test_invalid_run_keys_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1e-10", "-1", "0", "inf", "nan"])
 def test_a_config_setting_the_removed_feas_tol_is_rejected(tmp_path,
                                                             monkeypatch,
-                                                            capsys):
+                                                            capsys, value):
     # projections are certified at constraints.CERTIFICATE_TOL, which no
     # config can set: the old key is an unknown key like any other
     cfg = tmp_path / "old.ini"
-    cfg.write_text(_with_key("experiment", "feas_tol", "1e-10"))
+    cfg.write_text(_with_key("experiment", "feas_tol", value))
+    with pytest.raises(ConfigError, match="feas_tol"):
+        parse_config(cfg)
     out = tmp_path / "out"
     monkeypatch.setenv("SPPROX_OUTDIR", str(out))
     assert main(["run", str(cfg)]) == 1
@@ -431,7 +463,7 @@ def test_cli_path_does_not_import_scipy():
         "p = generate(GeneratorSpec('constrained-ls', n=8, m=240, seed=3))\n"
         "generate(GeneratorSpec('random-ls-polyhedron', n=6, m=60, seed=3))\n"
         "generate(GeneratorSpec('markowitz', n=5, periods=60, seed=3))\n"
-        "project_intersection(p.constraints, p.x_star + 5.0)\n"
+        "project_intersection(p.rows, p.x_star + 5.0)\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m == 'scipy' or m.startswith('scipy.')))\n")
     out = _run_python(script)

@@ -61,6 +61,13 @@ def test_dimension_mismatch_raises():
         q.value(np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_batch_least_squares_rejects_a_non_finite_a(bad):
+    # as LinearResidualSquared and ComposedScalar reject a non-finite a
+    with pytest.raises(ValueError, match="non-finite"):
+        BatchLeastSquares([[bad, 1.0], [0.0, 1.0]], [1.0, 1.0])
+
+
 def test_prox_matches_bruteforce_oracle():
     rng = np.random.default_rng(31)
     for _ in range(150):

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from spprox import (Box, DykstraError, Halfspace, Hyperplane,
                     fill_feasibility, gen_constrained_ls, generate,
                     parse_config, project_intersection, run, synth_returns)
 from spprox import constraints
-from spprox.constraints import CERTIFICATE_TOL
 from spprox.harness import CONFIG_TEMPLATES
 from spprox.problems import _refine_optimum
 
@@ -73,14 +73,15 @@ def test_firm_nonexpansiveness():
 def test_dist_intersection_corner():
     sets = [Halfspace(np.array([1.0, 0.0]), 0.0),
             Halfspace(np.array([0.0, 1.0]), 0.0)]
-    assert abs(dist_intersection(sets, np.array([1.0, 1.0]))
+    assert abs(dist_intersection(Polyhedron.of(sets, 2), np.array([1.0, 1.0]))
                - np.sqrt(2.0)) < 1e-10
 
 
 def test_dist_intersection_single_set_reduction():
     s = Halfspace(np.array([1.0, 1.0]), 0.5)
     x = np.array([2.0, 2.0])
-    assert abs(dist_intersection([s], x) - s.distance(x)) < 1e-14
+    assert abs(dist_intersection(Polyhedron.of([s], 2), x)
+               - s.distance(x)) < 1e-14
 
 
 def test_dist_intersection_matches_enumeration():
@@ -94,7 +95,7 @@ def test_dist_intersection_matches_enumeration():
                                   + abs(float(rng.standard_normal()))))
         x = 3 * rng.standard_normal(2)
         exact = enum_polyhedron_projection(sets, x)
-        got = dist_intersection(sets, x, tol=1e-10)
+        got = dist_intersection(Polyhedron.of(sets, 2), x)
         assert abs(got - np.linalg.norm(exact - x)) <= 1e-8
 
 
@@ -103,9 +104,10 @@ def test_dist_intersection_zero_iff_feasible():
     anchor = np.zeros(3)
     sets = [Halfspace(rng.standard_normal(3), 0.3 + float(rng.uniform()))
             for _ in range(5)]
-    assert dist_intersection(sets, anchor) == 0.0
+    rows = Polyhedron.of(sets, 3)
+    assert dist_intersection(rows, anchor) == 0.0
     x = 5 * np.ones(3)
-    d = dist_intersection(sets, x, tol=1e-10)
+    d = dist_intersection(rows, x)
     assert d >= max(s.distance(x) for s in sets) - 1e-10
     if d <= 1e-10:
         assert all(s.distance(x) <= 1e-8 for s in sets)
@@ -116,17 +118,17 @@ def test_inconsistent_hyperplanes_raise():
                 Hyperplane(np.array([1.0, 1.0]), -1.0),
                 Hyperplane(np.array([2.0, 2.0]), 1.0)]
     with pytest.raises(DykstraError, match="empty intersection"):
-        project_intersection(parallel, np.array([4.0, 4.0]))
+        project_intersection(Polyhedron.of(parallel, 2), np.array([4.0, 4.0]))
     # the hyperplane fixes x_0 = 2, which the box's upper row excludes
     fixed = [Hyperplane(np.array([1.0, 0.0]), 2.0), Box(np.zeros(2), np.ones(2))]
     with pytest.raises(DykstraError, match="empty intersection"):
-        dist_intersection(fixed, np.zeros(2))
+        dist_intersection(Polyhedron.of(fixed, 2), np.zeros(2))
 
 
 def test_empty_halfspace_intersection_raises():
     sets = [Halfspace([1.0, 0.0], 0.0), Halfspace([-1.0, 0.0], -1.0)]
     with pytest.raises(DykstraError):
-        project_intersection(sets, [3.0, 2.0])
+        project_intersection(Polyhedron.of(sets, 2), [3.0, 2.0])
 
 
 @pytest.mark.parametrize("kind", [Halfspace, Hyperplane])
@@ -148,7 +150,7 @@ def test_inconsistent_parallel_pairs_are_reported_empty(kind):
         else:
             sets = [Hyperplane(c, d), Hyperplane(k * c, k * (d + gap))]
         with pytest.raises(DykstraError, match="empty intersection"):
-            project_intersection(sets, x)
+            project_intersection(Polyhedron.of(sets, dim), x)
 
 
 def test_tiny_gap_parallel_pairs_are_reported_empty():
@@ -164,7 +166,7 @@ def test_tiny_gap_parallel_pairs_are_reported_empty():
         gap = 10.0 ** rng.uniform(-4, 1) * float(np.linalg.norm(c))
         sets = [Halfspace(c, d), Halfspace(-k * c, -k * (d + gap))]
         with pytest.raises(DykstraError, match="empty intersection"):
-            project_intersection(sets, x)
+            project_intersection(Polyhedron.of(sets, dim), x)
 
 
 def _exact_2x2(c1, d1, c2, d2):
@@ -185,8 +187,8 @@ def test_nearly_parallel_hyperplanes_match_exact_solve():
         c1 = 10.0 ** rng.uniform(-1, 1) * np.array([math.cos(a), math.sin(a)])
         c2 = 10.0 ** rng.uniform(-1, 1) * np.array([math.cos(b), math.sin(b)])
         d1, d2 = float(rng.standard_normal()), float(rng.standard_normal())
-        z = project_intersection([Hyperplane(c1, d1), Hyperplane(c2, d2)],
-                                 3.0 * rng.standard_normal(2))
+        rows = Polyhedron.of([Hyperplane(c1, d1), Hyperplane(c2, d2)], 2)
+        z = project_intersection(rows, 3.0 * rng.standard_normal(2))
         exact = _exact_2x2(c1, d1, c2, d2)
         worst = max(worst, np.linalg.norm(z - exact) / np.linalg.norm(exact))
     assert worst <= 1e-13
@@ -197,7 +199,7 @@ def test_thin_wedge_is_not_reported_empty(eps):
     # {|z_0| <= -eps z_1} holds the origin, the projection of (0, 1)
     sets = [Halfspace([1.0, eps], 0.0), Halfspace([-1.0, eps], 0.0)]
     try:
-        z = project_intersection(sets, np.array([0.0, 1.0]))
+        z = project_intersection(Polyhedron.of(sets, 2), np.array([0.0, 1.0]))
     except DykstraError as err:
         assert "certificate failed" in str(err)
     else:
@@ -224,10 +226,11 @@ def test_the_certificate_checks_the_multipliers(monkeypatch, multipliers,
     # a feasible point (no rows, z = x) rides in the same batch
     poly = Polyhedron(np.array([[1.0, 0.0]]), np.zeros(1))
     stack = np.array([[0.0, 1.0], point])
-    assert np.allclose(poly.project(stack), [[0.0, 1.0], [0.0, 1.0]])
+    assert np.allclose(project_intersection(poly, stack),
+                       [[0.0, 1.0], [0.0, 1.0]])
     _patch_equality(monkeypatch, multipliers)
     with pytest.raises(DykstraError, match="certificate failed"):
-        poly.project(stack)
+        project_intersection(poly, stack)
 
 
 def test_far_probe_projection_is_certified(desk_ls):
@@ -235,7 +238,7 @@ def test_far_probe_projection_is_certified(desk_ls):
     xs = desk_ls.x_star
     u = np.random.default_rng(1).standard_normal(20)
     x = xs + 2.0 * max(1.0, np.linalg.norm(xs)) * u / np.linalg.norm(u)
-    z = project_intersection(desk_ls.constraints, x)
+    z = project_intersection(desk_ls.rows, x)
     assert max(s.distance(z) for s in desk_ls.constraints) <= 1e-9
     C = np.stack([s.c for s in desk_ls.constraints])
     d = np.array([s.d for s in desk_ls.constraints])
@@ -243,7 +246,7 @@ def test_far_probe_projection_is_certified(desk_ls):
     tight = (C @ z - d) / nrm >= -1e-9
     _, res = nnls((C[tight] / nrm[tight, None]).T, x - z)
     assert res <= 1e-8
-    assert dist_intersection(desk_ls.constraints, x) == np.linalg.norm(x - z)
+    assert dist_intersection(desk_ls.rows, x) == np.linalg.norm(x - z)
 
 
 def test_estimate_kappa_single_halfspace():
@@ -315,7 +318,7 @@ def test_working_set_matches_enumeration():
             for c in (rng.standard_normal(4) for _ in range(24))]
     for _ in range(5):
         x = 3 * rng.standard_normal(4)
-        fast = project_intersection(sets, x, tol=1e-10)
+        fast = project_intersection(Polyhedron.of(sets, 4), x)
         exact = enum_polyhedron_projection(sets, x)
         assert np.linalg.norm(fast - exact) <= 1e-8
 
@@ -344,10 +347,11 @@ def test_mixed_families_match_enumeration():
         dim = 2 + rng.integers(2)
         sets = _mixed_family(rng, dim)
         xs = 3 * rng.standard_normal((3, dim))
-        stacked = Polyhedron.of(sets, dim).project(xs)  # one batch
+        rows = Polyhedron.of(sets, dim)
+        stacked = project_intersection(rows, xs)  # one batch
         for x, z in zip(xs, stacked):
             exact = enum_polyhedron_projection(sets, x)
-            assert np.linalg.norm(project_intersection(sets, x) - exact) <= 1e-9
+            assert np.linalg.norm(project_intersection(rows, x) - exact) <= 1e-9
             assert np.linalg.norm(z - exact) <= 1e-9
 
 
@@ -356,21 +360,38 @@ def test_polyhedron_rejects_non_finite_point(bad, capfd):
     rows = Polyhedron.of([Halfspace(np.array([1.0, 0.0]), 0.5),
                           Halfspace(np.array([0.0, 1.0]), 1.0)], 2)
     with pytest.raises(ValueError, match="non-finite"):
-        rows.project(np.array([bad, 0.0]))
+        project_intersection(rows, np.array([bad, 0.0]))
     with pytest.raises(ValueError, match="non-finite"):
-        rows.project(np.array([[3.0, 2.0], [0.0, bad]]))
+        project_intersection(rows, np.array([[3.0, 2.0], [0.0, bad]]))
     assert "DLASCL" not in capfd.readouterr().err  # no LAPACK call was made
 
 
-@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
-def test_projection_rejects_a_bad_tolerance(tol):
-    sets = [Halfspace(np.array([1.0, 0.0]), 0.5),
-            Halfspace(np.array([0.0, 1.0]), 1.0)]
-    x = np.array([3.0, 2.0])
-    with pytest.raises(ValueError, match="tol = "):
-        Polyhedron.of(sets, 2).project(x, tol=tol)
-    with pytest.raises(ValueError, match="tol = "):
-        project_intersection(sets, x, tol=tol)
+@pytest.mark.parametrize("C, d, fault", [
+    (np.ones((3, 2)), [1.0], "one entry per row"),  # d would broadcast
+    (np.ones((2, 2)), [[1.0, 1.0]], "one entry per row"),
+    (np.ones(2), [1.0], "2-D"),
+    (np.ones((2, 2)), [1.0, np.nan], "finite"),
+    ([[np.inf, 1.0], [0.0, 1.0]], [1.0, 1.0], "finite"),
+], ids=["d-per-row", "d-2-D", "C-1-D", "d-nan", "C-inf"])
+def test_polyhedron_rejects_malformed_rows(C, d, fault):
+    with pytest.raises(ValueError, match=fault):
+        Polyhedron(C, d)
+
+
+def test_no_caller_sets_the_certificate_tol(monkeypatch):
+    # the oracle takes rows and points only; every solve reads the
+    # module's tolerance when it runs, and at 0 roundoff fails it
+    for oracle in (project_intersection, dist_intersection):
+        assert list(inspect.signature(oracle).parameters) == ["rows", "x"]
+    rows = Polyhedron.of([Halfspace([1.0, 3.0], 0.5),
+                          Halfspace([-2.0, 1.0], 0.3)], 2)
+    x = np.array([1.3, 2.7])  # outside X
+    assert np.allclose(project_intersection(rows, x), [0.41, 0.03])
+    monkeypatch.setattr(constraints, "CERTIFICATE_TOL", 0.0)
+    with pytest.raises(DykstraError, match="certificate failed"):
+        project_intersection(rows, x)
+    with pytest.raises(DykstraError, match="certificate failed"):
+        dist_intersection(rows, x)
 
 
 def test_row_mean_sq_distance_matches_set_loop():
@@ -426,8 +447,7 @@ def _recorded_points(problem, cfg, seed):
 def _feas_is_one_stacked_call(problem, cfg, seed):
     trace = _feas_is_bit_stable(problem, cfg, seed)
     points = _recorded_points(problem, cfg, seed)
-    assert np.array_equal(trace.feas, dist_intersection(
-        problem.rows, points, tol=CERTIFICATE_TOL))
+    assert np.array_equal(trace.feas, dist_intersection(problem.rows, points))
 
 
 def test_feasibility_record_bits_do_not_depend_on_history_desk():
@@ -449,12 +469,12 @@ def _same_bits_in_any_batch(rows, points):
     """Projections and distances of ``points`` solved all at once, in
     batches of 7 and one at a time (a stack of one and a 1-D point) agree
     bit for bit."""
-    whole = rows.project(points)
+    whole = project_intersection(rows, points)
     for size in (1, 7):
-        parts = [rows.project(points[i:i + size])
+        parts = [project_intersection(rows, points[i:i + size])
                  for i in range(0, len(points), size)]
         assert np.array_equal(np.concatenate(parts), whole)
-    assert all(np.array_equal(rows.project(x), z)
+    assert all(np.array_equal(project_intersection(rows, x), z)
                for x, z in zip(points, whole))
     dist = dist_intersection(rows, points)
     assert np.array_equal(dist, [np.sqrt(r.dot(r)) for r in points - whole])
@@ -501,4 +521,4 @@ def test_a_problem_with_no_rows_gives_zero_distances():
     assert np.array_equal(dist_intersection(problem.rows, points),
                           np.zeros(6))
     assert dist_intersection(problem.rows, points[0]) == 0.0
-    assert np.array_equal(problem.rows.project(points), points)
+    assert np.array_equal(project_intersection(problem.rows, points), points)

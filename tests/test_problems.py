@@ -7,7 +7,8 @@ from spprox import (GeneratorSpec, Halfspace, Hyperplane, QuadraticNorm,
                     gen_finite_sum, gen_random_ls_polyhedron, generate,
                     load_returns_csv, run, synth_returns)
 from spprox.components import BatchLeastSquares
-from spprox.constraints import dist_intersection, project_intersection
+from spprox.constraints import (Polyhedron, dist_intersection,
+                                project_intersection)
 from spprox.problems import FAMILIES, _refine_optimum, knob_defaults
 from spprox.schedules import PolynomialDecay
 
@@ -67,12 +68,11 @@ def test_generation_deterministic():
 
 
 def test_random_ls_polyhedron_reference(desk_poly):
-    assert dist_intersection(desk_poly.constraints, desk_poly.x_star,
-                             tol=1e-10) <= 1e-8
+    assert dist_intersection(desk_poly.rows, desk_poly.x_star) <= 1e-8
     # fixed point of the projected-gradient map at the stored optimum
     g = desk_poly.mean_gradient(desk_poly.x_star)
     step = desk_poly.x_star - 1e-3 * g
-    back = project_intersection(desk_poly.constraints, step, tol=1e-12)
+    back = project_intersection(desk_poly.rows, step)
     assert np.linalg.norm(back - desk_poly.x_star) <= 1e-6
 
 
@@ -121,7 +121,7 @@ def test_feasibility_wedge_small_lambda_limit():
     # wedge away from the origin; as lam -> 0 the optimum approaches P_X(0)
     sets = [Halfspace(np.array([-1.0, 0.0]), -1.0),
             Halfspace(np.array([0.0, -1.0]), -0.5)]
-    target = project_intersection(sets, np.zeros(2), tol=1e-13)
+    target = project_intersection(Polyhedron.of(sets, 2), np.zeros(2))
     losses = [QuadraticNorm(2, 1e-3)]
     prob = StochasticProblem(losses, sets, 2)
     cfg = SolverConfig("spp", PolynomialDecay(1.0, 0), iterations=3000,

@@ -372,7 +372,7 @@ def test_a_bare_run_never_solves_an_intersection(small_ls, monkeypatch,
         raise AssertionError("a run solved an intersection")
 
     monkeypatch.setattr(solvers, "dist_intersection", refuse)
-    monkeypatch.setattr(Polyhedron, "project", refuse)
+    monkeypatch.setattr(Polyhedron, "_solve", refuse)
     cfg = SolverConfig(algorithm, PolynomialDecay(1.0, 1.0), iterations=60,
                        stride=10)
     tr = run(small_ls, cfg, np.random.default_rng(13))
