@@ -366,13 +366,15 @@ class Polyhedron:
             slack.max(axis=1, initial=0.0),
             np.abs(np.take_along_axis(slack, pad, axis=1)).max(axis=1),
             np.sqrt(_rowdot(res, res))])
-        least = mu.min(axis=1)
+        least = np.where(cols < q[:, None], mu, np.inf).min(axis=1)  # rows A
         failed = ~((worst <= tol) & (least >= 0.0))  # also catches NaN
         if failed.any():
             i = int(np.argmax(failed))
+            mult = (f"least multiplier {least[i]:.3g}" if q[i]
+                    else "no active row")
             raise DykstraError(f"least-distance certificate failed: residual "
                                f"{worst[i]:.3g} (tolerance {tol[i]:.3g}), "
-                               f"least multiplier {least[i]:.3g}")
+                               f"{mult}")
         z[ids] = z.copy()
         return z
 

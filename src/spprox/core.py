@@ -98,6 +98,10 @@ class StochasticProblem:
             raise ValueError("at least one loss component is required")
         if not self.constraints:
             raise ValueError("at least one constraint set is required")
+        for part in self.losses + self.constraints:
+            if part.dim != self.dim:
+                raise ValueError(f"{part.kind} has dimension {part.dim}, "
+                                 f"the problem {self.dim}")
         self.test_objective = test_objective
         self.one_pass = int(one_pass) if one_pass else len(self.losses)
         self.meta = dict(meta) if meta else {}

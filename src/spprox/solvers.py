@@ -4,10 +4,13 @@ One loop, ``run``, serves all four: SPP's step x <- project_{X_S}(prox_{mu
 f(.;S)}(x)) (a projected gradient step for the SGD baseline) with the
 iterate, the stepsize-weighted average, or an epoch restart as output.  All
 share the sampling contract of ``StochasticProblem`` and emit a ``RunTrace``
-of per-iteration metrics, computed on the stack of recorded points after
-the loop.  ``run`` never solves an intersection: its ``feas`` is NaN, and
-``fill_feasibility``, the one owner of that metric, sets the distances to X
-of the points of any list of traces from one batched intersection solve.
+of what the run measured: per-iteration metrics, computed on the stack of
+recorded output points after the loop, and ``final``, the output at the last
+iteration; the algorithm and rspp's epochs stay with the config
+(``rspp_schedule``, ``epochs_for_budget``).  ``run`` never solves an
+intersection: its ``feas`` is NaN, and ``fill_feasibility``, the one owner
+of that metric, sets the distances to X of the points of any list of traces
+from one batched intersection solve.
 One run is strictly sequential; Monte-Carlo repetitions parallelize at the
 harness level with independently seeded generators.
 """
@@ -15,7 +18,7 @@ harness level with independently seeded generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,16 +89,16 @@ class SolverConfig:
 class RunTrace:
     """Per-iteration metrics of one solver run.
 
-    ``sqdist``/``feas``/``objective``/``test_obj`` refer to the algorithm's
-    output point at the recorded iteration (the running weighted average for
-    aspp, the iterate otherwise), the rows of ``points``; entries are NaN
-    where a metric is unavailable (unknown optimum, no test objective, or
-    ``feas`` before ``fill_feasibility``).  ``final_average`` is aspp's
-    output at K (every other scheme's is ``final``); a run truncated by
-    divergence has ``diverged_at``, the iteration it stopped at.
+    ``sqdist``/``feas``/``objective``/``test_obj`` refer to the scheme's
+    output point at each recorded iteration of ``ks`` (the running weighted
+    average for aspp, the iterate otherwise), the rows of ``points``, and
+    ``stepsizes`` to that iteration's; entries are NaN where a metric is
+    unavailable (unknown optimum, no test objective, or ``feas`` before
+    ``fill_feasibility``).  ``final`` is the output at the last iteration
+    run; a run truncated by divergence has ``diverged_at``, the iteration it
+    stopped at.
     """
 
-    algorithm: str
     ks: Array
     stepsizes: Array
     sqdist: Array
@@ -104,12 +107,6 @@ class RunTrace:
     test_obj: Array
     final: Array
     points: Array | None = None
-    final_average: Array | None = None
-    iterate_sqdist: Array | None = None
-    epoch_ends: list = field(default_factory=list)
-    epoch_stepsizes: list = field(default_factory=list)
-    epoch_lengths: list = field(default_factory=list)
-    epoch_outputs: list = field(default_factory=list)
     diverged_at: int | None = None
     max_sampled_violation: float = 0.0
 
@@ -167,46 +164,47 @@ def run(problem: StochasticProblem, config: SolverConfig,
 
     * spp and sgd report the iterate;
     * aspp reports the running average xhat^k = (sum_{i<k} mu_i x^i) /
-      (sum_{i<k} mu_i) (with xhat^0 := x^0), and ``iterate_sqdist`` tracks
-      the raw iterate;
+      (sum_{i<k} mu_i) (with xhat^0 := x^0);
     * rspp runs epoch t for K_t = ceil(t^gamma) iterations at the constant
-      stepsize mu_t = mu0/t^gamma, for the most epochs that fit the budget,
-      and restarts from the plain average of the epoch's iterates (the
-      stepsize-weighted average under a constant stepsize); the trace
-      records the inner iterates on the global iteration counter plus the
-      epoch boundaries and outputs.
+      stepsize mu_t = mu0/t^gamma (``rspp_schedule``), for the most epochs
+      that fit the budget (``epochs_for_budget``), and restarts from the
+      plain average of the epoch's iterates (the stepsize-weighted average
+      under a constant stepsize); the trace records the inner iterates on
+      the global iteration counter, and the record at each epoch's end is
+      its restart point.
 
-    A non-finite iterate raises ``SolverError`` in a prox scheme.  For sgd,
-    divergence (norm above 1e12, or a non-finite iterate) is an observable
-    outcome: the trace is truncated and flagged, not raised.  The trace's
-    ``feas`` is NaN; ``fill_feasibility`` fills it.
+    ``final`` is the output at the last iteration run.  A non-finite
+    iterate raises ``SolverError`` in a prox scheme.  For sgd, divergence
+    (norm above 1e12, or a non-finite iterate) is an observable outcome:
+    the trace is truncated and flagged, not raised, and ``final`` is the
+    diverged iterate.  The trace's ``feas`` is NaN; ``fill_feasibility``
+    fills it.
     """
     alg = config.algorithm
     x = config.validate(problem.dim)
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     sgd, averaged, restarted = alg == "sgd", alg == "aspp", alg == "rspp"
+    restarts = set()  # the iterations after which rspp restarts
     if restarted:
         sched = config.schedule
         T = epochs_for_budget(sched.gamma, config.iterations)
         mu_ts, k_ts = rspp_schedule(sched.mu0, sched.gamma, T)
         # the last epoch's stepsize stands for the record at k = K
         mus = np.append(np.repeat(mu_ts, k_ts), mu_ts[-1])
-        epoch_ends = np.cumsum(k_ts).tolist()
+        restarts = set(np.cumsum(k_ts).tolist())
     else:
         mus = config.schedule.block(0, config.iterations + 1)
     K = len(mus) - 1  # mus[k] steps iteration k and is recorded at k
     li, ci = (a.tolist() for a in problem.sample_indices(rng, K))
     losses, sets, steps = problem.losses, problem.constraints, mus.tolist()
     stride = config.stride
-    points, iterates = [], []  # the recorded output points and iterates
+    points = []  # the recorded output points
     wavg, wsum = np.zeros_like(x), 0.0
-    epoch_outputs = []
     max_viol = 0.0
     diverged_at = None
     for k in range(K + 1):
         if k % stride == 0:
             points.append((wavg / wsum) if (averaged and k > 0) else x)
-            iterates.append(x)
         if k == K:
             break
         mu = steps[k]
@@ -226,27 +224,16 @@ def run(problem: StochasticProblem, config: SolverConfig,
                     f"non-finite iterate at iteration {k + 1}", k + 1)
             diverged_at = k + 1
             break
-        if restarted and k + 1 == epoch_ends[len(epoch_outputs)]:
+        if k + 1 in restarts:
             x = wavg / wsum  # restart from the epoch average
-            epoch_outputs.append(x.copy())
             wavg, wsum = np.zeros_like(x), 0.0
-    extra = {}
-    if averaged:
-        extra = dict(final_average=wavg / wsum)
-    elif restarted:
-        extra = dict(epoch_ends=epoch_ends,
-                     epoch_stepsizes=list(map(float, mu_ts)),
-                     epoch_lengths=list(map(int, k_ts)),
-                     epoch_outputs=epoch_outputs)
     points = np.array(points)
     ks = stride * np.arange(len(points))
     nan = np.full(len(ks), math.nan)
     test_objective = problem.test_objective
     return RunTrace(
-        alg, ks, mus[ks], _sq_distances(points, problem.x_star), nan.copy(),
+        ks, mus[ks], _sq_distances(points, problem.x_star), nan.copy(),
         problem.objective(points),
         nan if test_objective is None else test_objective(points),
-        final=x.copy(), points=points,
-        iterate_sqdist=(_sq_distances(np.array(iterates), problem.x_star)
-                        if averaged else None),
-        diverged_at=diverged_at, max_sampled_violation=max_viol, **extra)
+        final=(wavg / wsum) if averaged else x.copy(), points=points,
+        diverged_at=diverged_at, max_sampled_violation=max_viol)

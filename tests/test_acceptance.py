@@ -231,14 +231,17 @@ def test_criterion_08_rspp_schedule():
         [WholeSpace(3)], 3, x_star=np.zeros(3), kappa=1.0)
     for gamma, T in ((0.5, 50), (1.0, 50), (2.0, 20)):
         mu_ts, k_ts = rspp_schedule(1.0, gamma, T)
+        assert mu_ts.tolist() == [1.0 / t ** gamma for t in range(1, T + 1)]
+        assert k_ts.tolist() == [math.ceil(t ** gamma) for t in range(1, T + 1)]
+        assert k_ts.sum() >= T ** (1 + gamma) / (1 + gamma)
+        # a run on the budget sum(K_t) steps through exactly that schedule
         cfg = SolverConfig("rspp", PolynomialDecay(1.0, gamma),
-                           iterations=int(k_ts.sum()), stride=10 ** 9,
+                           iterations=int(k_ts.sum()), stride=1,
                            x0=np.ones(3))
         tr = run(prob, cfg, np.random.default_rng(8))
-        assert tr.epoch_stepsizes == [1.0 / t ** gamma for t in range(1, T + 1)]
-        assert tr.epoch_lengths == [math.ceil(t ** gamma) for t in range(1, T + 1)]
-        assert np.array_equal(k_ts, tr.epoch_lengths)
-        assert sum(tr.epoch_lengths) >= T ** (1 + gamma) / (1 + gamma)
+        assert np.array_equal(tr.stepsizes,
+                              np.append(np.repeat(mu_ts, k_ts), mu_ts[-1]))
+        assert tr.ks[-1] == k_ts.sum()
     c = ProblemConstants(
         r0=2.0, kappa=3.0, exp_grad_sq_opt=1.0, grad_norm_opt=0.5,
         exp_lips_sq=4.0, sigmas=np.array([1.0, 2.0]), dist0=0.4)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -392,6 +393,19 @@ def test_no_caller_sets_the_certificate_tol(monkeypatch):
         project_intersection(rows, x)
     with pytest.raises(DykstraError, match="certificate failed"):
         dist_intersection(rows, x)
+
+
+def test_failed_certificate_reports_the_least_active_multiplier(monkeypatch):
+    # x + y <= 0 is the one active row at this point, with a positive
+    # multiplier; the padding past it must not read as a 0 multiplier
+    rows = Polyhedron(np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2))
+    monkeypatch.setattr(constraints, "CERTIFICATE_TOL", -1.0)  # always fails
+    with pytest.raises(DykstraError, match="certificate failed") as err:
+        project_intersection(rows, np.array([0.7, 2.2]))
+    least = re.search(r"least multiplier (\S+)$", str(err.value))
+    assert least and float(least.group(1)) > 0.0, str(err.value)
+    with pytest.raises(DykstraError, match="no active row$"):
+        project_intersection(rows, np.array([-1.0, 0.5]))  # inside X
 
 
 def test_row_mean_sq_distance_matches_set_loop():

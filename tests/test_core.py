@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spprox import (LinearResidualSquared, QuadraticNorm, StochasticProblem,
-                    WholeSpace, norm)
+from spprox import (ComposedScalar, LinearResidualSquared, LogisticScalar,
+                    QuadraticNorm, StochasticProblem, WholeSpace, norm)
 from spprox.constraints import Halfspace
 
 
@@ -32,6 +32,20 @@ def test_x_star_feasibility_enforced():
     with pytest.raises(ValueError):
         StochasticProblem(losses, sets, 2, x_star=np.array([1.0, 0.0]))
     StochasticProblem(losses, sets, 2, x_star=np.array([-1.0, 0.0]))
+
+
+@pytest.mark.parametrize("losses,sets,kind", [
+    ([QuadraticNorm(3, 1.0)], [WholeSpace(2)], "quadratic-norm"),
+    ([QuadraticNorm(2, 1.0)], [WholeSpace(3)], "whole-space"),
+    ([QuadraticNorm(2, 1.0)], [WholeSpace(2), Halfspace([1.0, 0.0, 0.0], 1.0)],
+     "halfspace"),
+    ([ComposedScalar([1.0, 0.0, 0.0], LogisticScalar())], [WholeSpace(2)],
+     "composed-scalar"),
+], ids=["loss", "set", "second-set", "composed-loss"])
+def test_parts_of_the_wrong_dimension_are_rejected(losses, sets, kind):
+    with pytest.raises(ValueError,
+                       match=f"^{kind} has dimension 3, the problem 2$"):
+        StochasticProblem(losses, sets, 2)
 
 
 def test_objective_quadratic_path_matches_direct_sum():

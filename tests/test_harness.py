@@ -88,7 +88,7 @@ def _metric_trace(sqdist, feas, objective):
     means diverged, as an sgd run stops recording when it diverges."""
     from spprox.solvers import RunTrace
     n = len(sqdist)
-    return RunTrace("sgd", ks=np.arange(n) * 10, stepsizes=np.ones(n),
+    return RunTrace(ks=np.arange(n) * 10, stepsizes=np.ones(n),
                     sqdist=np.asarray(sqdist, dtype=float),
                     feas=np.asarray(feas, dtype=float),
                     objective=np.asarray(objective, dtype=float),

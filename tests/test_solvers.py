@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from conftest import random_component
 from spprox import (BatchLeastSquares, Halfspace, Polyhedron,
                     PolynomialDecay, QuadraticNorm, SolverConfig, SolverError,
                     StochasticProblem, WholeSpace, epochs_for_budget,
-                    fill_feasibility, parse_config, rspp_schedule, run,
-                    solvers)
+                    fill_feasibility, gen_constrained_ls, parse_config,
+                    rspp_schedule, run, solvers)
 from spprox.components import LossComponent
 from spprox.schedules import mean_theta_sq
 
@@ -75,7 +76,7 @@ def test_aspp_constant_stepsize_average_is_plain_mean():
         x = x / 1.6
         iterates.append(x.copy())
     mean_11 = np.mean(iterates[:-1], axis=0)
-    assert np.allclose(tr.final_average, mean_11, atol=1e-14)
+    assert np.allclose(tr.final, mean_11, atol=1e-14)
 
 
 def test_aspp_first_average_is_start():
@@ -85,7 +86,7 @@ def test_aspp_first_average_is_start():
     cfg = SolverConfig("aspp", PolynomialDecay(1.0, 0), iterations=1, stride=1,
                        x0=x0)
     tr = run(prob, cfg, np.random.default_rng(3))
-    assert np.allclose(tr.final_average, x0)
+    assert np.allclose(tr.final, x0)
 
 
 def test_aspp_average_lags_deterministic_iterate():
@@ -94,7 +95,27 @@ def test_aspp_average_lags_deterministic_iterate():
     cfg = SolverConfig("aspp", PolynomialDecay(1.0, 0), iterations=60, stride=1,
                        x0=np.array([5.0, -3.0]))
     tr = run(prob, cfg, np.random.default_rng(4))
-    assert tr.sqdist[-1] >= tr.iterate_sqdist[-1]
+    tr_spp = run(prob, replace(cfg, algorithm="spp"), np.random.default_rng(4))
+    assert tr.sqdist[-1] >= tr_spp.sqdist[-1]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_aspp_output_is_the_weighted_mean_of_spp_iterates(gamma):
+    prob = gen_constrained_ls(n=5, m=60, seed=1)
+    cfg = SolverConfig("aspp", PolynomialDecay(1.0, gamma), iterations=40,
+                       stride=1, seed=5)
+    tr = run(prob, cfg)
+    tr_spp = run(prob, replace(cfg, algorithm="spp"))
+    # the running mean, summed in iteration order as the scheme sums it
+    wavg, wsum = np.zeros(prob.dim), 0.0
+    expected = [tr_spp.points[0]]
+    for mu, x in zip(tr_spp.stepsizes[:-1], tr_spp.points[:-1]):
+        wavg += mu * x
+        wsum += mu
+        expected.append(wavg / wsum)
+    assert np.array_equal(tr.points, np.array(expected))
+    assert np.array_equal(tr.final, expected[-1])
+    assert np.array_equal(tr.stepsizes, tr_spp.stepsizes)
 
 
 def test_sgd_linear_recursion():
@@ -140,25 +161,31 @@ def test_rspp_single_epoch_equals_aspp():
                          x0=x0)
     tr_r = run(prob, cfg_r, np.random.default_rng(7))
     tr_a = run(prob, cfg_a, np.random.default_rng(7))
-    assert tr_r.final_average is None
-    assert np.array_equal(tr_r.final, tr_a.final_average)
+    assert np.array_equal(tr_r.final, tr_a.final)
 
 
 def test_rspp_restarts_from_epoch_average(small_ls):
     cfg = SolverConfig("rspp", PolynomialDecay(1.0, 1.0), iterations=21,
                        stride=1)
     tr = run(small_ls, cfg, np.random.default_rng(8))
-    assert tr.epoch_lengths == [1, 2, 3, 4, 5, 6]
-    assert tr.epoch_ends == [1, 3, 6, 10, 15, 21]
-    assert np.allclose(tr.epoch_stepsizes, [1.0 / t for t in range(1, 7)])
-    assert np.array_equal(tr.final, tr.epoch_outputs[-1])
+    mu_ts, k_ts = rspp_schedule(1.0, 1.0, 6)
+    ends = np.cumsum(k_ts)
+    assert ends.tolist() == [1, 3, 6, 10, 15, 21]
+    assert np.allclose(mu_ts, [1.0 / t for t in range(1, 7)])
+    # the record at each epoch end is the restart point: the plain mean of
+    # the epoch's iterates, summed in order as the scheme sums it
+    for start, end in zip(np.append(0, ends[:-1]), ends):
+        mean = np.zeros(small_ls.dim)
+        for x in tr.points[start:end]:
+            mean += x
+        assert np.array_equal(tr.points[end], mean / (end - start))
+    assert np.array_equal(tr.final, tr.points[-1])
     # each record carries the stepsize of the epoch running at k; k = K
     # (the last restart point) carries the last epoch's
-    assert tr.ks[-1] == tr.epoch_ends[-1] == 21
+    assert tr.ks[-1] == ends[-1] == 21
     for k, mu in zip(tr.ks, tr.stepsizes):
-        t = min(int(np.searchsorted(tr.epoch_ends, k, side="right")),
-                len(tr.epoch_ends) - 1)
-        assert mu == tr.epoch_stepsizes[t]
+        t = min(int(np.searchsorted(ends, k, side="right")), len(ends) - 1)
+        assert mu == mu_ts[t]
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
@@ -171,8 +198,8 @@ def test_rspp_spends_the_iteration_budget_on_whole_epochs(gamma):
             cfg = SolverConfig("rspp", PolynomialDecay(1.0, gamma),
                                iterations=int(budget), stride=1)
             tr = run(prob, cfg, np.random.default_rng(3))
-            assert len(tr.epoch_ends) == T, budget
-            assert tr.epoch_ends[-1] == total == tr.ks[-1], budget
+            assert epochs_for_budget(gamma, budget) == T, budget
+            assert tr.ks[-1] == total, budget
 
 
 def _parse_cell(tmp_path, algorithm, gamma):
