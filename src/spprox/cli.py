@@ -64,10 +64,9 @@ def _cmd_run(args) -> int:
         config.workers = args.workers
     results = run_experiment(config)
     for name, agg in results.items():
-        tail = ""
-        if agg.diverged:
-            tail = f"  (diverged runs: {agg.diverged})"
-        print(f"{name}: {agg.runs} runs, {len(agg.ks)} records{tail}")
+        diverged = sum(t.diverged for t in agg.traces)
+        tail = f"  (diverged runs: {diverged})" if diverged else ""
+        print(f"{name}: {len(agg.traces)} runs, {len(agg.ks)} records{tail}")
     print(f"outputs in {config.outdir}")
     return 0
 

@@ -76,7 +76,8 @@ class StochasticProblem:
         Known optimum.  Must lie in the intersection of all constraint sets
         within ``FEASIBILITY_TOL``; checked again whenever it is set.
     kappa : float, optional
-        Known (or estimated) linear-regularity constant; 1 if X = R^n.
+        Known (or estimated) linear-regularity constant, finite and >= 1;
+        1 if X = R^n.
     test_objective : callable, optional
         Held-out objective F_test(x) (portfolio experiments).
     one_pass : int, optional
@@ -107,6 +108,8 @@ class StochasticProblem:
         self.meta = dict(meta) if meta else {}
         from .constraints import Polyhedron  # constraints imports this module
         self.rows = Polyhedron.of(self.constraints, self.dim)
+        if kappa is not None and not 1.0 <= kappa < math.inf:  # X lies in X_S
+            raise ValueError(f"kappa = {kappa} must be finite and >= 1")
         self.kappa = 1.0 if kappa is None and not len(self.rows.d) else kappa
         self.x_star = x_star
         self._quad = self._build_quadratic_objective()

@@ -114,9 +114,9 @@ class ExperimentConfig:
 
 @dataclass
 class AggregateTrace:
-    """Per-k Monte-Carlo means and standard errors for one cell."""
+    """Per-k Monte-Carlo means and standard errors for one cell, and the
+    per-run traces they reduce (run-index order)."""
 
-    name: str
     ks: np.ndarray
     stepsizes: np.ndarray
     mean_sqdist: np.ndarray
@@ -128,10 +128,7 @@ class AggregateTrace:
     mean_ftest: np.ndarray
     se_ftest: np.ndarray
     counts: np.ndarray
-    runs: int
-    diverged: int
-    metadata: dict = field(default_factory=dict)
-    traces: list = field(default_factory=list)  # per-run RunTrace, run-index order
+    traces: list = field(default_factory=list)
 
 
 def _mean_se(values: np.ndarray):
@@ -151,7 +148,7 @@ def _mean_se(values: np.ndarray):
     return mean, np.where(counts == 1, 0.0, se), counts
 
 
-def aggregate(name: str, traces: list, metadata: dict | None = None) -> AggregateTrace:
+def aggregate(traces: list) -> AggregateTrace:
     """Deterministic reduction of per-run traces (run-index order).
 
     The four metrics are reduced as one NaN-padded (metric, record, run)
@@ -165,7 +162,6 @@ def aggregate(name: str, traces: list, metadata: dict | None = None) -> Aggregat
         values[:, :len(t.ks), i] = (t.sqdist, t.feas, t.objective, t.test_obj)
     mean, se, counts = _mean_se(values)
     return AggregateTrace(
-        name=name,
         ks=longest.ks.copy(),
         stepsizes=longest.stepsizes.copy(),
         mean_sqdist=mean[0], se_sqdist=se[0],
@@ -173,9 +169,6 @@ def aggregate(name: str, traces: list, metadata: dict | None = None) -> Aggregat
         mean_obj=mean[2], se_obj=se[2],
         mean_ftest=mean[3], se_ftest=se[3],
         counts=counts[2],  # objective: finite wherever a run recorded
-        runs=len(traces),
-        diverged=sum(1 for t in traces if t.diverged),
-        metadata=dict(metadata or {}),
         traces=list(traces))
 
 
@@ -242,15 +235,14 @@ def _pooled_traces(problem: StochasticProblem, solver_cfgs: list,
 
 
 def run_cell(problem: StochasticProblem, solver_config: SolverConfig,
-             runs: int, base_seed: int, name: str = "cell",
-             metadata: dict | None = None,
+             runs: int, base_seed: int,
              record_feasibility: bool = True) -> AggregateTrace:
     """Monte-Carlo repetitions of one cell; seeds are base_seed + run index.
     The cell runs as one share: with ``record_feasibility``, the feasibility
     of every point it records is one batched solve."""
     share = [(solver_config, base_seed + i) for i in range(runs)]
     traces = _run_share(share, problem, threading.Event(), record_feasibility)
-    return aggregate(name, traces, metadata)
+    return aggregate(traces)
 
 
 # -- emission ------------------------------------------------------------------
@@ -426,10 +418,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
     ``<name>.csv`` (fixed schema) and optionally per-run debug CSVs; one SVG
     per gamma group with the cells' primary curves (squared distance to the
     optimum when known, the held-out objective for portfolio problems) and,
-    when enabled, the dashed bounds ``bounds.bound_overlay`` gives each cell.
+    when enabled (a ``ConfigError`` with no known optimum, or no kappa known
+    or probed), the dashed bounds ``bounds.bound_overlay`` gives each cell.
     """
     config.validate()
     problem = generate(config.spec)
+    if config.overlay_bounds and (problem.x_star is None or (
+            problem.kappa is None and config.kappa_probes < 1)):
+        raise ConfigError("overlay_bounds needs a problem with a known "
+                          "optimum and a kappa (known, or kappa_probes >= 1)")
     K = config.iterations if config.iterations > 0 else problem.one_pass
     stride = config.stride if config.stride > 0 else max(1, K // 50)
     workers = config.workers or (  # 0: the CPUs this process may run on
@@ -461,13 +458,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
         seeds = range(config.base_seed, config.base_seed + config.runs)
         pooled = _pooled_traces(problem, solver_cfgs, seeds, workers,
                                 config.record_feasibility)
-        aggs = [aggregate(cell.name, traces, dict(meta_common))
-                for cell, traces in zip(config.cells, pooled)]
+        aggs = [aggregate(traces) for traces in pooled]
     else:
         aggs = [run_cell(problem, solver_cfg, config.runs, config.base_seed,
-                         name=cell.name, metadata=dict(meta_common),
                          record_feasibility=config.record_feasibility)
-                for cell, solver_cfg in zip(config.cells, solver_cfgs)]
+                for solver_cfg in solver_cfgs]
+    meta_text = json.dumps(meta_common, indent=1, sort_keys=True) + "\n"
     results = {}
     groups = {}
     for cell, agg in zip(config.cells, aggs):
@@ -476,19 +472,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
         if config.debug_runs:
             for i, tr in enumerate(agg.traces):
                 emit_run_csv(tr, outdir / f"{cell.name}_run{i:03d}.csv")
-        meta_path = outdir / f"{cell.name}.meta.json"
-        meta_path.write_text(json.dumps(agg.metadata, indent=1,
-                                        sort_keys=True) + "\n")
+        (outdir / f"{cell.name}.meta.json").write_text(meta_text)
         groups.setdefault(cell.gamma_label, []).append((cell, agg))
 
     _, curve, ylabel = next(row for row in _PRIMARY_CURVES if row[0] is None
                             or getattr(problem, row[0]) is not None)
     constants = None
-    if config.overlay_bounds and curve == "mean_sqdist":
+    if config.overlay_bounds:
         try:
             constants = bounds_mod.ProblemConstants.measure(
                 problem, np.zeros(problem.dim), kappa=kappa_hat)
-        except ValueError:  # no kappa: no overlay
+        except bounds_mod.MissingConstantError:  # every probe degenerate
             pass
     for gname, members in groups.items():
         curves = []

@@ -274,6 +274,50 @@ def test_unreachable_return_target_fails_before_output(tmp_path, monkeypatch,
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("family, knobs", [
+    # kappa is unknown and no probe is drawn
+    ("constrained-ls", (("n", "4"), ("m", "40"))),
+    # no known optimum, though a probe would give a kappa
+    ("markowitz", (("n", "4"), ("periods", "200"), ("kappa_probes", "1")))])
+def test_an_overlay_that_cannot_be_drawn_is_a_config_error(
+        tmp_path, monkeypatch, capsys, family, knobs):
+    text = harness.CONFIG_TEMPLATES[family]
+    for key, value in (("runs", "1"), ("iterations", "20"),
+                       ("overlay_bounds", "true")):
+        text = _with_key("experiment", key, value, text)
+    for key, value in knobs:
+        section = "experiment" if key == "kappa_probes" else "problem"
+        text = _with_key(section, key, value, text)
+    cfg = tmp_path / f"{family}.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    monkeypatch.setenv("SPPROX_OUTDIR", str(out))
+    assert main(["run", str(cfg), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "overlay_bounds" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_run_prints_each_cell_runs_records_and_diverged_runs(
+        tmp_path, monkeypatch, capsys, workers):
+    text = harness.CONFIG_TEMPLATES["finite-sum"]
+    for key, value in (("runs", "3"), ("iterations", "40")):
+        text = _with_key("experiment", key, value, text)
+    for key, value in (("algorithms", "spp, sgd"), ("mu0", "50"),
+                       ("gamma", "0")):
+        text = _with_key("solvers", key, value, text)
+    cfg = tmp_path / "fs.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    monkeypatch.setenv("SPPROX_OUTDIR", str(out))
+    assert main(["run", str(cfg), "--workers", workers]) == 0
+    assert capsys.readouterr().out == (
+        "spp_mu50_gconst: 3 runs, 41 records\n"
+        "sgd_mu50_gconst: 3 runs, 8 records  (diverged runs: 3)\n"
+        f"outputs in {out}\n")
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nnonsense = 1\n")

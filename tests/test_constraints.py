@@ -13,7 +13,7 @@ from spprox import (Box, DykstraError, Halfspace, Hyperplane,
                     ProblemConstants, QuadraticNorm, SolverConfig,
                     StochasticProblem, WholeSpace,
                     build_markowitz, dist_intersection, estimate_kappa,
-                    fill_feasibility, gen_constrained_ls, generate,
+                    fill_feasibility, gen_constrained_ls, generate, norm,
                     parse_config, project_intersection, run, synth_returns)
 from spprox import constraints
 from spprox.harness import CONFIG_TEMPLATES
@@ -309,6 +309,30 @@ def test_estimate_kappa_draws_its_probes_as_one_block(tmp_path):
     assert abs(kappa - 51.71058446005237) <= 1e-12 * 51.71058446005237
     block.standard_normal((20, 20))
     assert rng.bit_generator.state == block.bit_generator.state
+
+
+def test_estimate_kappa_solves_its_kept_probes_as_one_batch(small_ls,
+                                                            monkeypatch):
+    # 70 probes span two CHUNKs; the one batch gives the per-probe loop's bits
+    assert constraints.CHUNK < 70
+    rng, draw = np.random.default_rng(5), np.random.default_rng(5)
+    center = small_ls.x_star
+    u = draw.standard_normal((70, small_ls.dim))
+    x = center + (2.0 * max(1.0, norm(center))
+                  / np.sqrt(np.einsum("ij,ij->i", u, u)))[:, None] * u
+    den = small_ls.mean_constraint_sq_distance(x)
+    x, den = x[den >= 1e-14], den[den >= 1e-14]
+    num = np.array([dist_intersection(small_ls.rows, p) for p in x])
+    loop = max(float((num ** 2 / den).max()), 1.0)
+    sizes = []
+
+    def counted(rows, points):
+        sizes.append(np.shape(points))
+        return dist_intersection(rows, points)
+
+    monkeypatch.setattr(constraints, "dist_intersection", counted)
+    assert estimate_kappa(small_ls, 70, rng) == loop
+    assert sizes == [x.shape]
 
 
 def test_working_set_matches_enumeration():

@@ -48,6 +48,15 @@ def test_parts_of_the_wrong_dimension_are_rejected(losses, sets, kind):
         StochasticProblem(losses, sets, 2)
 
 
+@pytest.mark.parametrize("kappa", [0.5, float("nan"), float("inf")])
+def test_a_kappa_that_is_not_finite_and_at_least_one_is_rejected(kappa):
+    # X lies in every X_S, so kappa < 1 cannot hold
+    with pytest.raises(ValueError, match=f"kappa = {kappa} must be finite"):
+        StochasticProblem([QuadraticNorm(2, 1.0)],
+                          [Halfspace(np.array([1.0, 0.0]), 1.0)], 2,
+                          kappa=kappa)
+
+
 def test_objective_quadratic_path_matches_direct_sum():
     p = _two_component_problem()
     rng = np.random.default_rng(8)

@@ -1,5 +1,6 @@
 import configparser
 import inspect
+import json
 import math
 import multiprocessing
 import pickle
@@ -26,13 +27,13 @@ def _toy_aggregate(records: int) -> AggregateTrace:
     vals = 1.0 / (1.0 + ks)
     z = np.zeros(records)
     return AggregateTrace(
-        name="toy", ks=ks, stepsizes=np.full(records, 0.5),
+        ks=ks, stepsizes=np.full(records, 0.5),
         mean_sqdist=vals, se_sqdist=z + 0.01,
         mean_feas=vals / 2, se_feas=z,
         mean_obj=vals * 3, se_obj=z + 0.25,
         mean_ftest=np.full(records, math.nan),
         se_ftest=np.full(records, math.nan),
-        counts=np.full(records, 3), runs=3, diverged=0)
+        counts=np.full(records, 3))
 
 
 def test_emit_csv_counts(tmp_path):
@@ -126,7 +127,7 @@ def test_a_cell_of_no_runs_is_rejected():
     with pytest.raises(ValueError, match="a cell needs at least one run"):
         run_cell(problem, cfg, runs=0, base_seed=7)
     with pytest.raises(ValueError, match="a cell needs at least one run"):
-        aggregate("empty", [])
+        aggregate([])
 
 
 @pytest.mark.parametrize("make", [_two_runs, _twelve_runs])
@@ -136,8 +137,9 @@ def test_aggregate_handles_truncated_runs(make):
     for t in traces:
         if len(t.ks) < longest:
             t.diverged_at = int(t.ks[-1]) + 4
-    agg = aggregate("cell", traces)
-    assert agg.diverged == sum(len(t.ks) < longest for t in traces)
+    agg = aggregate(traces)
+    assert (sum(t.diverged for t in agg.traces)
+            == sum(len(t.ks) < longest for t in traces))
     assert agg.counts.tolist() == counts
     assert np.array_equal(agg.ks, np.arange(longest) * 10)
     for metric, mean, se in (("sqdist", agg.mean_sqdist, agg.se_sqdist),
@@ -393,8 +395,9 @@ def test_a_row_free_run_records_its_known_kappa(tmp_path):
         cells=[Cell("spp", 0.5, 1.0)], runs=2, base_seed=5,
         outdir=str(tmp_path / "rf"), iterations=20, stride=10, workers=1,
         kappa_probes=3)
-    (agg,) = run_experiment(config).values()
-    assert agg.metadata["kappa_hat_lower_bound"] == 1.0
+    run_experiment(config)
+    meta = json.loads(next(Path(config.outdir).glob("*.meta.json")).read_text())
+    assert meta["kappa_hat_lower_bound"] == 1.0
 
 
 def test_run_certifies_every_intersection_solve_at_the_certificate_tol(
@@ -422,9 +425,10 @@ def test_run_certifies_every_intersection_solve_at_the_certificate_tol(
         cells=[Cell("spp", 0.5, 1.0)], runs=2, base_seed=5,
         outdir=str(tmp_path / "tol"), iterations=40, stride=10, workers=1,
         overlay_bounds=True, kappa_probes=1)
-    (agg,) = run_experiment(config).values()
+    run_experiment(config)
     # the run's records, the kappa probe and the overlay's dist_X(x0)
-    assert agg.metadata["kappa_hat_lower_bound"] is not None
+    meta = json.loads(next(Path(config.outdir).glob("*.meta.json")).read_text())
+    assert meta["kappa_hat_lower_bound"] is not None
     svg = ET.parse(next(Path(config.outdir).glob("*.svg"))).getroot()
     assert any("stroke-dasharray" in e.attrib for e in svg.iter()
                if e.tag.endswith("polyline"))
